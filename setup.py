@@ -1,37 +1,6 @@
-import sys
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """Build the accelerator extension if possible; fall back to pure Python."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            print(f"warning: skipping compiled kernels ({exc}); "
-                  "the pure-Python fallback will be used", file=sys.stderr)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: could not build {ext.name} ({exc}); "
-                  "the pure-Python fallback will be used", file=sys.stderr)
-
-
-try:
-    from Cython.Build import cythonize
-    extensions = cythonize(
-        [Extension("weightsys._kernels", ["src/weightsys/_kernels.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(
-    ext_modules=extensions,
-    cmdclass={"build_ext": optional_build_ext},
-)
+# optional=True: without a working C compiler the build only warns, and
+# weightsys.kernels falls back to the pure-Python twin at import time.
+setup(ext_modules=[Extension("weightsys._kernels",
+                             ["src/weightsys/_kernels.c"], optional=True)])

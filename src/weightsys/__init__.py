@@ -21,8 +21,8 @@ from .graphs import (GraphParseError, TrivalentGraph, face_orbits,
 from .poly import IntPolynomial
 from .ribbon import (all_markings, boundary_count, count_spherical_embeddings,
                      first_spherical_marking, genus_of_marking, is_planar,
-                     rotation_of_marking, sign_of_marking, spherical_markings,
-                     w_top, wgl_polynomial)
+                     rotation_of_marking, sign_of_marking, w_top,
+                     wgl_polynomial)
 from .statesum import evaluate_weight
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "genus_of_marking", "is_connected", "is_planar", "is_two_connected",
     "make_abelian", "make_gl", "make_sl2", "make_so3", "parse_graph",
     "penrose_sum", "rotation_of_marking", "run_survey", "scale_metric",
-    "serialize_graph", "sign_of_marking", "spherical_markings",
-    "tait_edge_coloring", "validate_algebra", "verify_tait_bijection",
+    "serialize_graph", "sign_of_marking", "tait_edge_coloring",
+    "validate_algebra", "verify_tait_bijection",
     "w_sl2", "w_top", "wgl_polynomial",
 ]

@@ -1,9 +1,10 @@
 """Pure-Python kernels for the enumeration-heavy inner loops.
 
-Same contract as the compiled extension in ``_kernels.pyx``; the
-``kernels`` front end picks whichever is available.  Everything here is
-plain integer work on dart arrays, deliberately free of package imports
-so both backends stay drop-in interchangeable.
+Same contract as the compiled extension built from ``_kernels.c``, bad
+input included: both raise the same ValueError, in the same order of
+checks.  The ``kernels`` front end picks whichever is available.
+Everything here is plain integer work on dart arrays, deliberately free
+of package imports so both backends stay drop-in interchangeable.
 
 Dart conventions: ``3i, 3i+1, 3i+2`` belong to vertex ``i`` in
 counterclockwise order, ``sigma`` maps each dart to its successor within
@@ -13,10 +14,21 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 
 from __future__ import annotations
 
+MAX_SCAN_V = 28
+
+
+def _check_entries(alpha, n: int) -> None:
+    # Python would wrap a negative index round silently; C would not.
+    if n and (min(alpha) < 0 or max(alpha) >= n):
+        raise ValueError("alpha entry outside 0..3v-1")
+
 
 def face_count(alpha) -> int:
     """Number of orbits of d -> sigma(alpha(d))."""
     n = len(alpha)
+    if n % 3:
+        raise ValueError("alpha length must be a multiple of 3")
+    _check_entries(alpha, n)
     seen = bytearray(n)
     faces = 0
     for start in range(n):
@@ -54,24 +66,31 @@ def marking_scan(alpha, v: int):
     the re-oriented rotation system is taken with the marking's sign
     (parity of reversed vertices).  Returns
 
-        (signed_by_b, spherical, spherical_signed)
+        (signed_by_b, spherical, spherical_signed, first_mask)
 
     where signed_by_b[b] sums the signs of markings with face count b,
     spherical counts markings reaching the maximum b = v/2 + 2 (genus 0),
-    and spherical_signed is their signed subtotal.  Raises ValueError on
-    a disconnected pairing; signed_by_b is sized by the connected-graph
-    Euler bound b <= v/2 + 2.
+    spherical_signed is their signed subtotal, and first_mask is the
+    lowest spherical mask (-1 when there is none).  signed_by_b is sized
+    by the connected-graph Euler bound b <= v/2 + 2, so the input must be
+    a connected fixed-point-free pairing of 3v darts with v <= 28;
+    anything else raises ValueError.
     """
     n = 3 * v
     if len(alpha) != n:
         raise ValueError("alpha length does not match vertex count")
+    if v > MAX_SCAN_V:
+        raise ValueError(f"marking scan capped at v = {MAX_SCAN_V}")
+    _check_entries(alpha, n)
+    if any(x == d or alpha[x] != d for d, x in enumerate(alpha)):
+        raise ValueError("alpha is not a fixed-point-free pairing")
     if v and not _connected(alpha, v):
         raise ValueError("marking scan requires a connected pairing")
-    # Euler bound for a connected graph: faces <= v/2 + 2.
     b_top = v // 2 + 2
     signed_by_b = [0] * (b_top + 1)
     spherical = 0
     spherical_signed = 0
+    first_mask = -1
     tau = list(range(n))
     seen = bytearray(n)
     for mask in range(1 << v):
@@ -98,61 +117,8 @@ def marking_scan(alpha, v: int):
         sign = -1 if bin(mask).count("1") & 1 else 1
         signed_by_b[faces] += sign
         if faces == b_top:
+            if first_mask < 0:
+                first_mask = mask
             spherical += 1
             spherical_signed += sign
-    return signed_by_b, spherical, spherical_signed
-
-
-def pairing_census(v: int, allow_loops: bool):
-    """Count fixed-point-free pairings of the 3v darts: (total, connected).
-
-    Walks every pairing by matching the smallest free dart against each
-    larger free dart in turn (the same order the catalog streams them in)
-    and checks connectivity of the induced vertex graph at each leaf.
-    """
-    n = 3 * v
-    if n == 0:
-        return 1, 1
-    mate = [-1] * n
-
-    def leaf_connected() -> bool:
-        seen = [False] * v
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            i = stack.pop()
-            for d in (3 * i, 3 * i + 1, 3 * i + 2):
-                j = mate[d] // 3
-                if not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    stack.append(j)
-        return count == v
-
-    total = 0
-    connected = 0
-
-    def rec(free: int):
-        nonlocal total, connected
-        d = free
-        while d < n and mate[d] != -1:
-            d += 1
-        if d == n:
-            total += 1
-            if leaf_connected():
-                connected += 1
-            return
-        for dd in range(d + 1, n):
-            if mate[dd] != -1:
-                continue
-            if not allow_loops and dd // 3 == d // 3:
-                continue
-            mate[d] = dd
-            mate[dd] = d
-            rec(d + 1)
-            mate[d] = -1
-            mate[dd] = -1
-
-    rec(0)
-    return total, connected
+    return signed_by_b, spherical, spherical_signed, first_mask

@@ -27,7 +27,7 @@ from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
 from .poly import IntPolynomial
-from .ribbon import first_spherical_marking, marking_profile
+from .ribbon import marking_profile
 from .statesum import evaluate_weight
 
 MAX_V_DEFAULT = 10
@@ -240,8 +240,8 @@ def _class_matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
         yield kept
 
 
-def generate_graphs(v: int, allow_loops: bool = True, dedup: bool = False,
-                    max_v: int = MAX_V_DEFAULT) -> Iterator[TrivalentGraph]:
+def generate_graphs(v: int, allow_loops: bool = True,
+                    dedup: bool = False) -> Iterator[TrivalentGraph]:
     """Connected trivalent graphs on v vertices.
 
     Labeled mode (default) streams every connected dart pairing in
@@ -251,8 +251,9 @@ def generate_graphs(v: int, allow_loops: bool = True, dedup: bool = False,
     """
     if v <= 0 or v % 2:
         raise ValueError(f"vertex count must be even and positive, got {v}")
-    if v > max_v:
-        raise ValueError(f"vertex count {v} over the configured maximum {max_v}")
+    if v > MAX_V_DEFAULT:
+        raise ValueError(
+            f"vertex count {v} over the catalog maximum {MAX_V_DEFAULT}")
     if dedup:
         for a in _class_matrices(v, allow_loops):
             yield _graph_from_matrix(a)
@@ -318,7 +319,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     """
     v = g.vertex_count
     two_connected = is_two_connected(g)
-    wgl, spherical, top_signed = marking_profile(g)
+    wgl, spherical, top_signed, marking = marking_profile(g)
     planar = spherical > 0
     n3 = len(enumerate_edge_3_colorings(g))
     penrose = penrose_sum(g)
@@ -331,7 +332,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     four = None
     tait_ok = True
     if planar and two_connected:
-        pm = extract_map(g, first_spherical_marking(g))
+        pm = extract_map(g, marking)
         four = count_four_colorings(pm)
         tait_ok = verify_tait_bijection(pm) is None
 
@@ -377,11 +378,14 @@ def run_survey(max_v: int, allow_loops: bool = True, dedup: bool = False,
     """
     if max_v <= 0 or max_v % 2:
         raise ValueError(f"max_v must be even and positive, got {max_v}")
+    if max_v > MAX_V_DEFAULT:
+        raise ValueError(
+            f"max_v {max_v} over the catalog maximum {MAX_V_DEFAULT}")
 
     def stream() -> Iterator[TrivalentGraph]:
         for v in range(2, max_v + 1, 2):
             yield from generate_graphs(v, allow_loops=allow_loops,
-                                       dedup=dedup, max_v=max(max_v, MAX_V_DEFAULT))
+                                       dedup=dedup)
 
     if jobs > 1:
         with Pool(jobs) as pool:

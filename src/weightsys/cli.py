@@ -23,8 +23,7 @@ from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
                        extract_map, penrose_sum, verify_tait_bijection, w_sl2)
 from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
                      is_two_connected, parse_graph)
-from .ribbon import (count_spherical_embeddings, first_spherical_marking,
-                     is_planar, w_top, wgl_polynomial)
+from .ribbon import first_spherical_marking, marking_profile
 from .statesum import evaluate_weight
 
 
@@ -71,9 +70,7 @@ def cmd_poly(args) -> int:
         return _fail(2, f"error: {exc}")
     if not is_connected(g):
         return _fail(2, "error: graph is not connected")
-    poly = wgl_polynomial(g)
-    top = w_top(g)
-    spherical = count_spherical_embeddings(g)
+    poly, spherical, top, _ = marking_profile(g)
     planar = spherical > 0
     two_conn = is_two_connected(g)
     if args.format == "json":
@@ -208,8 +205,11 @@ def cmd_survey(args) -> int:
         return _fail(2, f"error: --max-v must be even and positive, got {args.max_v}")
     if args.jobs < 1:
         return _fail(2, f"error: --jobs must be positive, got {args.jobs}")
-    result = run_survey(args.max_v, allow_loops=not args.no_loops,
-                        dedup=args.dedup, jobs=args.jobs)
+    try:
+        result = run_survey(args.max_v, allow_loops=not args.no_loops,
+                            dedup=args.dedup, jobs=args.jobs)
+    except ValueError as exc:
+        return _fail(2, f"error: {exc}")
     summary = result["summary"]
     if args.format == "json":
         _emit_json({"reports": [_report_dict(r) for r in result["reports"]],

@@ -22,11 +22,15 @@ from .poly import IntPolynomial
 Marking = tuple[int, ...]
 
 
+def _marking_of_mask(mask: int, v: int) -> Marking:
+    return tuple(-1 if (mask >> i) & 1 else 1 for i in range(v))
+
+
 def all_markings(v: int) -> Iterator[Marking]:
     """All sign vectors in binary-counter order, vertex 0 least
     significant, + before - (bit set means '-')."""
     for mask in range(1 << v):
-        yield tuple(-1 if (mask >> i) & 1 else 1 for i in range(v))
+        yield _marking_of_mask(mask, v)
 
 
 def sign_of_marking(m: Marking) -> int:
@@ -57,52 +61,45 @@ def genus_of_marking(g: TrivalentGraph, m: Marking) -> int:
     return gg
 
 
-def _scan(g: TrivalentGraph):
-    if not is_connected(g):
-        raise ValueError("marking expansion requires a connected graph")
-    return kernels.marking_scan(g.alpha, g.vertex_count)
-
-
 def wgl_polynomial(g: TrivalentGraph) -> IntPolynomial:
     """Sum sign(M)·N^b over all 2^v markings, collected by exponent."""
-    signed_by_b, _, _ = _scan(g)
-    return IntPolynomial({b: c for b, c in enumerate(signed_by_b) if c})
+    return marking_profile(g)[0]
 
 
 def w_top(g: TrivalentGraph) -> int:
     """Coefficient of N^(v/2+2): the signed count of spherical markings."""
-    _, _, spherical_signed = _scan(g)
-    return spherical_signed
+    return marking_profile(g)[2]
 
 
 def count_spherical_embeddings(g: TrivalentGraph) -> int:
     """Number of markings whose surface has genus 0 — the graph's
     embeddings in the oriented sphere reachable by vertex reversals."""
-    _, spherical, _ = _scan(g)
-    return spherical
+    return marking_profile(g)[1]
 
 
 def is_planar(g: TrivalentGraph) -> bool:
     return count_spherical_embeddings(g) > 0
 
 
-def spherical_markings(g: TrivalentGraph) -> Iterator[Marking]:
-    """Genus-0 markings in the all_markings order (possibly none)."""
-    for m in all_markings(g.vertex_count):
-        if boundary_count(g, m) == g.vertex_count // 2 + 2:
-            yield m
-
-
 def first_spherical_marking(g: TrivalentGraph) -> Marking | None:
-    return next(spherical_markings(g), None)
+    """The first genus-0 marking in the all_markings order, or None."""
+    return marking_profile(g)[3]
 
 
-def marking_profile(g: TrivalentGraph) -> tuple[IntPolynomial, int, int]:
-    """(wgl polynomial, spherical count, signed spherical count) in one
-    sweep — what the survey wants without three scans."""
-    signed_by_b, spherical, spherical_signed = _scan(g)
+def marking_profile(
+        g: TrivalentGraph,
+) -> tuple[IntPolynomial, int, int, Marking | None]:
+    """(wgl polynomial, spherical count, signed spherical count, first
+    spherical marking) from one scan of the 2^v markings — what the
+    survey and the CLI want without repeating the scan."""
+    if not is_connected(g):
+        raise ValueError("marking expansion requires a connected graph")
+    signed_by_b, spherical, spherical_signed, first_mask = \
+        kernels.marking_scan(g.alpha, g.vertex_count)
     poly = IntPolynomial({b: c for b, c in enumerate(signed_by_b) if c})
-    return poly, spherical, spherical_signed
+    first = (None if first_mask < 0
+             else _marking_of_mask(first_mask, g.vertex_count))
+    return poly, spherical, spherical_signed, first
 
 
 def face_orbits_of_marking(g: TrivalentGraph, m: Marking):

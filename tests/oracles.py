@@ -2,13 +2,16 @@
 
 Everything here recomputes package results by a different, dumber route:
 the state sum by explicit summation over index assignments, face counts
-by walking per-vertex successor lists, coloring counts by raw 3^e / 4^f
+by walking per-vertex successor lists, the first spherical marking by
+flipping vertices one marking at a time, coloring counts by raw 3^e / 4^f
 enumeration, and polynomial recovery by exact Lagrange interpolation.
 Slow on purpose; cross-checks, not tools.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from weightsys.ribbon import rotation_of_marking
 
 
 def naive_weight(g, alg):
@@ -80,6 +83,18 @@ def face_count_by_lists(alpha):
             unvisited.remove(d)
             d = cyclic[alpha[d]]
     return faces
+
+
+def first_spherical_by_flips(g):
+    """The first genus-0 marking in binary-counter order (vertex 0 least
+    significant, bit set means '-'), or None: each marking's graph is
+    built by flipping vertices and its faces counted by face_count_by_lists."""
+    v = g.vertex_count
+    for mask in range(1 << v):
+        m = tuple(-1 if (mask >> i) & 1 else 1 for i in range(v))
+        if face_count_by_lists(rotation_of_marking(g, m).alpha) == v // 2 + 2:
+            return m
+    return None
 
 
 def brute_edge_3_coloring_count(g):

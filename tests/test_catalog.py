@@ -189,7 +189,7 @@ def test_survey_parallel_matches_serial():
     assert serial["summary"] == parallel["summary"]
 
 
-@pytest.mark.parametrize("bad", [0, 3, -4])
+@pytest.mark.parametrize("bad", [0, 3, -4, 12])
 def test_survey_rejects_bad_max_v(bad):
     with pytest.raises(ValueError):
         run_survey(bad)

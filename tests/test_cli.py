@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from weightsys import kernels
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -87,6 +88,21 @@ def test_poly_json(capsys):
     assert payload["wgl"] == {"3": "2", "1": "-2"}
     assert payload["w_top"] == 2
     assert payload["planar"] is True
+
+
+def test_poly_scans_the_markings_once(capsys, monkeypatch):
+    calls = []
+    scan = kernels.marking_scan
+
+    def counting_scan(alpha, v):
+        calls.append(v)
+        return scan(alpha, v)
+
+    monkeypatch.setattr(kernels, "marking_scan", counting_scan)
+    code, out, _ = run(capsys, "poly", K4)
+    assert code == 0
+    assert out.splitlines()[0] == "wgl 2*N^4 - 2*N^2"
+    assert calls == [4]
 
 
 def test_poly_rejects_disconnected(capsys, disconnected):
@@ -205,6 +221,14 @@ def test_survey_rejects_bad_arguments(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_survey_refuses_max_v_over_catalog_maximum(capsys):
+    code, out, err = run(capsys, "survey", "--max-v", "12", "--dedup")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "maximum 10" in err
 
 
 def test_module_entry_point():

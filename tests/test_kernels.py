@@ -1,4 +1,5 @@
-"""Hot kernels: pure fallback vs compiled extension, and goldens."""
+"""Hot kernels: goldens, bad input, and the compiled extension against
+its pure twin (built from _kernels.c by the compiled_kernels fixture)."""
 
 import os
 import random
@@ -54,17 +55,22 @@ def test_face_count_against_oracle():
 
 
 def test_marking_scan_theta():
-    signed_by_b, spherical, spherical_signed = kernels.marking_scan(THETA, 2)
+    signed_by_b, spherical, spherical_signed, first_mask = \
+        kernels.marking_scan(THETA, 2)
     assert signed_by_b == [0, -2, 0, 2]
     assert spherical == 2
     assert spherical_signed == 2
+    assert first_mask == 0
+    assert kernels.marking_scan(THETA_TWISTED, 2)[3] == 1
 
 
 def test_marking_scan_dumbbell():
-    signed_by_b, spherical, spherical_signed = kernels.marking_scan(DUMBBELL, 2)
+    signed_by_b, spherical, spherical_signed, first_mask = \
+        kernels.marking_scan(DUMBBELL, 2)
     assert all(c == 0 for c in signed_by_b)
     assert spherical == 4
     assert spherical_signed == 0
+    assert first_mask == 0
 
 
 def test_marking_scan_totals():
@@ -73,12 +79,13 @@ def test_marking_scan_totals():
     rng = random.Random(11)
     for v in (2, 4, 6):
         for _ in range(10):
-            signed_by_b, spherical, signed = kernels.marking_scan(
+            signed_by_b, spherical, signed, first_mask = kernels.marking_scan(
                 random_connected_alpha(v, rng), v)
             assert len(signed_by_b) == v // 2 + 3
             assert sum(signed_by_b) == 0
             assert abs(signed) <= spherical
             assert signed_by_b[v // 2 + 2] == signed
+            assert (first_mask == -1) == (spherical == 0)
 
 
 def test_marking_scan_rejects_disconnected():
@@ -88,47 +95,71 @@ def test_marking_scan_rejects_disconnected():
         _kernels_py.marking_scan(TWO_THETAS, 4)
 
 
-def test_pairing_census_goldens():
-    assert kernels.pairing_census(2, True) == (15, 15)
-    assert kernels.pairing_census(2, False) == (6, 6)
-    assert kernels.pairing_census(4, True) == (10395, 9720)
-    assert kernels.pairing_census(4, False) == (3348, 3240)
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    if request.param == "pure":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")
 
 
-def test_pairing_census_total_is_double_factorial():
-    total, _ = kernels.pairing_census(4, True)
-    assert total == 11 * 9 * 7 * 5 * 3 * 1
+OUTSIDE = "alpha entry outside 0..3v-1"
+NOT_PAIRING = "alpha is not a fixed-point-free pairing"
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled",
-                    reason="compiled extension not available")
-class TestCompiledMatchesPure:
-    def test_face_count(self):
-        rng = random.Random(3)
-        for v in (2, 4, 8, 14):
-            for _ in range(25):
-                alpha = random_alpha(v, rng)
-                assert kernels.face_count(alpha) == _kernels_py.face_count(alpha)
+@pytest.mark.parametrize("alpha,v,message", [
+    (THETA, 3, "alpha length does not match vertex count"),
+    (THETA, -2, "alpha length does not match vertex count"),
+    (THETA[:5], 2, "alpha length does not match vertex count"),
+    (tuple(range(90)), 30, "marking scan capped at v = 28"),
+    ((4, 3, 5, 1, 0, -1), 2, OUTSIDE),
+    ((-6, 3, 5, 1, 0, 2), 2, OUTSIDE),
+    ((4, 3, 5, 1, 0, 6), 2, OUTSIDE),
+    ((4, 3, 5, 1, 0, 1 << 70), 2, OUTSIDE),
+    ((0, 3, 5, 1, 4, 2), 2, NOT_PAIRING),
+    ((4, 3, 5, 1, 2, 0), 2, NOT_PAIRING),
+    (TWO_THETAS, 4, "marking scan requires a connected pairing"),
+], ids=["v-too-big", "v-negative", "short", "v-over-cap", "last-negative",
+        "first-negative", "too-large", "huge", "fixed-point", "not-involution",
+        "disconnected"])
+def test_marking_scan_rejects_bad_input(backend, alpha, v, message):
+    with pytest.raises(ValueError) as exc:
+        backend.marking_scan(alpha, v)
+    assert str(exc.value) == message
 
-    def test_marking_scan(self):
-        rng = random.Random(5)
-        for v in (2, 4, 6):
-            for _ in range(10):
-                alpha = random_connected_alpha(v, rng)
-                fast = kernels.marking_scan(alpha, v)
-                slow = _kernels_py.marking_scan(alpha, v)
-                assert list(fast[0]) == list(slow[0])
-                assert fast[1:] == slow[1:]
 
-    def test_pairing_census(self):
-        for v in (2, 4):
-            for loops in (True, False):
-                assert kernels.pairing_census(v, loops) == \
-                    _kernels_py.pairing_census(v, loops)
+@pytest.mark.parametrize("alpha,message", [
+    (THETA[:4], "alpha length must be a multiple of 3"),
+    ((4, 3, 5, 1, 0, -1), OUTSIDE),
+    ((4, 3, 5, 1, 0, 6), OUTSIDE),
+], ids=["length", "negative", "too-large"])
+def test_face_count_rejects_bad_input(backend, alpha, message):
+    with pytest.raises(ValueError) as exc:
+        backend.face_count(alpha)
+    assert str(exc.value) == message
 
-    def test_census_v6(self):
-        assert kernels.pairing_census(6, True) == (34459425, 32221800)
-        assert kernels.pairing_census(6, False) == (11608920, 11314080)
+
+def test_compiled_matches_pure_on_catalog(compiled_kernels, catalog_v8):
+    for g in catalog_v8:
+        v = g.vertex_count
+        assert compiled_kernels.marking_scan(g.alpha, v) == \
+            _kernels_py.marking_scan(g.alpha, v), g
+        assert compiled_kernels.face_count(g.alpha) == \
+            _kernels_py.face_count(g.alpha), g
+
+
+def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
+    rng = random.Random(5)
+    for v, count in ((2, 10), (4, 10), (6, 10), (8, 10), (10, 6), (12, 3),
+                     (14, 2), (16, 1)):
+        for _ in range(count):
+            alpha = random_connected_alpha(v, rng)
+            assert compiled_kernels.marking_scan(alpha, v) == \
+                _kernels_py.marking_scan(alpha, v), alpha
+    for v in (2, 4, 8, 14, 400):
+        for _ in range(25):
+            alpha = random_alpha(v, rng)
+            assert compiled_kernels.face_count(alpha) == \
+                _kernels_py.face_count(alpha), alpha
 
 
 def test_pure_override_via_environment():

@@ -11,10 +11,10 @@ from weightsys.ribbon import (all_markings, boundary_count,
                               count_spherical_embeddings,
                               face_orbits_of_marking, first_spherical_marking,
                               genus_of_marking, is_planar, marking_profile,
-                              rotation_of_marking, sign_of_marking,
-                              spherical_markings, w_top, wgl_polynomial)
+                              rotation_of_marking, sign_of_marking, w_top,
+                              wgl_polynomial)
 from weightsys.statesum import evaluate_weight
-from oracles import lagrange_int_poly
+from oracles import first_spherical_by_flips, lagrange_int_poly
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,24 +94,36 @@ def test_top_and_spherical_goldens(name, top, spherical, planar):
     assert is_planar(g) is planar
 
 
-def test_spherical_markings_theta():
-    assert list(spherical_markings(THETA)) == [(1, 1), (-1, -1)]
+def test_first_spherical_marking_theta():
     assert first_spherical_marking(THETA) == (1, 1)
+    assert first_spherical_marking(THETA_TWISTED) == (-1, 1)
 
 
-def test_spherical_markings_dumbbell_and_k33():
-    dumbbell = load("dumbbell.tgf")
-    assert len(list(spherical_markings(dumbbell))) == 4
+def test_first_spherical_marking_dumbbell_and_k33():
+    assert first_spherical_marking(load("dumbbell.tgf")) == (1, 1)
     assert first_spherical_marking(load("k33.tgf")) is None
+
+
+@pytest.mark.parametrize("name", ["theta", "dumbbell", "k4", "cube", "k33"])
+def test_first_spherical_marking_matches_flip_oracle(name):
+    g = load(name + ".tgf")
+    assert first_spherical_marking(g) == first_spherical_by_flips(g)
+
+
+def test_first_spherical_marking_matches_flip_oracle_on_catalog(catalog_v8):
+    assert len(catalog_v8) == 95
+    for g in catalog_v8:
+        assert first_spherical_marking(g) == first_spherical_by_flips(g), g
 
 
 def test_marking_profile_agrees_with_pieces():
     for name in ("theta", "dumbbell", "k4", "cube", "k33"):
         g = load(name + ".tgf")
-        poly, spherical, signed = marking_profile(g)
+        poly, spherical, signed, first = marking_profile(g)
         assert poly == wgl_polynomial(g)
         assert spherical == count_spherical_embeddings(g)
         assert signed == w_top(g)
+        assert first == first_spherical_marking(g)
         assert poly.coefficient(g.vertex_count // 2 + 2) == signed
 
 
