@@ -5,11 +5,15 @@ pairing of the 3v darts in lexicographic order and keeps the connected
 ones — complete but factorially large (the dart count drives a double
 factorial, so labeled streaming is for v <= 4 in practice).  Dedup mode
 generates one representative per isomorphism class of the underlying
-multigraph instead, which is what makes v = 6 and 8 sweeps affordable.
-Every identity checked here is invariant under dart relabeling and
-vertex reversals, and any two rotation systems over the same multigraph
-differ by exactly those moves, so one representative per class decides
-the identity for the whole class.
+multigraph instead: the lexicographically largest vertex count matrix of
+the class, found by orderly generation (Read, "Every one a winner",
+1978).  The matrix search backtracks in descending order, cuts a branch
+as soon as a completed row can be improved by swapping two adjacent
+vertices, and keeps a full matrix only when no vertex relabeling makes
+it larger.  Every identity checked here is invariant under dart
+relabeling and vertex reversals, and any two rotation systems over the
+same multigraph differ by exactly those moves, so one representative per
+class decides the identity for the whole class.
 
 ``check_graph`` computes all invariants for one graph and records which
 of the cross-route identities held; ``run_survey`` folds that over a
@@ -59,26 +63,101 @@ def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-# --- isomorphism-class machinery on vertex count matrices ---------------
+# --- one representative per class: orderly generation -------------------
 #
 # A multigraph on v vertices is a symmetric matrix: entry (i, j) counts
 # edges between i and j, the diagonal counts loops (each worth 2 toward
-# the degree).  Trivalence forces diagonal entries <= 1.
+# the degree).  Trivalence forces diagonal entries <= 1.  Matrices compare
+# lexicographically in row-major order; entries below the diagonal repeat
+# earlier ones, so that is also the order of the upper triangles read row
+# by row.  Each class is represented by its largest member.
 
-def _matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
-    # Backtracking over the upper triangle, row by row.  Cells ahead of
-    # the cursor are always zero (every branch resets on unwind), so a
-    # row whose degree budget is spent can jump straight to the next row.
+def _swap_improves(a: list[list[int]], k: int) -> bool:
+    """Would swapping vertices k and k+1 make the matrix lexicographically
+    larger (flattened row-major order)?  Short-circuits at the first
+    affected entry; ties propagate by symmetry, so scanning past row k
+    is never needed.  Every entry read, and the first entry the swap
+    changes, lies in rows 0..k+1, so the answer is final once row k+1 is
+    complete."""
+    t = k + 1
+    for i in range(k):
+        x, y = a[i][k], a[i][t]
+        if x != y:
+            return y > x
+    rk, rt = a[k], a[t]
+    for j in range(k):
+        if rk[j] != rt[j]:
+            return rt[j] > rk[j]
+    if rk[k] != rt[t]:
+        return rt[t] > rk[k]
+    for j in range(t + 1, len(a)):
+        if rk[j] != rt[j]:
+            return rt[j] > rk[j]
+    return False
+
+
+def _is_canonical(a: list[list[int]]) -> bool:
+    """True when no vertex relabeling makes the matrix lexicographically
+    larger, i.e. when it is the largest member of its class.
+
+    Builds the relabeled matrix b[r][c] = a[p[r]][p[c]] row by row.  While
+    rows 0..r-1 of b equal those of a, the unplaced vertices fall into
+    ordered cells, each holding vertices with equal entries toward every
+    placed one, and the k-th cell must fill the k-th block of positions
+    r..v-1.  Taking p[r] from the first cell and sorting each cell by its
+    entry toward p[r] gives the largest row r reachable: larger than row
+    r of a means a is not canonical, smaller cuts the branch, equal
+    refines the cells by that entry and places the next row.
+    """
+    v = len(a)
+
+    def rec(r: int, cells: list[list[int]]) -> bool:
+        if r == v:
+            return True
+        first, rest = cells[0], cells[1:]
+        target = a[r][r:]
+        for x in first:
+            row = a[x]
+            best = [row[x]]
+            refined = []
+            for cell in [[u for u in first if u != x], *rest]:
+                by_value: dict[int, list[int]] = {}
+                for u in cell:
+                    by_value.setdefault(row[u], []).append(u)
+                for value in sorted(by_value, reverse=True):
+                    refined.append(by_value[value])
+                    best += [value] * len(by_value[value])
+            if best > target:
+                return False
+            if best == target and not rec(r + 1, refined):
+                return False
+        return True
+
+    return rec(0, [list(range(v))])
+
+
+def _class_matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
+    """The largest count matrix of every class, in descending order.
+
+    Backtracks over the upper triangle row by row, larger entries first,
+    so matrices come in descending order.  Cells ahead of the cursor are
+    always zero (every branch resets on unwind), so a row whose degree
+    budget is spent is complete.  Completing row i cuts the branch when
+    swapping vertices i-1 and i would improve it; a full matrix is kept
+    when _is_canonical holds.
+    """
     a = [[0] * v for _ in range(v)]
     rem = [3] * v
 
     # Yields the live matrix (no copy): consumers look, or copy to keep.
     def rec(i: int, j: int) -> Iterator[list[list[int]]]:
-        if i == v:
-            yield a
-            return
         if rem[i] == 0:
-            yield from rec(i + 1, i + 1)
+            if i and _swap_improves(a, i - 1):
+                return
+            if i + 1 < v:
+                yield from rec(i + 1, i + 1)
+            elif _is_canonical(a):
+                yield a
             return
         if j == v:
             return
@@ -104,103 +183,6 @@ def _matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
     yield from rec(0, 0)
 
 
-def _swap_improves(a: list[list[int]], k: int) -> bool:
-    """Would swapping vertices k and k+1 make the matrix lexicographically
-    larger (flattened row-major order)?  Short-circuits at the first
-    affected entry; ties propagate by symmetry, so scanning past row k
-    is never needed."""
-    t = k + 1
-    for i in range(k):
-        x, y = a[i][k], a[i][t]
-        if x != y:
-            return y > x
-    rk, rt = a[k], a[t]
-    for j in range(k):
-        if rk[j] != rt[j]:
-            return rt[j] > rk[j]
-    if rk[k] != rt[t]:
-        return rt[t] > rk[k]
-    for j in range(t + 1, len(a)):
-        if rk[j] != rt[j]:
-            return rt[j] > rk[j]
-    return False
-
-
-def _is_local_max(a: list[list[int]]) -> bool:
-    """Cheap sound symmetry filter: keep a matrix only if no adjacent
-    vertex swap increases it.  The lexicographic maximum of every
-    isomorphism class survives, so no class is lost; survivors still go
-    through exact dedup."""
-    return not any(_swap_improves(a, k) for k in range(len(a) - 1))
-
-
-def _matrix_connected(a: list[list[int]]) -> bool:
-    v = len(a)
-    seen = [False] * v
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        i = stack.pop()
-        for j in range(v):
-            if j != i and a[i][j] and not seen[j]:
-                seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == v
-
-
-def _matrix_signature(a: list[list[int]]) -> tuple:
-    """Label-invariant fingerprint: iterated neighborhood refinement.
-
-    Colors are re-ranked through a sorted key list each round, so the
-    color values themselves never depend on vertex numbering — only on
-    structure.  Isomorphic matrices always get equal signatures; the
-    converse is left to the exact isomorphism test within a bucket.
-    """
-    v = len(a)
-    colors = [(a[i][i], tuple(sorted(a[i][j] for j in range(v)
-                                     if j != i and a[i][j])))
-              for i in range(v)]
-    ranks = {k: r for r, k in enumerate(sorted(set(colors)))}
-    colors = [ranks[c] for c in colors]
-    for _ in range(v):
-        keys = [(colors[i], tuple(sorted((a[i][j], colors[j])
-                                         for j in range(v)
-                                         if j != i and a[i][j])))
-                for i in range(v)]
-        ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-        fresh = [ranks[k] for k in keys]
-        if len(set(fresh)) == len(set(colors)):
-            colors = fresh
-            break
-        colors = fresh
-    return tuple(sorted(colors))
-
-
-def _matrices_isomorphic(a: list[list[int]], b: list[list[int]]) -> bool:
-    v = len(a)
-    perm = [-1] * v
-    used = [False] * v
-
-    def rec(i: int) -> bool:
-        if i == v:
-            return True
-        for p in range(v):
-            if used[p] or a[i][i] != b[p][p]:
-                continue
-            if all(a[i][k] == b[p][perm[k]] for k in range(i)):
-                perm[i] = p
-                used[p] = True
-                if rec(i + 1):
-                    return True
-                used[p] = False
-                perm[i] = -1
-        return False
-
-    return rec(0)
-
-
 def _graph_from_matrix(a: list[list[int]]) -> TrivalentGraph:
     """Deterministic dart layout: per vertex, loops first, then edges to
     higher-numbered vertices in order, filling darts 3i, 3i+1, 3i+2."""
@@ -224,30 +206,14 @@ def _graph_from_matrix(a: list[list[int]]) -> TrivalentGraph:
     return TrivalentGraph(v, tuple(alpha))
 
 
-def _class_matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
-    seen: dict[tuple, list[list[list[int]]]] = {}
-    for a in _matrices(v, allow_loops):
-        if not _is_local_max(a):
-            continue
-        if not _matrix_connected(a):
-            continue
-        sig = _matrix_signature(a)
-        bucket = seen.setdefault(sig, [])
-        if any(_matrices_isomorphic(a, b) for b in bucket):
-            continue
-        kept = [row[:] for row in a]
-        bucket.append(kept)
-        yield kept
-
-
 def generate_graphs(v: int, allow_loops: bool = True,
                     dedup: bool = False) -> Iterator[TrivalentGraph]:
     """Connected trivalent graphs on v vertices.
 
     Labeled mode (default) streams every connected dart pairing in
     lexicographic order; dedup mode yields one representative per
-    multigraph isomorphism class, first-seen order, with a deterministic
-    dart layout.
+    multigraph isomorphism class, each class's largest count matrix, in
+    descending order, with a deterministic dart layout.
     """
     if v <= 0 or v % 2:
         raise ValueError(f"vertex count must be even and positive, got {v}")
@@ -255,13 +221,13 @@ def generate_graphs(v: int, allow_loops: bool = True,
         raise ValueError(
             f"vertex count {v} over the catalog maximum {MAX_V_DEFAULT}")
     if dedup:
-        for a in _class_matrices(v, allow_loops):
-            yield _graph_from_matrix(a)
+        graphs = map(_graph_from_matrix, _class_matrices(v, allow_loops))
     else:
-        for mate in _pairings(3 * v, allow_loops):
-            g = TrivalentGraph(v, mate)
-            if is_connected(g):
-                yield g
+        graphs = (TrivalentGraph(v, mate)
+                  for mate in _pairings(3 * v, allow_loops))
+    for g in graphs:
+        if is_connected(g):
+            yield g
 
 
 IDENTITY_NAMES = (
@@ -381,6 +347,8 @@ def run_survey(max_v: int, allow_loops: bool = True, dedup: bool = False,
     if max_v > MAX_V_DEFAULT:
         raise ValueError(
             f"max_v {max_v} over the catalog maximum {MAX_V_DEFAULT}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
 
     def stream() -> Iterator[TrivalentGraph]:
         for v in range(2, max_v + 1, 2):

@@ -201,10 +201,6 @@ def _report_dict(r) -> dict:
 
 
 def cmd_survey(args) -> int:
-    if args.max_v <= 0 or args.max_v % 2:
-        return _fail(2, f"error: --max-v must be even and positive, got {args.max_v}")
-    if args.jobs < 1:
-        return _fail(2, f"error: --jobs must be positive, got {args.jobs}")
     try:
         result = run_survey(args.max_v, allow_loops=not args.no_loops,
                             dedup=args.dedup, jobs=args.jobs)

@@ -4,12 +4,13 @@ Everything here recomputes package results by a different, dumber route:
 the state sum by explicit summation over index assignments, face counts
 by walking per-vertex successor lists, the first spherical marking by
 flipping vertices one marking at a time, coloring counts by raw 3^e / 4^f
-enumeration, and polynomial recovery by exact Lagrange interpolation.
+enumeration, polynomial recovery by exact Lagrange interpolation, and the
+canonical form of a count matrix by trying every vertex relabeling.
 Slow on purpose; cross-checks, not tools.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from weightsys.ribbon import rotation_of_marking
 
@@ -95,6 +96,16 @@ def first_spherical_by_flips(g):
         if face_count_by_lists(rotation_of_marking(g, m).alpha) == v // 2 + 2:
             return m
     return None
+
+
+def canonical_matrix(a):
+    """The largest relabeling of a vertex count matrix, over all v!
+    vertex permutations, as a tuple of row tuples.  Rows compare in
+    row-major order, and entries below the diagonal repeat earlier ones,
+    so this is also the largest upper triangle."""
+    v = len(a)
+    return max(tuple(tuple(a[p[i]][p[j]] for j in range(v)) for i in range(v))
+               for p in permutations(range(v)))
 
 
 def brute_edge_3_coloring_count(g):

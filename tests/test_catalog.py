@@ -1,13 +1,16 @@
 """Catalog generation and the cross-route identity survey."""
 
+import hashlib
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from weightsys.catalog import (IDENTITY_NAMES, _matrices_isomorphic,
-                               check_graph, generate_graphs, run_survey)
-from weightsys.graphs import TrivalentGraph, is_connected
+from oracles import canonical_matrix
+from weightsys.catalog import (IDENTITY_NAMES, check_graph, generate_graphs,
+                               run_survey)
+from weightsys.graphs import TrivalentGraph, is_connected, serialize_graph
 from weightsys.poly import IntPolynomial
 
 THETA = TrivalentGraph(2, (4, 3, 5, 1, 0, 2))
@@ -69,7 +72,8 @@ def test_labeled_stream_is_lexicographic():
 
 
 def test_dedup_class_counts():
-    for v, with_loops, loop_free in ((2, 2, 1), (4, 5, 2), (6, 17, 6)):
+    for v, with_loops, loop_free in ((2, 2, 1), (4, 5, 2), (6, 17, 6),
+                                     (8, 71, 20)):
         assert len(list(generate_graphs(v, dedup=True))) == with_loops
         assert len(list(generate_graphs(v, allow_loops=False,
                                         dedup=True))) == loop_free
@@ -77,10 +81,27 @@ def test_dedup_class_counts():
 
 def test_dedup_reps_are_pairwise_non_isomorphic():
     reps = list(generate_graphs(4, dedup=True))
-    mats = [count_matrix(g) for g in reps]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            assert not _matrices_isomorphic(mats[i], mats[j])
+    forms = [canonical_matrix(count_matrix(g)) for g in reps]
+    assert len(set(forms)) == len(forms)
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+@pytest.mark.parametrize("v", [2, 4, 6])
+def test_dedup_reps_are_largest_of_class_in_descending_order(v, allow_loops):
+    mats = [tuple(map(tuple, count_matrix(g)))
+            for g in generate_graphs(v, allow_loops=allow_loops, dedup=True)]
+    assert all(canonical_matrix(m) == m for m in mats)
+    assert all(x > y for x, y in zip(mats, mats[1:]))
+
+
+def test_dedup_catalog_matches_golden_digest():
+    digest = hashlib.sha256()
+    for allow_loops in (True, False):
+        for v in (2, 4, 6, 8):
+            for g in generate_graphs(v, allow_loops=allow_loops, dedup=True):
+                digest.update(serialize_graph(g))
+    assert digest.hexdigest() == (
+        "9ec0fd1291f8b75b6b86d47a4f85fb08960d3a0475e211eb66a76b0c661f9c97")
 
 
 def test_dedup_respects_loop_flag():
@@ -98,12 +119,15 @@ def test_dedup_is_deterministic():
 def test_every_labeled_graph_has_exactly_one_representative(v):
     reps = list(generate_graphs(v, dedup=True))
     rep_mats = [count_matrix(g) for g in reps]
+    rep_forms = [canonical_matrix(m) for m in rep_mats]
     orbit = [0] * len(reps)
-    for g in generate_graphs(v):
-        hits = [k for k, m in enumerate(rep_mats)
-                if _matrices_isomorphic(count_matrix(g), m)]
+    labeled = Counter(tuple(map(tuple, count_matrix(g)))
+                      for g in generate_graphs(v))
+    for m, pairings in labeled.items():
+        form = canonical_matrix(m)
+        hits = [k for k, f in enumerate(rep_forms) if f == form]
         assert len(hits) == 1
-        orbit[hits[0]] += 1
+        orbit[hits[0]] += pairings
     # Orbit size = (labeled matrices in the class) x (pairings per matrix).
     assert orbit == [matrix_relabelings(m) * labeled_pairings_of(m)
                      for m in rep_mats]
@@ -193,3 +217,9 @@ def test_survey_parallel_matches_serial():
 def test_survey_rejects_bad_max_v(bad):
     with pytest.raises(ValueError):
         run_survey(bad)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_survey_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_survey(2, jobs=jobs)
