@@ -36,6 +36,9 @@ from .statesum import evaluate_weight
 
 MAX_V_DEFAULT = 10
 
+# The algebras are frozen, so every check_graph call (and worker) shares one.
+_GL2, _SO3, _SL2 = make_gl(2), make_so3(), make_sl2()
+
 
 def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:
     """All fixed-point-free pairings of 0..n-1 (vertex i owning darts
@@ -291,9 +294,9 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     penrose = penrose_sum(g)
     wsl2 = 2 ** (v // 2) * penrose
 
-    ev_gl2 = evaluate_weight(g, make_gl(2))
-    ev_so3 = evaluate_weight(g, make_so3())
-    ev_sl2 = evaluate_weight(g, make_sl2())
+    ev_gl2 = evaluate_weight(g, _GL2)
+    ev_so3 = evaluate_weight(g, _SO3)
+    ev_sl2 = evaluate_weight(g, _SL2)
 
     four = None
     tait_ok = True

@@ -20,7 +20,7 @@ import sys
 from .algebra import algebra_by_name, validate_algebra
 from .catalog import run_survey
 from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
-                       extract_map, penrose_sum, verify_tait_bijection, w_sl2)
+                       extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
                      is_two_connected, parse_graph)
 from .ribbon import first_spherical_marking, marking_profile
@@ -93,7 +93,7 @@ def cmd_colorings(args) -> int:
         return _fail(2, f"error: {exc}")
     n3 = len(enumerate_edge_3_colorings(g))
     pen = penrose_sum(g)
-    sl2 = w_sl2(g)
+    sl2 = 2 ** (g.vertex_count // 2) * pen
     if args.format == "json":
         _emit_json({"edge_3_colorings": n3, "penrose": pen, "w_sl2": sl2})
     else:

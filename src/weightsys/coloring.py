@@ -61,29 +61,38 @@ def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
     return out
 
 
+def _signer(g: TrivalentGraph):
+    """The sign function of ``g``'s edge colorings, with the dart-to-edge
+    table built once for all the colorings it is applied to."""
+    edge_of = [0] * g.dart_count
+    for k, (d, dd) in enumerate(g.edges()):
+        edge_of[d] = edge_of[dd] = k
+    rotations = [edge_of[3 * i:3 * i + 3] for i in range(g.vertex_count)]
+
+    def sign(c: EdgeColoring) -> int:
+        s = 1
+        for i, (x, y, z) in enumerate(rotations):
+            perm = (c[x], c[y], c[z])
+            if perm not in _PERMS:
+                raise ValueError(f"improper coloring at vertex {i}: {perm}")
+            if perm not in _EVEN:
+                s = -s
+        return s
+
+    return sign
+
+
 def coloring_sign(g: TrivalentGraph, c: EdgeColoring) -> int:
     """Product over vertices of the sign of the color permutation read
     counterclockwise; raises ValueError on an improper coloring."""
-    edges = g.edges()
-    if len(c) != len(edges):
+    if len(c) != g.edge_count:
         raise ValueError("coloring length does not match edge count")
-    edge_of = [0] * g.dart_count
-    for k, (d, dd) in enumerate(edges):
-        edge_of[d] = k
-        edge_of[dd] = k
-    sign = 1
-    for i in range(g.vertex_count):
-        perm = tuple(c[edge_of[3 * i + k]] for k in range(3))
-        if perm not in _PERMS:
-            raise ValueError(f"improper coloring at vertex {i}: {perm}")
-        if perm not in _EVEN:
-            sign = -sign
-    return sign
+    return _signer(g)(c)
 
 
 def penrose_sum(g: TrivalentGraph) -> int:
     """Signed count of proper edge-3-colorings."""
-    return sum(coloring_sign(g, c) for c in enumerate_edge_3_colorings(g))
+    return sum(map(_signer(g), enumerate_edge_3_colorings(g)))
 
 
 def w_sl2(g: TrivalentGraph) -> int:

@@ -6,11 +6,13 @@ contributes the inverse metric with legs ``(d, d')``.  Every dart appears
 on exactly two tensors, so pairwise contraction closes the network down to
 a scalar — the weight.
 
-Tensors are dense flat lists in row-major leg order.  Contraction walks
-only the nonzero entries (structure tensors are extremely sparse), and the
-pair to merge next is chosen greedily: smallest resulting tensor first,
-ties broken by the lowest shared dart label, which makes the contraction
-order — and hence every intermediate — reproducible.
+A tensor is a pair ``(legs, entries)``: its leg labels, and a dict from
+index tuples (one index per leg, in leg order) to the nonzero exact
+values.  Structure tensors are extremely sparse, and entries that cancel
+to 0 are dropped, so contraction touches only nonzero products.  The pair
+to merge next is chosen greedily: smallest resulting rank first, ties
+broken by the lowest shared dart label, which makes the contraction order
+— and hence every intermediate — reproducible.
 """
 
 from __future__ import annotations
@@ -20,61 +22,50 @@ from fractions import Fraction
 from .algebra import MetrizedLieAlgebra, Scalar
 from .graphs import TrivalentGraph
 
-
-class _Tensor:
-    __slots__ = ("legs", "data")
-
-    def __init__(self, legs: tuple[int, ...], data: list):
-        self.legs = legs
-        self.data = data
+_SparseTensor = tuple[tuple[int, ...], dict[tuple[int, ...], Scalar]]
 
 
-def _split_on(t: _Tensor, shared: list[int], dim: int):
-    """Bucket nonzero entries by their values on the shared legs.
+def _split_on(t: _SparseTensor, shared: list[int]):
+    """Bucket the entries of ``t`` by their indices on the shared legs.
 
-    Returns (kept leg labels, {shared-key: [(kept flat index, value), ...]}).
+    Returns (kept leg labels, {shared indices: [(kept indices, value)]}).
     """
-    rank = len(t.legs)
-    strides = [dim ** (rank - 1 - k) for k in range(rank)]
-    shared_pos = [t.legs.index(l) for l in shared]
-    keep_pos = [k for k in range(rank) if t.legs[k] not in shared]
-    buckets: dict[tuple[int, ...], list[tuple[int, Scalar]]] = {}
-    for p, val in enumerate(t.data):
-        if not val:
-            continue
-        key = tuple((p // strides[k]) % dim for k in shared_pos)
-        kidx = 0
-        for k in keep_pos:
-            kidx = kidx * dim + (p // strides[k]) % dim
-        buckets.setdefault(key, []).append((kidx, val))
-    return [t.legs[k] for k in keep_pos], buckets
+    legs, entries = t
+    shared_pos = [legs.index(l) for l in shared]
+    keep_pos = [k for k, l in enumerate(legs) if l not in shared]
+    buckets: dict[tuple[int, ...], list] = {}
+    for idx, val in entries.items():
+        at = idx.__getitem__
+        buckets.setdefault(tuple(map(at, shared_pos)), []).append(
+            (tuple(map(at, keep_pos)), val))
+    return tuple(legs[k] for k in keep_pos), buckets
 
 
-def _contract_pair(a: _Tensor, b: _Tensor, dim: int) -> _Tensor:
-    shared = sorted(set(a.legs) & set(b.legs))
-    keep_a, by_a = _split_on(a, shared, dim)
-    keep_b, by_b = _split_on(b, shared, dim)
-    span_b = dim ** len(keep_b)
-    out = [0] * (dim ** len(keep_a) * span_b)
+def _contract_pair(a: _SparseTensor, b: _SparseTensor) -> _SparseTensor:
+    shared = sorted(set(a[0]) & set(b[0]))
+    keep_a, by_a = _split_on(a, shared)
+    keep_b, by_b = _split_on(b, shared)
+    out: dict[tuple[int, ...], Scalar] = {}
     for key, ents_a in by_a.items():
         ents_b = by_b.get(key)
         if not ents_b:
             continue
         for ia, va in ents_a:
-            base = ia * span_b
             for ib, vb in ents_b:
-                out[base + ib] += va * vb
-    return _Tensor(tuple(keep_a + keep_b), out)
+                idx = ia + ib
+                out[idx] = out.get(idx, 0) + va * vb
+    return keep_a + keep_b, {idx: x for idx, x in out.items() if x}
 
 
-def _network(g: TrivalentGraph, alg: MetrizedLieAlgebra) -> list[_Tensor]:
-    dim = alg.dim
-    flat_f = [alg.f[a][b][c]
-              for a in range(dim) for b in range(dim) for c in range(dim)]
-    flat_t = [alg.t_inv[a][b] for a in range(dim) for b in range(dim)]
-    tensors = [_Tensor((3 * i, 3 * i + 1, 3 * i + 2), list(flat_f))
+def _network(g: TrivalentGraph,
+             alg: MetrizedLieAlgebra) -> list[_SparseTensor]:
+    f = {(a, b, c): x for a, plane in enumerate(alg.f)
+         for b, row in enumerate(plane) for c, x in enumerate(row) if x}
+    t_inv = {(a, b): x for a, row in enumerate(alg.t_inv)
+             for b, x in enumerate(row) if x}
+    tensors = [((3 * i, 3 * i + 1, 3 * i + 2), f)
                for i in range(g.vertex_count)]
-    tensors.extend(_Tensor((d, dd), list(flat_t)) for d, dd in g.edges())
+    tensors.extend(((d, dd), t_inv) for d, dd in g.edges())
     return tensors
 
 
@@ -86,31 +77,26 @@ def _normalize(x: Scalar) -> Scalar:
 
 def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra) -> Scalar:
     """Contract the network of ``g`` over ``alg``; exact int or Fraction."""
-    dim = alg.dim
     tensors = _network(g, alg)
-    if not tensors:
-        return 1
-    while len(tensors) > 1:
-        best = None
-        best_pair = None
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                shared = set(tensors[i].legs) & set(tensors[j].legs)
-                if not shared:
-                    continue
-                out_rank = (len(tensors[i].legs) + len(tensors[j].legs)
-                            - 2 * len(shared))
-                key = (dim ** out_rank, min(shared))
-                if best is None or key < best:
-                    best, best_pair = key, (i, j)
-        if best_pair is None:
-            # only scalars left (one per connected component)
-            prod = 1
-            for t in tensors:
-                prod *= t.data[0]
-            return _normalize(prod)
-        i, j = best_pair
-        merged = _contract_pair(tensors[i], tensors[j], dim)
+    while True:
+        # Every open leg lies on exactly two tensors: group the legs by pair.
+        owners: dict[int, list[int]] = {}
+        for k, (legs, _) in enumerate(tensors):
+            for l in legs:
+                owners.setdefault(l, []).append(k)
+        shared: dict[tuple[int, ...], list[int]] = {}
+        for l, pair in owners.items():
+            shared.setdefault(tuple(pair), []).append(l)
+        if not shared:
+            break
+        i, j = min(shared, key=lambda p: (
+            len(tensors[p[0]][0]) + len(tensors[p[1]][0]) - 2 * len(shared[p]),
+            min(shared[p])))
+        merged = _contract_pair(tensors[i], tensors[j])
         tensors = [t for k, t in enumerate(tensors) if k != i and k != j]
         tensors.append(merged)
-    return _normalize(tensors[0].data[0])
+    # only scalars left (one per connected component); an empty one is 0
+    prod = 1
+    for _, entries in tensors:
+        prod *= entries.get((), 0)
+    return _normalize(prod)

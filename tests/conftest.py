@@ -1,6 +1,7 @@
 """Shared fixtures: the v <= 8 dedup catalog and the compiled kernels."""
 
 import importlib.util
+import os
 import shutil
 import sysconfig
 from pathlib import Path
@@ -10,7 +11,18 @@ from setuptools import Distribution, Extension
 
 from weightsys.catalog import generate_graphs
 
-KERNELS_C = Path(__file__).parent.parent / "src" / "weightsys" / "_kernels.c"
+SRC = Path(__file__).parent.parent / "src"
+KERNELS_C = SRC / "weightsys" / "_kernels.c"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Interpreters the tests start import weightsys from this checkout,
+    as pytest's own ``pythonpath`` setting makes the test process do."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,15 @@
 """Tensor route: greedy contraction against brute-force oracles."""
 
+import random
 from pathlib import Path
 
 import pytest
 
 from weightsys.algebra import (make_abelian, make_gl, make_sl2, make_so3,
                                scale_metric)
+from weightsys.coloring import w_sl2
 from weightsys.graphs import TrivalentGraph, flip_vertex, parse_graph
+from weightsys.ribbon import wgl_polynomial
 from weightsys.statesum import evaluate_weight
 from oracles import naive_weight, naive_weight_full
 
@@ -108,3 +111,43 @@ def test_metric_scaling_law():
     for alg in (make_so3(), make_gl(2)):
         base = evaluate_weight(THETA, alg)
         assert evaluate_weight(THETA, scale_metric(alg, 3)) * 3 == base
+
+
+def graph_of_edges(v, edges):
+    """The cubic graph on ``edges``, each vertex's darts taken in the
+    order its edges are listed."""
+    slot = [0] * v
+    alpha = [0] * (3 * v)
+    for a, b in edges:
+        da, db = 3 * a + slot[a], 3 * b + slot[b]
+        slot[a] += 1
+        slot[b] += 1
+        alpha[da], alpha[db] = db, da
+    return TrivalentGraph(v, tuple(alpha))
+
+
+def ladder(v, mobius, relabel):
+    """The prism or Moebius ladder on ``v`` vertices, optionally under one
+    seeded vertex relabeling (which reorders darts and contractions)."""
+    n = v // 2
+    if mobius:
+        edges = [(i, (i + 1) % v) for i in range(v)]
+    else:
+        edges = [(s + i, s + (i + 1) % n) for s in (0, n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    if relabel:
+        p = list(range(v))
+        random.Random(1).shuffle(p)
+        edges = [(p[a], p[b]) for a, b in edges]
+    return graph_of_edges(v, edges)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("mobius", [False, True])
+@pytest.mark.parametrize("v", [8, 10])
+def test_matches_other_routes_at_dim_9_and_16(v, mobius, relabel):
+    g = ladder(v, mobius, relabel)
+    wgl = wgl_polynomial(g)
+    for n in (3, 4):
+        assert evaluate_weight(g, make_gl(n)) == wgl(n)
+    assert evaluate_weight(g, make_sl2()) == w_sl2(g)
