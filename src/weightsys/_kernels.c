@@ -38,25 +38,24 @@ static int read_alpha(PyObject *seq, Py_ssize_t n, Py_ssize_t *a)
     return 0;
 }
 
-/* Number of orbits of d -> sigma(tau(alpha(tau(d)))); tau swaps darts
- * 3i+1 and 3i+2 at each reversed vertex i and fixes every other dart. */
-static int trace_faces(const Py_ssize_t *a, const Py_ssize_t *tau,
-                       unsigned char *seen, Py_ssize_t n)
+static Py_ssize_t sigma(Py_ssize_t x) { return x % 3 == 2 ? x - 2 : x + 1; }
+static Py_ssize_t sigma_inv(Py_ssize_t x) { return x % 3 == 0 ? x + 2 : x - 1; }
+
+/* Number of cycles of the permutation p of 0..n-1. */
+static int count_cycles(const Py_ssize_t *p, unsigned char *seen,
+                        Py_ssize_t n)
 {
-    int faces = 0;
+    int cycles = 0;
     for (Py_ssize_t d = 0; d < n; d++)
         seen[d] = 0;
     for (Py_ssize_t start = 0; start < n; start++) {
         if (seen[start])
             continue;
-        faces++;
-        for (Py_ssize_t d = start; !seen[d];) {
+        cycles++;
+        for (Py_ssize_t d = start; !seen[d]; d = p[d])
             seen[d] = 1;
-            Py_ssize_t x = tau[a[tau[d]]];
-            d = x % 3 == 2 ? x - 2 : x + 1;
-        }
     }
-    return faces;
+    return cycles;
 }
 
 static PyObject *face_count(PyObject *self, PyObject *alpha)
@@ -66,7 +65,7 @@ static PyObject *face_count(PyObject *self, PyObject *alpha)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq);
     PyObject *result = NULL;
-    Py_ssize_t *a = NULL; /* alpha, then the identity tau */
+    Py_ssize_t *a = NULL; /* alpha, then sigma . alpha */
     unsigned char *seen = NULL;
     if (n % 3)
         value_error("alpha length must be a multiple of 3");
@@ -75,8 +74,8 @@ static PyObject *face_count(PyObject *self, PyObject *alpha)
         PyErr_NoMemory();
     else if (read_alpha(seq, n, a) == 0) {
         for (Py_ssize_t d = 0; d < n; d++)
-            a[n + d] = d;
-        result = PyLong_FromLong(trace_faces(a, a + n, seen, n));
+            a[n + d] = sigma(a[d]);
+        result = PyLong_FromLong(count_cycles(a + n, seen, n));
     }
     PyMem_Free(a);
     PyMem_Free(seen);
@@ -105,6 +104,15 @@ static int connected(const Py_ssize_t *a, int v)
     return count == v;
 }
 
+/* The half scan of _kernels_py.marking_scan: only masks with bit v-1
+ * clear are traced (a mask and its complement give mirror images, with
+ * equal face counts and, v being even, equal signs), so the totals are
+ * doubled at the end.  The half is walked in Gray order, step k flipping
+ * vertex ctz(k) and alternating the sign.  The face permutation p takes
+ * d to sigma(alpha(d)) or sigma^-1(alpha(d)) by the state of vertex
+ * alpha(d) / 3, so a flip at vertex i rewrites p at alpha(3i..3i+2) only.
+ * first_mask is the minimum spherical Gray mask, the first spherical mask
+ * in counter order. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
     PyObject *alpha;
@@ -115,7 +123,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     if (seq == NULL)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq);
-    Py_ssize_t a[MAX_N], tau[MAX_N];
+    Py_ssize_t a[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
     unsigned char seen[MAX_N];
     int fail = 1;
     if (n != 3 * (Py_ssize_t)v)
@@ -130,34 +138,47 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     for (Py_ssize_t d = 0; d < n; d++)
         if (a[d] == d || a[a[d]] != d)
             return value_error("alpha is not a fixed-point-free pairing");
-    if (v && !connected(a, v))
-        return value_error("marking scan requires a connected pairing");
-
     int b_top = v / 2 + 2;
     long long by_b[MAX_V / 2 + 3] = {0};
     long long spherical = 0, spherical_signed = 0, first_mask = -1;
-    for (Py_ssize_t d = 0; d < n; d++)
-        tau[d] = d;
-    Py_BEGIN_ALLOW_THREADS
-    for (unsigned long mask = 0; mask < 1UL << v; mask++) {
-        int odd = 0;
-        for (int i = 0; i < v; i++) {
-            int bit = (mask >> i) & 1;
-            tau[3 * i + 1] = 3 * i + 1 + bit;
-            tau[3 * i + 2] = 3 * i + 2 - bit;
-            odd ^= bit;
+    if (v == 0)
+        by_b[0] = 1; /* the empty graph: one marking, no faces */
+    else if (!connected(a, v))
+        return value_error("marking scan requires a connected pairing");
+    else {
+        for (Py_ssize_t d = 0; d < n; d++) {
+            fwd[d] = p[d] = sigma(a[d]);
+            bwd[d] = sigma_inv(a[d]);
         }
-        int faces = trace_faces(a, tau, seen, n);
-        int sign = odd ? -1 : 1;
-        by_b[faces] += sign;
-        if (faces == b_top) {
-            if (first_mask < 0)
-                first_mask = (long long)mask;
-            spherical++;
-            spherical_signed += sign;
+        Py_BEGIN_ALLOW_THREADS
+        unsigned long gray = 0;
+        int sign = 1;
+        for (unsigned long k = 0; k < 1UL << (v - 1); k++) {
+            if (k) {
+                int i = 0;
+                while (!(k >> i & 1))
+                    i++;
+                gray ^= 1UL << i;
+                sign = -sign;
+                const Py_ssize_t *table = gray >> i & 1 ? bwd : fwd;
+                for (int t = 3 * i; t < 3 * i + 3; t++)
+                    p[a[t]] = table[a[t]];
+            }
+            int faces = count_cycles(p, seen, n);
+            by_b[faces] += sign;
+            if (faces == b_top) {
+                if (first_mask < 0 || (long long)gray < first_mask)
+                    first_mask = (long long)gray;
+                spherical++;
+                spherical_signed += sign;
+            }
         }
+        Py_END_ALLOW_THREADS
+        for (int b = 0; b <= b_top; b++)
+            by_b[b] *= 2;
+        spherical *= 2;
+        spherical_signed *= 2;
     }
-    Py_END_ALLOW_THREADS
 
     PyObject *out = PyList_New(b_top + 1);
     if (out == NULL)

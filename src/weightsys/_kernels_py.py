@@ -23,24 +23,29 @@ def _check_entries(alpha, n: int) -> None:
         raise ValueError("alpha entry outside 0..3v-1")
 
 
+def _count_cycles(p) -> int:
+    """Number of cycles of the permutation p of 0..len(p)-1."""
+    seen = bytearray(len(p))
+    cycles = 0
+    start = seen.find(0)
+    while start >= 0:
+        cycles += 1
+        seen[start] = 1
+        d = p[start]
+        while d != start:
+            seen[d] = 1
+            d = p[d]
+        start = seen.find(0, start)
+    return cycles
+
+
 def face_count(alpha) -> int:
     """Number of orbits of d -> sigma(alpha(d))."""
     n = len(alpha)
     if n % 3:
         raise ValueError("alpha length must be a multiple of 3")
     _check_entries(alpha, n)
-    seen = bytearray(n)
-    faces = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        faces += 1
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            x = alpha[d]
-            d = x - 2 if x % 3 == 2 else x + 1
-    return faces
+    return _count_cycles([x - 2 if x % 3 == 2 else x + 1 for x in alpha])
 
 
 def _connected(alpha, v: int) -> bool:
@@ -75,6 +80,21 @@ def marking_scan(alpha, v: int):
     by the connected-graph Euler bound b <= v/2 + 2, so the input must be
     a connected fixed-point-free pairing of 3v darts with v <= 28;
     anything else raises ValueError.
+
+    Only the 2^(v-1) masks with bit v-1 clear are traced.  A mask and its
+    complement reverse every cyclic order, so they give mirror-image
+    rotation systems with equal face counts, and with v even their signs
+    agree: the totals of the half are doubled.  The complement of a
+    spherical mask is spherical and one of the two has bit v-1 clear, so
+    the lowest spherical mask lies in the traced half.
+
+    The half is walked in Gray order: step k flips vertex ctz(k) and the
+    sign alternates.  Faces are the cycles of p = sigma_M . alpha, where
+    sigma_M is sigma at an unreversed vertex and its inverse at a
+    reversed one, so p[d] is fwd[d] or bwd[d] by the state of vertex
+    alpha[d] // 3, and a flip at vertex i rewrites p at the three darts
+    alpha[3i..3i+2] only.  first_mask is the minimum of the spherical
+    Gray masks, which is the first spherical mask in counter order.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -84,41 +104,38 @@ def marking_scan(alpha, v: int):
     _check_entries(alpha, n)
     if any(x == d or alpha[x] != d for d, x in enumerate(alpha)):
         raise ValueError("alpha is not a fixed-point-free pairing")
-    if v and not _connected(alpha, v):
-        raise ValueError("marking scan requires a connected pairing")
     b_top = v // 2 + 2
     signed_by_b = [0] * (b_top + 1)
+    if not v:
+        signed_by_b[0] = 1  # the empty graph: one marking, no faces
+        return signed_by_b, 0, 0, -1
+    if not _connected(alpha, v):
+        raise ValueError("marking scan requires a connected pairing")
+    fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
+    bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
+    into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i
+    p = fwd[:]
     spherical = 0
     spherical_signed = 0
     first_mask = -1
-    tau = list(range(n))
-    seen = bytearray(n)
-    for mask in range(1 << v):
-        for i in range(v):
-            o = 3 * i
-            if (mask >> i) & 1:
-                tau[o + 1] = o + 2
-                tau[o + 2] = o + 1
-            else:
-                tau[o + 1] = o + 1
-                tau[o + 2] = o + 2
-        for d in range(n):
-            seen[d] = 0
-        faces = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            faces += 1
-            d = start
-            while not seen[d]:
-                seen[d] = 1
-                x = tau[alpha[tau[d]]]
-                d = x - 2 if x % 3 == 2 else x + 1
-        sign = -1 if bin(mask).count("1") & 1 else 1
+    gray = 0
+    sign = 1
+    for k in range(1 << (v - 1)):
+        if k:
+            i = (k & -k).bit_length() - 1
+            gray ^= 1 << i
+            sign = -sign
+            table = bwd if gray >> i & 1 else fwd
+            x, y, z = into[i]
+            p[x] = table[x]
+            p[y] = table[y]
+            p[z] = table[z]
+        faces = _count_cycles(p)
         signed_by_b[faces] += sign
         if faces == b_top:
-            if first_mask < 0:
-                first_mask = mask
+            if first_mask < 0 or gray < first_mask:
+                first_mask = gray
             spherical += 1
             spherical_signed += sign
-    return signed_by_b, spherical, spherical_signed, first_mask
+    return ([2 * c for c in signed_by_b], 2 * spherical, 2 * spherical_signed,
+            first_mask)

@@ -193,11 +193,12 @@ def verify_tait_bijection(pm: PlanarMap) -> str | None:
     description of the first discrepancy."""
     three = enumerate_edge_3_colorings(pm.graph)
     pinned = enumerate_four_colorings(pm, fix_outer=0)
+    sign = _signer(pm.graph)
     images = []
     for fc in pinned:
         ec = tait_edge_coloring(pm, fc)
         try:
-            coloring_sign(pm.graph, ec)
+            sign(ec)
         except ValueError:
             return f"image of {fc} is not a proper edge coloring"
         images.append(ec)

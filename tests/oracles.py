@@ -3,7 +3,8 @@
 Everything here recomputes package results by a different, dumber route:
 the state sum by explicit summation over index assignments, face counts
 by walking per-vertex successor lists, the first spherical marking by
-flipping vertices one marking at a time, coloring counts by raw 3^e / 4^f
+flipping vertices one marking at a time, the marking scan by counting
+every marking's faces in counter order, coloring counts by raw 3^e / 4^f
 enumeration, polynomial recovery by exact Lagrange interpolation, and the
 canonical form of a count matrix by trying every vertex relabeling.
 Slow on purpose; cross-checks, not tools.
@@ -84,6 +85,36 @@ def face_count_by_lists(alpha):
             unvisited.remove(d)
             d = cyclic[alpha[d]]
     return faces
+
+
+def marked_alpha(alpha, mask):
+    """alpha with the cyclic order reversed at every vertex i whose bit i
+    is set in mask: conjugated by the swap of darts 3i+1 and 3i+2."""
+    swap = list(range(len(alpha)))
+    for i in range(len(alpha) // 3):
+        if (mask >> i) & 1:
+            swap[3 * i + 1], swap[3 * i + 2] = 3 * i + 2, 3 * i + 1
+    return [swap[alpha[swap[d]]] for d in range(len(alpha))]
+
+
+def marking_scan_by_faces(alpha, v):
+    """kernels.marking_scan by walking all 2^v masks in counter order, with
+    faces counted by face_count_by_lists and the sign read off the
+    popcount; the first spherical mask met is the lowest."""
+    b_top = v // 2 + 2
+    signed_by_b = [0] * (b_top + 1)
+    spherical = spherical_signed = 0
+    first_mask = -1
+    for mask in range(1 << v):
+        faces = face_count_by_lists(marked_alpha(alpha, mask))
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        signed_by_b[faces] += sign
+        if faces == b_top:
+            if first_mask == -1:
+                first_mask = mask
+            spherical += 1
+            spherical_signed += sign
+    return signed_by_b, spherical, spherical_signed, first_mask
 
 
 def first_spherical_by_flips(g):

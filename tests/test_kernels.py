@@ -1,5 +1,6 @@
-"""Hot kernels: goldens, bad input, and the compiled extension against
-its pure twin (built from _kernels.c by the compiled_kernels fixture)."""
+"""Hot kernels: goldens, bad input, both backends against the
+counter-order marking oracle, and the compiled extension against its pure
+twin (built from _kernels.c by the compiled_kernels fixture)."""
 
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from weightsys import _kernels_py, kernels
 from weightsys.graphs import TrivalentGraph, is_connected
-from oracles import face_count_by_lists
+from oracles import face_count_by_lists, marked_alpha, marking_scan_by_faces
 
 THETA = (4, 3, 5, 1, 0, 2)
 THETA_TWISTED = (3, 4, 5, 0, 1, 2)
@@ -34,6 +35,23 @@ def random_connected_alpha(v, rng):
         alpha = random_alpha(v, rng)
         if is_connected(TrivalentGraph(v, alpha)):
             return alpha
+
+
+def prism_alpha(v):
+    """The prism C_{v/2} x K2 (3-connected and planar from v = 6 on): rims
+    0..k-1 and k..v-1, rungs i -- k+i, each vertex's darts taken in the
+    order its edges are listed."""
+    k = v // 2
+    edges = [(s + i, s + (i + 1) % k) for s in (0, k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    slot = [0] * v
+    alpha = [0] * (3 * v)
+    for a, b in edges:
+        da, db = 3 * a + slot[a], 3 * b + slot[b]
+        slot[a] += 1
+        slot[b] += 1
+        alpha[da], alpha[db] = db, da
+    return tuple(alpha)
 
 
 def test_backend_is_declared():
@@ -138,6 +156,74 @@ def test_face_count_rejects_bad_input(backend, alpha, message):
     assert str(exc.value) == message
 
 
+def test_marking_scan_of_the_empty_graph(backend):
+    assert backend.marking_scan((), 0) == ([1, 0, 0], 0, 0, -1)
+
+
+def test_mask_and_complement_have_equal_face_counts():
+    # The premise of the half scan: the complement reverses every cyclic
+    # order, which mirrors the surface and keeps its faces.
+    rng = random.Random(13)
+    for v in (2, 4, 6, 8):
+        full = (1 << v) - 1
+        for _ in range(4):
+            alpha = random_connected_alpha(v, rng)
+            for mask in range(1 << v):
+                assert face_count_by_lists(marked_alpha(alpha, mask)) == \
+                    face_count_by_lists(marked_alpha(alpha, full ^ mask))
+
+
+def with_oracle(cases):
+    return [(alpha, v, marking_scan_by_faces(alpha, v)) for alpha, v in cases]
+
+
+@pytest.fixture(scope="module")
+def catalog_scans(catalog_v8):
+    return with_oracle((g.alpha, g.vertex_count) for g in catalog_v8)
+
+
+@pytest.fixture(scope="module")
+def random_scans():
+    rng = random.Random(17)
+    return with_oracle((random_connected_alpha(v, rng), v)
+                       for v, count in ((2, 10), (4, 10), (6, 10), (8, 6),
+                                        (10, 4), (12, 2))
+                       for _ in range(count))
+
+
+# First spherical masks to place, all below 2^(v-1): the ends of the half,
+# single high bits (met late in Gray order) and masks with many bits set.
+PRISM_FIRSTS = {
+    8: (0, 1, 0b1000000, 0b1111111, 0b1010101, 0b0110011),
+    10: (0b100000000, 0b111111111, 0b011011011, 0b110000001),
+    12: (0b10000000000, 0b11111111111, 0b10110111101),
+}
+
+
+@pytest.fixture(scope="module")
+def prism_scans():
+    cases = []
+    for v, firsts in PRISM_FIRSTS.items():
+        alpha = prism_alpha(v)
+        planar = marking_scan_by_faces(alpha, v)[3]
+        for first in firsts:
+            # The spherical masks of the flipped prism are the planar
+            # drawing and its mirror image: first and its complement.
+            cases.append((tuple(marked_alpha(alpha, planar ^ first)), v))
+    scans = with_oracle(cases)
+    assert [scan[3] for _, _, scan in scans] == \
+        [first for firsts in PRISM_FIRSTS.values() for first in firsts]
+    assert all(scan[1] == 2 for _, _, scan in scans)
+    return scans
+
+
+@pytest.mark.parametrize("inputs", ["catalog_scans", "random_scans",
+                                    "prism_scans"])
+def test_marking_scan_matches_oracle(backend, inputs, request):
+    for alpha, v, expected in request.getfixturevalue(inputs):
+        assert backend.marking_scan(alpha, v) == expected, alpha
+
+
 def test_compiled_matches_pure_on_catalog(compiled_kernels, catalog_v8):
     for g in catalog_v8:
         v = g.vertex_count
@@ -150,7 +236,7 @@ def test_compiled_matches_pure_on_catalog(compiled_kernels, catalog_v8):
 def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
     rng = random.Random(5)
     for v, count in ((2, 10), (4, 10), (6, 10), (8, 10), (10, 6), (12, 3),
-                     (14, 2), (16, 1)):
+                     (14, 2), (16, 1), (18, 1)):
         for _ in range(count):
             alpha = random_connected_alpha(v, rng)
             assert compiled_kernels.marking_scan(alpha, v) == \
