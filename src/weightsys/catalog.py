@@ -2,18 +2,37 @@
 
 Two generation modes.  The labeled stream walks every fixed-point-free
 pairing of the 3v darts in lexicographic order and keeps the connected
-ones — complete but factorially large (the dart count drives a double
-factorial, so labeled streaming is for v <= 4 in practice).  Dedup mode
-generates one representative per isomorphism class of the underlying
-multigraph instead: the lexicographically largest vertex count matrix of
-the class, found by orderly generation (Read, "Every one a winner",
-1978).  The matrix search backtracks in descending order, cuts a branch
-as soon as a completed row can be improved by swapping two adjacent
-vertices, and keeps a full matrix only when no vertex relabeling makes
-it larger.  Every identity checked here is invariant under dart
-relabeling and vertex reversals, and any two rotation systems over the
-same multigraph differ by exactly those moves, so one representative per
-class decides the identity for the whole class.
+ones — complete but factorially large ((3v - 1)!! pairings), so it stops
+at v = MAX_V_LABELED.  Dedup mode yields one representative per
+isomorphism class of the underlying multigraph instead: the
+lexicographically largest vertex count matrix of the class.  It grows the
+classes level by level (Brinkmann, "Fast generation of cubic graphs",
+1996).  Level 2 is the dumbbell and the theta, and each class at v - 2
+yields children on two new vertices x and y by
+
+* (a) edge insertion: subdivide two edge slots with x and y and join
+  x-y, the same edge twice, two parallel copies and loops included;
+* (b) lollipop: subdivide one edge with x and hang y, carrying a loop,
+  on x.
+
+The largest relabeling of every child goes into a set, and the set
+sorted in descending order is the level.  The growth misses no class:
+for v >= 4 a connected graph with a loop reduces to a connected one at
+v - 2 by undoing (b), and a loopless one has an edge on a cycle, whose
+deletion with both ends suppressed undoes (a) and keeps the graph
+connected.  So (a) need only make loopless children, and it is skipped
+where it would leave a loop.  Children of connected graphs are
+connected, so nothing is filtered for connectivity.  Loop-free mode
+grows the with-loops levels and filters what it yields, because a
+loopless graph can reduce to one with a loop.  Pure Python on a 2-core
+box, all levels through v = 8 take about 0.07 s and v = 10 about 0.45 s
+in either loop mode; the orderly generator this replaced took about
+0.5 s at v = 8 and 60 s at v = 10 (21 s loop-free).
+
+Every identity checked here is invariant under dart relabeling and
+vertex reversals, and any two rotation systems over the same multigraph
+differ by exactly those moves, so one representative per class decides
+the identity for the whole class.
 
 ``check_graph`` computes all invariants for one graph and records which
 of the cross-route identities held; ``run_survey`` folds that over a
@@ -24,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .algebra import make_gl, make_sl2, make_so3
 from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
@@ -35,6 +54,8 @@ from .ribbon import marking_profile
 from .statesum import evaluate_weight
 
 MAX_V_DEFAULT = 10
+# The labeled stream walks (3v - 1)!! pairings: 17!! = 3.4e7 at v = 6.
+MAX_V_LABELED = 4
 
 # The algebras are frozen, so every check_graph call (and worker) shares one.
 _GL2, _SO3, _SL2 = make_gl(2), make_so3(), make_sl2()
@@ -66,7 +87,7 @@ def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-# --- one representative per class: orderly generation -------------------
+# --- one representative per class: growth from v - 2 -------------------
 #
 # A multigraph on v vertices is a symmetric matrix: entry (i, j) counts
 # edges between i and j, the diagonal counts loops (each worth 2 toward
@@ -75,118 +96,112 @@ def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:
 # earlier ones, so that is also the order of the upper triangles read row
 # by row.  Each class is represented by its largest member.
 
-def _swap_improves(a: list[list[int]], k: int) -> bool:
-    """Would swapping vertices k and k+1 make the matrix lexicographically
-    larger (flattened row-major order)?  Short-circuits at the first
-    affected entry; ties propagate by symmetry, so scanning past row k
-    is never needed.  Every entry read, and the first entry the swap
-    changes, lies in rows 0..k+1, so the answer is final once row k+1 is
-    complete."""
-    t = k + 1
-    for i in range(k):
-        x, y = a[i][k], a[i][t]
-        if x != y:
-            return y > x
-    rk, rt = a[k], a[t]
-    for j in range(k):
-        if rk[j] != rt[j]:
-            return rt[j] > rk[j]
-    if rk[k] != rt[t]:
-        return rt[t] > rk[k]
-    for j in range(t + 1, len(a)):
-        if rk[j] != rt[j]:
-            return rt[j] > rk[j]
-    return False
+Matrix = tuple[tuple[int, ...], ...]
+
+# Level 2: the dumbbell and the theta, each its class's largest matrix.
+_LEVEL_2: list[Matrix] = [((1, 1), (1, 1)), ((0, 3), (3, 0))]
 
 
-def _is_canonical(a: list[list[int]]) -> bool:
-    """True when no vertex relabeling makes the matrix lexicographically
-    larger, i.e. when it is the largest member of its class.
+def _canonical_form(a: Sequence[Sequence[int]]) -> Matrix:
+    """The largest vertex relabeling of count matrix ``a``.
 
-    Builds the relabeled matrix b[r][c] = a[p[r]][p[c]] row by row.  While
-    rows 0..r-1 of b equal those of a, the unplaced vertices fall into
-    ordered cells, each holding vertices with equal entries toward every
-    placed one, and the k-th cell must fill the k-th block of positions
-    r..v-1.  Taking p[r] from the first cell and sorting each cell by its
-    entry toward p[r] gives the largest row r reachable: larger than row
-    r of a means a is not canonical, smaller cuts the branch, equal
-    refines the cells by that entry and places the next row.
+    Builds b[r][c] = a[p[r]][p[c]] row by row over every partial
+    relabeling that still ties for the largest rows so far.  For each, the
+    unplaced vertices fall into ordered cells, each holding vertices with
+    equal entries toward every placed one, and the k-th cell must fill the
+    k-th block of positions r..v-1.  Taking p[r] from the first cell and
+    sorting each cell by its entry toward p[r] (0 to 3 edges) gives the
+    largest row r reachable from that choice; the choices whose row is
+    largest over all of them are kept, their cells refined by that entry,
+    and the next row placed.
     """
     v = len(a)
+    nodes = [[list(range(v))]]
+    rows = []
+    for _ in range(v):
+        best: list[int] = []
+        kept: list[list[list[int]]] = []
+        for cells in nodes:
+            first = cells[0]
+            for x in first:
+                row = a[x]
+                tail = [row[x]]
+                refined = []
+                for cell in ([u for u in first if u != x], *cells[1:]):
+                    if len(cell) == 1:
+                        refined.append(cell)
+                        tail.append(row[cell[0]])
+                        continue
+                    by_value: list[list[int]] = [[], [], [], []]
+                    for u in cell:
+                        by_value[row[u]].append(u)
+                    for value in (3, 2, 1, 0):
+                        if by_value[value]:
+                            refined.append(by_value[value])
+                            tail += [value] * len(by_value[value])
+                if tail > best:
+                    best, kept = tail, [refined]
+                elif tail == best:
+                    kept.append(refined)
+        rows.append(best)
+        nodes = kept
+    return tuple(tuple(rows[c][r - c] if c < r else rows[r][c - r]
+                       for c in range(v)) for r in range(v))
 
-    def rec(r: int, cells: list[list[int]]) -> bool:
-        if r == v:
-            return True
-        first, rest = cells[0], cells[1:]
-        target = a[r][r:]
-        for x in first:
-            row = a[x]
-            best = [row[x]]
-            refined = []
-            for cell in [[u for u in first if u != x], *rest]:
-                by_value: dict[int, list[int]] = {}
-                for u in cell:
-                    by_value.setdefault(row[u], []).append(u)
-                for value in sorted(by_value, reverse=True):
-                    refined.append(by_value[value])
-                    best += [value] * len(by_value[value])
-            if best > target:
-                return False
-            if best == target and not rec(r + 1, refined):
-                return False
-        return True
 
-    return rec(0, [list(range(v))])
+def _children(a: Matrix) -> Iterator[list[list[int]]]:
+    """Every count matrix one growth step from ``a``, on two new vertices
+    x and y: (a) subdivide two edge slots with x and y and join x-y, the
+    same edge twice, two parallel copies and loops included; (b) subdivide
+    one edge with x and hang y, carrying a loop, on x.
+
+    (a) is applied only where it subdivides every loop of ``a``: a child
+    left with a loop is also a child by (b) of the graph without that
+    lollipop, so the catalog stays complete."""
+    n = len(a)
+    x, y = n, n + 1
+    slots = [(i, j) for i in range(n) for j in range(i, n) if a[i][j]]
+    loops = {(i, i) for i in range(n) if a[i][i]}
+
+    def grown(*changes: tuple[int, int, int]) -> list[list[int]]:
+        m = [[*row, 0, 0] for row in a] + [[0] * (n + 2), [0] * (n + 2)]
+        for i, j, k in changes:
+            m[i][j] += k
+            if i != j:
+                m[j][i] += k
+        return m
+
+    for s, (i, j) in enumerate(slots):
+        yield grown((i, j, -1), (i, x, 1), (x, j, 1), (x, y, 1), (y, y, 1))
+        if loops <= {(i, j)}:
+            yield grown((i, j, -1), (i, x, 1), (x, y, 2), (y, j, 1))
+            if a[i][j] > 1:
+                yield grown((i, j, -2), (i, x, 1), (x, j, 1), (i, y, 1),
+                            (y, j, 1), (x, y, 1))
+        for k, l in slots[s + 1:]:
+            if loops <= {(i, j), (k, l)}:
+                yield grown((i, j, -1), (i, x, 1), (x, j, 1), (k, l, -1),
+                            (k, y, 1), (y, l, 1), (x, y, 1))
 
 
-def _class_matrices(v: int, allow_loops: bool) -> Iterator[list[list[int]]]:
-    """The largest count matrix of every class, in descending order.
+def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
+    """One representative per class at v = 2, 4, ..., max_v, level by
+    level, each level in descending order of the class's largest matrix.
 
-    Backtracks over the upper triangle row by row, larger entries first,
-    so matrices come in descending order.  Cells ahead of the cursor are
-    always zero (every branch resets on unwind), so a row whose degree
-    budget is spent is complete.  Completing row i cuts the branch when
-    swapping vertices i-1 and i would improve it; a full matrix is kept
-    when _is_canonical holds.
-    """
-    a = [[0] * v for _ in range(v)]
-    rem = [3] * v
-
-    # Yields the live matrix (no copy): consumers look, or copy to keep.
-    def rec(i: int, j: int) -> Iterator[list[list[int]]]:
-        if rem[i] == 0:
-            if i and _swap_improves(a, i - 1):
-                return
-            if i + 1 < v:
-                yield from rec(i + 1, i + 1)
-            elif _is_canonical(a):
-                yield a
+    Every level is grown from the whole with-loops level below it: a
+    loopless graph can reduce to one with a loop, so loop-free mode only
+    filters what it yields."""
+    level = _LEVEL_2
+    while True:
+        yield [_graph_from_matrix(m) for m in level
+               if allow_loops or not any(m[i][i] for i in range(len(m)))]
+        if len(level[0]) == max_v:
             return
-        if j == v:
-            return
-        if i == j:
-            if allow_loops and rem[i] >= 2:
-                a[i][i] = 1
-                rem[i] -= 2
-                yield from rec(i, j + 1)
-                rem[i] += 2
-                a[i][i] = 0
-            yield from rec(i, j + 1)
-            return
-        for c in range(min(rem[i], rem[j]), 0, -1):
-            a[i][j] = a[j][i] = c
-            rem[i] -= c
-            rem[j] -= c
-            yield from rec(i, j + 1)
-            rem[i] += c
-            rem[j] += c
-        a[i][j] = a[j][i] = 0
-        yield from rec(i, j + 1)
-
-    yield from rec(0, 0)
+        level = sorted({_canonical_form(c) for a in level
+                        for c in _children(a)}, reverse=True)
 
 
-def _graph_from_matrix(a: list[list[int]]) -> TrivalentGraph:
+def _graph_from_matrix(a: Matrix) -> TrivalentGraph:
     """Deterministic dart layout: per vertex, loops first, then edges to
     higher-numbered vertices in order, filling darts 3i, 3i+1, 3i+2."""
     v = len(a)
@@ -214,23 +229,29 @@ def generate_graphs(v: int, allow_loops: bool = True,
     """Connected trivalent graphs on v vertices.
 
     Labeled mode (default) streams every connected dart pairing in
-    lexicographic order; dedup mode yields one representative per
-    multigraph isomorphism class, each class's largest count matrix, in
-    descending order, with a deterministic dart layout.
+    lexicographic order, up to v = MAX_V_LABELED; dedup mode yields one
+    representative per multigraph isomorphism class, each class's largest
+    count matrix, in descending order, with a deterministic dart layout.
     """
-    if v <= 0 or v % 2:
-        raise ValueError(f"vertex count must be even and positive, got {v}")
-    if v > MAX_V_DEFAULT:
-        raise ValueError(
-            f"vertex count {v} over the catalog maximum {MAX_V_DEFAULT}")
+    _check_max_v("vertex count", v, dedup)
     if dedup:
-        graphs = map(_graph_from_matrix, _class_matrices(v, allow_loops))
-    else:
-        graphs = (TrivalentGraph(v, mate)
-                  for mate in _pairings(3 * v, allow_loops))
-    for g in graphs:
+        *_, level = _levels(v, allow_loops)
+        yield from level
+        return
+    for mate in _pairings(3 * v, allow_loops):
+        g = TrivalentGraph(v, mate)
         if is_connected(g):
             yield g
+
+
+def _check_max_v(what: str, v: int, dedup: bool) -> None:
+    if v <= 0 or v % 2:
+        raise ValueError(f"{what} must be even and positive, got {v}")
+    if v > MAX_V_DEFAULT:
+        raise ValueError(f"{what} {v} over the catalog maximum {MAX_V_DEFAULT}")
+    if not dedup and v > MAX_V_LABELED:
+        raise ValueError(f"{what} {v} over the labeled catalog maximum "
+                         f"{MAX_V_LABELED}; dedup mode goes to {MAX_V_DEFAULT}")
 
 
 IDENTITY_NAMES = (
@@ -345,18 +366,17 @@ def run_survey(max_v: int, allow_loops: bool = True, dedup: bool = False,
     Returns {"reports": [VerificationReport...], "summary": {...}} with
     reports in generation order regardless of the worker count.
     """
-    if max_v <= 0 or max_v % 2:
-        raise ValueError(f"max_v must be even and positive, got {max_v}")
-    if max_v > MAX_V_DEFAULT:
-        raise ValueError(
-            f"max_v {max_v} over the catalog maximum {MAX_V_DEFAULT}")
+    _check_max_v("max_v", max_v, dedup)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
 
     def stream() -> Iterator[TrivalentGraph]:
+        if dedup:
+            for level in _levels(max_v, allow_loops):
+                yield from level
+            return
         for v in range(2, max_v + 1, 2):
-            yield from generate_graphs(v, allow_loops=allow_loops,
-                                       dedup=dedup)
+            yield from generate_graphs(v, allow_loops=allow_loops)
 
     if jobs > 1:
         with Pool(jobs) as pool:

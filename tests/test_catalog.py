@@ -1,6 +1,8 @@
 """Catalog generation and the cross-route identity survey."""
 
 import hashlib
+import json
+import random
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -8,8 +10,9 @@ from math import factorial
 import pytest
 
 from oracles import canonical_matrix
-from weightsys.catalog import (IDENTITY_NAMES, check_graph, generate_graphs,
-                               run_survey)
+from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
+                               generate_graphs, run_survey)
+from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, is_connected, serialize_graph
 from weightsys.poly import IntPolynomial
 
@@ -71,12 +74,22 @@ def test_labeled_stream_is_lexicographic():
     assert all(is_connected(g) for g in graphs)
 
 
-def test_dedup_class_counts():
+@pytest.fixture(scope="module")
+def catalog_v10():
+    """The v = 10 dedup catalog, keyed by allow_loops."""
+    return {allow_loops: list(generate_graphs(10, allow_loops=allow_loops,
+                                              dedup=True))
+            for allow_loops in (True, False)}
+
+
+def test_dedup_class_counts(catalog_v10):
     for v, with_loops, loop_free in ((2, 2, 1), (4, 5, 2), (6, 17, 6),
                                      (8, 71, 20)):
         assert len(list(generate_graphs(v, dedup=True))) == with_loops
         assert len(list(generate_graphs(v, allow_loops=False,
                                         dedup=True))) == loop_free
+    assert len(catalog_v10[True]) == 388
+    assert len(catalog_v10[False]) == 91
 
 
 def test_dedup_reps_are_pairwise_non_isomorphic():
@@ -94,6 +107,33 @@ def test_dedup_reps_are_largest_of_class_in_descending_order(v, allow_loops):
     assert all(x > y for x, y in zip(mats, mats[1:]))
 
 
+def relabeled(a, rng):
+    p = list(range(len(a)))
+    rng.shuffle(p)
+    return [[a[i][j] for j in p] for i in p]
+
+
+@pytest.mark.parametrize("v", [2, 4, 6])
+def test_canonical_form_matches_oracle(v):
+    rng = random.Random(v)
+    for g in generate_graphs(v, dedup=True):
+        a = count_matrix(g)
+        form = canonical_matrix(a)
+        assert _canonical_form(a) == form
+        for _ in range(5):
+            assert _canonical_form(relabeled(a, rng)) == form
+
+
+def test_grown_levels_are_canonical_in_descending_order(catalog_v8,
+                                                        catalog_v10):
+    rng = random.Random(1)
+    for level in ([g for g in catalog_v8 if g.vertex_count == 8],
+                  catalog_v10[True]):
+        mats = [tuple(map(tuple, count_matrix(g))) for g in level]
+        assert all(_canonical_form(relabeled(m, rng)) == m for m in mats)
+        assert all(x > y for x, y in zip(mats, mats[1:]))
+
+
 def test_dedup_catalog_matches_golden_digest():
     digest = hashlib.sha256()
     for allow_loops in (True, False):
@@ -102,6 +142,16 @@ def test_dedup_catalog_matches_golden_digest():
                 digest.update(serialize_graph(g))
     assert digest.hexdigest() == (
         "9ec0fd1291f8b75b6b86d47a4f85fb08960d3a0475e211eb66a76b0c661f9c97")
+
+
+def test_dedup_catalog_v10_matches_golden_digest(catalog_v10):
+    # Computed once from the orderly generator this catalog replaced.
+    digest = hashlib.sha256()
+    for allow_loops in (True, False):
+        for g in catalog_v10[allow_loops]:
+            digest.update(serialize_graph(g))
+    assert digest.hexdigest() == (
+        "a677062878bf87482a50a1e15a532920876811629e4a0f15b3de58808d53a41b")
 
 
 def test_dedup_respects_loop_flag():
@@ -144,6 +194,13 @@ def test_generate_rejects_oversized_request():
         list(generate_graphs(12))
     # the default ceiling itself is allowed
     assert next(generate_graphs(10, dedup=True)).vertex_count == 10
+
+
+def test_labeled_catalog_refuses_v_over_its_maximum():
+    with pytest.raises(ValueError, match="maximum 4"):
+        list(generate_graphs(6))
+    with pytest.raises(ValueError, match="maximum 4"):
+        run_survey(6)
 
 
 def test_check_graph_theta():
@@ -211,6 +268,18 @@ def test_survey_parallel_matches_serial():
     parallel = run_survey(4, dedup=True, jobs=2)
     assert serial["reports"] == parallel["reports"]
     assert serial["summary"] == parallel["summary"]
+
+
+def test_survey_walks_the_public_catalog_once(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["survey", "--max-v", "8", "--dedup", "--jobs", jobs,
+                     "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    graphs = [r["graph"] for r in json.loads(outputs[0])["reports"]]
+    assert graphs == [serialize_graph(g).decode() for v in (2, 4, 6, 8)
+                      for g in generate_graphs(v, dedup=True)]
 
 
 @pytest.mark.parametrize("bad", [0, 3, -4, 12])

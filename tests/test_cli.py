@@ -231,6 +231,13 @@ def test_survey_refuses_max_v_over_catalog_maximum(capsys):
     assert "maximum 10" in err
 
 
+def test_survey_refuses_labeled_max_v_over_its_maximum(capsys):
+    code, out, err = run(capsys, "survey", "--max-v", "6")
+    assert code == 2
+    assert out == ""
+    assert "maximum 4" in err
+
+
 def test_module_entry_point():
     ok = subprocess.run([sys.executable, "-m", "weightsys", "--help"],
                         capture_output=True, text=True)
