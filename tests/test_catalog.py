@@ -270,7 +270,7 @@ def test_survey_parallel_matches_serial():
     assert serial["summary"] == parallel["summary"]
 
 
-def test_survey_walks_the_public_catalog_once(capsys):
+def test_survey_walk_matches_public_generator(capsys):
     outputs = []
     for jobs in ("1", "2"):
         assert main(["survey", "--max-v", "8", "--dedup", "--jobs", jobs,
