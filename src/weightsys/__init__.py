@@ -11,18 +11,15 @@ from .algebra import (MetrizedLieAlgebra, algebra_by_name, change_basis,
                       scale_metric, validate_algebra)
 from .catalog import (VerificationReport, check_graph, generate_graphs,
                       run_survey)
-from .coloring import (PlanarMap, coloring_sign, count_four_colorings,
-                       enumerate_edge_3_colorings, enumerate_four_colorings,
-                       extract_map, penrose_sum, tait_edge_coloring,
-                       verify_tait_bijection, w_sl2)
+from .coloring import (PlanarMap, coloring_sign, enumerate_edge_3_colorings,
+                       enumerate_four_colorings, extract_map, penrose_sum,
+                       tait_edge_coloring, verify_tait_bijection, w_sl2)
 from .graphs import (GraphParseError, TrivalentGraph, face_orbits,
                      flip_vertex, flip_vertices, genus, is_connected,
                      is_two_connected, parse_graph, serialize_graph)
 from .poly import IntPolynomial
-from .ribbon import (all_markings, boundary_count, count_spherical_embeddings,
-                     first_spherical_marking, genus_of_marking, is_planar,
-                     rotation_of_marking, sign_of_marking, w_top,
-                     wgl_polynomial)
+from .ribbon import (count_spherical_embeddings, first_spherical_marking,
+                     rotation_of_marking, w_top, wgl_polynomial)
 from .statesum import evaluate_weight
 
 __version__ = "0.1.0"
@@ -30,15 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "GraphParseError", "IntPolynomial", "MetrizedLieAlgebra", "PlanarMap",
     "TrivalentGraph", "VerificationReport", "algebra_by_name",
-    "all_markings", "boundary_count", "change_basis", "check_graph",
-    "coloring_sign", "count_four_colorings", "count_spherical_embeddings",
-    "enumerate_edge_3_colorings", "enumerate_four_colorings",
-    "evaluate_weight", "extract_map", "face_orbits", "first_spherical_marking",
-    "flip_vertex", "flip_vertices", "generate_graphs", "genus",
-    "genus_of_marking", "is_connected", "is_planar", "is_two_connected",
+    "change_basis", "check_graph", "coloring_sign",
+    "count_spherical_embeddings", "enumerate_edge_3_colorings",
+    "enumerate_four_colorings", "evaluate_weight", "extract_map",
+    "face_orbits", "first_spherical_marking", "flip_vertex", "flip_vertices",
+    "generate_graphs", "genus", "is_connected", "is_two_connected",
     "make_abelian", "make_gl", "make_sl2", "make_so3", "parse_graph",
     "penrose_sum", "rotation_of_marking", "run_survey", "scale_metric",
-    "serialize_graph", "sign_of_marking", "tait_edge_coloring",
-    "validate_algebra", "verify_tait_bijection",
-    "w_sl2", "w_top", "wgl_polynomial",
+    "serialize_graph", "tait_edge_coloring", "validate_algebra",
+    "verify_tait_bijection", "w_sl2", "w_top", "wgl_polynomial",
 ]

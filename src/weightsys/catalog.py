@@ -46,7 +46,7 @@ from multiprocessing import Pool
 from typing import Iterator, Sequence
 
 from .algebra import make_gl, make_sl2, make_so3
-from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
+from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
 from .poly import IntPolynomial
@@ -311,8 +311,9 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     two_connected = is_two_connected(g)
     wgl, spherical, top_signed, marking = marking_profile(g)
     planar = spherical > 0
-    n3 = len(enumerate_edge_3_colorings(g))
-    penrose = penrose_sum(g)
+    three = enumerate_edge_3_colorings(g)
+    n3 = len(three)
+    penrose = penrose_sum(g, three)
     wsl2 = 2 ** (v // 2) * penrose
 
     ev_gl2 = evaluate_weight(g, _GL2)
@@ -323,8 +324,9 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     tait_ok = True
     if planar and two_connected:
         pm = extract_map(g, marking)
-        four = count_four_colorings(pm)
-        tait_ok = verify_tait_bijection(pm) is None
+        fours = enumerate_four_colorings(pm)
+        four = len(fours)
+        tait_ok = verify_tait_bijection(pm, fours) is None
 
     wgl2 = wgl(2)
     identities = {

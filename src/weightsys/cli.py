@@ -19,7 +19,7 @@ import sys
 
 from .algebra import algebra_by_name, validate_algebra
 from .catalog import run_survey
-from .coloring import (count_four_colorings, enumerate_edge_3_colorings,
+from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
                      is_two_connected, parse_graph)
@@ -70,7 +70,10 @@ def cmd_poly(args) -> int:
         return _fail(2, f"error: {exc}")
     if not is_connected(g):
         return _fail(2, "error: graph is not connected")
-    poly, spherical, top, _ = marking_profile(g)
+    try:
+        poly, spherical, top, _ = marking_profile(g)
+    except ValueError as exc:
+        return _fail(2, f"error: {exc}")
     planar = spherical > 0
     two_conn = is_two_connected(g)
     if args.format == "json":
@@ -91,8 +94,9 @@ def cmd_colorings(args) -> int:
         g = _read_graph(args.graph)
     except (OSError, GraphParseError) as exc:
         return _fail(2, f"error: {exc}")
-    n3 = len(enumerate_edge_3_colorings(g))
-    pen = penrose_sum(g)
+    three = enumerate_edge_3_colorings(g)
+    n3 = len(three)
+    pen = penrose_sum(g, three)
     sl2 = 2 ** (g.vertex_count // 2) * pen
     if args.format == "json":
         _emit_json({"edge_3_colorings": n3, "penrose": pen, "w_sl2": sl2})
@@ -110,12 +114,16 @@ def cmd_map(args) -> int:
         return _fail(2, f"error: {exc}")
     if not is_connected(g):
         return _fail(2, "error: graph is not connected")
-    marking = first_spherical_marking(g)
+    try:
+        marking = first_spherical_marking(g)
+    except ValueError as exc:
+        return _fail(2, f"error: {exc}")
     if marking is None:
         return _fail(2, "error: graph has no spherical embedding")
     pm = extract_map(g, marking)
-    four = count_four_colorings(pm)
-    tait = verify_tait_bijection(pm)
+    fours = enumerate_four_colorings(pm)
+    four = len(fours)
+    tait = verify_tait_bijection(pm, fours)
     if args.format == "json":
         _emit_json({
             "marking": list(marking),

@@ -13,6 +13,13 @@ The map side: a spherical marking turns the graph into a planar map whose
 faces can be 4-colored by the Klein group H = Z/2 x Z/2 (encoded 0..3
 with XOR as addition); coloring each edge by the XOR of its two face
 colors is the classical Tait correspondence, verified exhaustively.
+
+Each enumeration is made once per graph by the caller and handed on:
+``penrose_sum`` signs the edge colorings it is given, and
+``verify_tait_bijection`` checks the face colorings it is given.  It
+still enumerates the edge colorings of the map's graph itself: that
+graph is re-oriented, so its edges are indexed differently from the
+input graph's.
 """
 
 from __future__ import annotations
@@ -90,14 +97,17 @@ def coloring_sign(g: TrivalentGraph, c: EdgeColoring) -> int:
     return _signer(g)(c)
 
 
-def penrose_sum(g: TrivalentGraph) -> int:
-    """Signed count of proper edge-3-colorings."""
-    return sum(map(_signer(g), enumerate_edge_3_colorings(g)))
+def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
+    """Signed count of proper edge-3-colorings, given as
+    ``enumerate_edge_3_colorings(g)``, so that a caller who also wants
+    the count enumerates them once."""
+    return sum(map(_signer(g), colorings))
 
 
 def w_sl2(g: TrivalentGraph) -> int:
     """2^{v/2} times the signed coloring count — the sl(2) weight."""
-    return 2 ** (g.vertex_count // 2) * penrose_sum(g)
+    return 2 ** (g.vertex_count // 2) * penrose_sum(
+        g, enumerate_edge_3_colorings(g))
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,9 @@ def extract_map(g: TrivalentGraph, m: Marking) -> PlanarMap:
     return PlanarMap(rot, faces, edge_faces, face_of[0])
 
 
-def enumerate_four_colorings(pm: PlanarMap,
-                             fix_outer: int | None = None) -> list[FaceColoring]:
+def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
     """All proper face colorings by H = {0,1,2,3}, faces colored in index
-    order with colors tried ascending; optionally pin the outer face."""
+    order with colors tried ascending; empty when a face borders itself."""
     nf = len(pm.faces)
     adj: list[set[int]] = [set() for _ in range(nf)]
     for a, b in pm.edge_faces:
@@ -151,9 +160,7 @@ def enumerate_four_colorings(pm: PlanarMap,
         if k == nf:
             out.append(tuple(chosen))
             return
-        options = (fix_outer,) if k == pm.outer_face and fix_outer is not None \
-            else (0, 1, 2, 3)
-        for h in options:
+        for h in range(4):
             if any(chosen[f] == h for f in adj[k] if chosen[f] >= 0):
                 continue
             chosen[k] = h
@@ -162,11 +169,6 @@ def enumerate_four_colorings(pm: PlanarMap,
 
     place(0)
     return out
-
-
-def count_four_colorings(pm: PlanarMap) -> int:
-    """Proper 4-colorings of the faces; 0 when a face borders itself."""
-    return len(enumerate_four_colorings(pm))
 
 
 def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
@@ -187,12 +189,16 @@ def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
     return tuple(result)
 
 
-def verify_tait_bijection(pm: PlanarMap) -> str | None:
-    """Check that face colorings with the outer face pinned to 0 map
-    one-to-one onto the proper edge-3-colorings; None if so, else a
-    description of the first discrepancy."""
+def verify_tait_bijection(pm: PlanarMap,
+                          colorings: list[FaceColoring]) -> str | None:
+    """Check the Tait correspondence on ``colorings``, the proper face
+    colorings of ``pm`` as ``enumerate_four_colorings(pm)`` gives them:
+    those with the outer face colored 0 map one-to-one onto the proper
+    edge-3-colorings, and there are four times as many colorings as edge
+    colorings.  None if so, else a description of the first
+    discrepancy."""
     three = enumerate_edge_3_colorings(pm.graph)
-    pinned = enumerate_four_colorings(pm, fix_outer=0)
+    pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
     sign = _signer(pm.graph)
     images = []
     for fc in pinned:
@@ -208,7 +214,6 @@ def verify_tait_bijection(pm: PlanarMap) -> str | None:
         missed = set(three) - set(images)
         extra = set(images) - set(three)
         return f"image mismatch: missed {sorted(missed)}, extra {sorted(extra)}"
-    total = count_four_colorings(pm)
-    if total != 4 * len(three):
-        return f"count mismatch: {total} != 4 * {len(three)}"
+    if len(colorings) != 4 * len(three):
+        return f"count mismatch: {len(colorings)} != 4 * {len(three)}"
     return None

@@ -13,10 +13,8 @@ signs-counts the spherical markings; its support decides planarity.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from . import kernels
-from .graphs import TrivalentGraph, face_orbits, flip_vertices, is_connected
+from .graphs import TrivalentGraph, flip_vertices, is_connected
 from .poly import IntPolynomial
 
 Marking = tuple[int, ...]
@@ -26,39 +24,11 @@ def _marking_of_mask(mask: int, v: int) -> Marking:
     return tuple(-1 if (mask >> i) & 1 else 1 for i in range(v))
 
 
-def all_markings(v: int) -> Iterator[Marking]:
-    """All sign vectors in binary-counter order, vertex 0 least
-    significant, + before - (bit set means '-')."""
-    for mask in range(1 << v):
-        yield _marking_of_mask(mask, v)
-
-
-def sign_of_marking(m: Marking) -> int:
-    sign = 1
-    for s in m:
-        sign *= s
-    return sign
-
-
 def rotation_of_marking(g: TrivalentGraph, m: Marking) -> TrivalentGraph:
     """The graph with cyclic order reversed at exactly the '-' vertices."""
     if len(m) != g.vertex_count:
         raise ValueError("marking length does not match vertex count")
     return flip_vertices(g, tuple(i for i, s in enumerate(m) if s < 0))
-
-
-def boundary_count(g: TrivalentGraph, m: Marking) -> int:
-    """Boundary circles of the thickening: the face count of the
-    re-oriented rotation system."""
-    return kernels.face_count(rotation_of_marking(g, m).alpha)
-
-
-def genus_of_marking(g: TrivalentGraph, m: Marking) -> int:
-    v = g.vertex_count
-    b = boundary_count(g, m)
-    gg, rem = divmod(v // 2 + 2 - b, 2)
-    assert not rem and gg >= 0, f"impossible boundary count {b} at v={v}"
-    return gg
 
 
 def wgl_polynomial(g: TrivalentGraph) -> IntPolynomial:
@@ -77,12 +47,9 @@ def count_spherical_embeddings(g: TrivalentGraph) -> int:
     return marking_profile(g)[1]
 
 
-def is_planar(g: TrivalentGraph) -> bool:
-    return count_spherical_embeddings(g) > 0
-
-
 def first_spherical_marking(g: TrivalentGraph) -> Marking | None:
-    """The first genus-0 marking in the all_markings order, or None."""
+    """The first genus-0 marking in binary-counter order (vertex 0 least
+    significant, bit set means '-'), or None."""
     return marking_profile(g)[3]
 
 
@@ -90,8 +57,10 @@ def marking_profile(
         g: TrivalentGraph,
 ) -> tuple[IntPolynomial, int, int, Marking | None]:
     """(wgl polynomial, spherical count, signed spherical count, first
-    spherical marking) from one scan of the 2^v markings — what the
-    survey and the CLI want without repeating the scan."""
+    spherical marking) from one scan — what the survey and the CLI want
+    without repeating the scan.  The scan traces the 2^(v-1) markings
+    that leave vertex v-1 unreversed and doubles the totals: a marking
+    and its complement have equal face counts and equal signs."""
     if not is_connected(g):
         raise ValueError("marking expansion requires a connected graph")
     signed_by_b, spherical, spherical_signed, first_mask = \
@@ -100,8 +69,3 @@ def marking_profile(
     first = (None if first_mask < 0
              else _marking_of_mask(first_mask, g.vertex_count))
     return poly, spherical, spherical_signed, first
-
-
-def face_orbits_of_marking(g: TrivalentGraph, m: Marking):
-    """Actual dart cycles (not just the count) of the re-oriented system."""
-    return face_orbits(rotation_of_marking(g, m))

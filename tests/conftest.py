@@ -1,14 +1,17 @@
-"""Shared fixtures: the v <= 8 dedup catalog and the compiled kernels."""
+"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and a
+counter of coloring enumerations."""
 
 import importlib.util
 import os
 import shutil
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from setuptools import Distribution, Extension
 
+from weightsys import catalog, cli, coloring
 from weightsys.catalog import generate_graphs
 
 SRC = Path(__file__).parent.parent / "src"
@@ -50,3 +53,23 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Calls to the two coloring enumerations, counted by function name in
+    every module that binds them."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in ("enumerate_edge_3_colorings", "enumerate_four_colorings"):
+        counting = counted(name, getattr(coloring, name))
+        for module in (coloring, catalog, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls

@@ -16,8 +16,8 @@ import pytest
 from weightsys.algebra import (change_basis, make_abelian, make_gl, make_sl2,
                                make_so3, scale_metric, validate_algebra)
 from weightsys.catalog import generate_graphs, run_survey
-from weightsys.coloring import (count_four_colorings,
-                                enumerate_edge_3_colorings, extract_map,
+from weightsys.coloring import (enumerate_edge_3_colorings,
+                                enumerate_four_colorings, extract_map,
                                 penrose_sum, w_sl2)
 from weightsys.graphs import flip_vertex, parse_graph
 from weightsys.poly import IntPolynomial
@@ -52,7 +52,8 @@ def test_criterion_1_theta_goldens():
         failures.append(("w_sl2", w_sl2(g)))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = count_four_colorings(extract_map(g, first_spherical_marking(g)))
+    four = len(enumerate_four_colorings(
+        extract_map(g, first_spherical_marking(g))))
     if four != 24:
         failures.append(("four", four))
     if not (abs(w_top(g)) == 2 == count_spherical_embeddings(g)):
@@ -67,7 +68,8 @@ def test_criterion_2_k4_goldens():
         failures.append(("top/spherical", w_top(g)))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = count_four_colorings(extract_map(g, first_spherical_marking(g)))
+    four = len(enumerate_four_colorings(
+        extract_map(g, first_spherical_marking(g))))
     if four != 24:
         failures.append(("four", four))
     if not (abs(w_sl2(g)) == 24 == 2 ** (4 // 2 - 2) * four):
@@ -100,7 +102,7 @@ def test_criterion_4_route_agreement_through_v6():
         for n in (1, 2, 3):
             if poly(n) != evaluate_weight(g, make_gl(n)):
                 failures.append((g.alpha, "gl", n))
-        pen = penrose_sum(g)
+        pen = penrose_sum(g, enumerate_edge_3_colorings(g))
         if pen != evaluate_weight(g, make_so3()):
             failures.append((g.alpha, "so3"))
         wsl2 = w_sl2(g)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,11 @@ from oracles import canonical_matrix
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
-from weightsys.graphs import TrivalentGraph, is_connected, serialize_graph
+from weightsys.graphs import (TrivalentGraph, is_connected, parse_graph,
+                              serialize_graph)
 from weightsys.poly import IntPolynomial
 
+DATA = Path(__file__).parent / "data"
 THETA = TrivalentGraph(2, (4, 3, 5, 1, 0, 2))
 DUMBBELL = TrivalentGraph(2, (1, 0, 5, 4, 3, 2))
 K33 = TrivalentGraph(6, (9, 12, 15, 10, 13, 16, 11, 14, 17, 0, 3, 6,
@@ -217,6 +220,15 @@ def test_check_graph_theta():
     assert set(r.identities) == set(IDENTITY_NAMES)
     assert r.all_passed()
     assert r.graph.startswith("v 2\n")
+
+
+def test_check_graph_enumerates_each_coloring_kind_once(enumerations):
+    # The second edge enumeration is of the map's re-oriented graph, whose
+    # edges are indexed differently.
+    cube = parse_graph((DATA / "cube.tgf").read_bytes())
+    assert check_graph(cube).all_passed()
+    assert enumerations == {"enumerate_four_colorings": 1,
+                            "enumerate_edge_3_colorings": 2}
 
 
 def test_check_graph_dumbbell():

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from test_kernels import prism_alpha
 from weightsys import kernels
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
@@ -105,6 +107,16 @@ def test_poly_scans_the_markings_once(capsys, monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("command", ["poly", "map"])
+def test_refuses_a_graph_over_the_marking_scan_cap(capsys, tmp_path, command):
+    path = tmp_path / "prism30.tgf"
+    path.write_bytes(serialize_graph(TrivalentGraph(30, prism_alpha(30))))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "28" in err
+
+
 def test_poly_rejects_disconnected(capsys, disconnected):
     code, _, err = run(capsys, "poly", disconnected)
     assert code == 2
@@ -119,6 +131,12 @@ def test_colorings_text(capsys):
         "penrose -6",
         "w_sl2 -12",
     ]
+
+
+def test_colorings_enumerates_once(capsys, enumerations):
+    code, _, _ = run(capsys, "colorings", K4)
+    assert code == 0
+    assert enumerations == {"enumerate_edge_3_colorings": 1}
 
 
 def test_map_text(capsys):
@@ -143,6 +161,14 @@ def test_map_json(capsys):
     assert payload["tait"] == "ok"
     assert payload["self_bordering"] is False
     assert len(payload["faces"]) == 4
+
+
+def test_map_enumerates_the_face_colorings_once(capsys, enumerations):
+    # The edge enumeration is the Tait check's, of the re-oriented graph.
+    code, _, _ = run(capsys, "map", K4)
+    assert code == 0
+    assert enumerations == {"enumerate_four_colorings": 1,
+                            "enumerate_edge_3_colorings": 1}
 
 
 def test_map_requires_spherical_embedding(capsys):
@@ -202,6 +228,16 @@ def test_survey_json_dedup(capsys):
     assert payload["summary"]["graph_counts"] == {"2": 2, "4": 5}
     assert len(payload["reports"]) == 7
     assert all(all(r["identities"].values()) for r in payload["reports"])
+
+
+def test_survey_json_matches_golden_digest(capsys):
+    # Every coloring, Penrose, 4-coloring and Tait field of the 95 v <= 8
+    # classes, byte for byte.
+    code, out, _ = run(capsys, "survey", "--max-v", "8", "--dedup",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe09ccb036e1973c7fc6024ede6add77a2de815705a2a68e69358c2ee5007745")
 
 
 def test_survey_no_loops(capsys):

@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from weightsys.coloring import (coloring_sign, count_four_colorings,
-                                enumerate_edge_3_colorings,
+from weightsys.coloring import (coloring_sign, enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
@@ -22,6 +21,15 @@ THETA_TWISTED = TrivalentGraph(2, (3, 4, 5, 0, 1, 2))
 
 def load(name):
     return parse_graph((DATA / name).read_bytes())
+
+
+def penrose(g):
+    return penrose_sum(g, enumerate_edge_3_colorings(g))
+
+
+def planar_map(name):
+    g = load(name + ".tgf")
+    return extract_map(g, first_spherical_marking(g))
 
 
 @pytest.mark.parametrize("name,count", [
@@ -62,13 +70,13 @@ def test_coloring_sign_rejects_bad_input():
     ("theta", -6), ("dumbbell", 0), ("k4", 6), ("cube", 24), ("k33", 0),
 ])
 def test_penrose_goldens(name, value):
-    assert penrose_sum(load(name + ".tgf")) == value
+    assert penrose(load(name + ".tgf")) == value
 
 
 @pytest.mark.parametrize("name", ["theta", "k4", "k33"])
 def test_penrose_matches_brute_force(name):
     g = load(name + ".tgf")
-    assert penrose_sum(g) == brute_signed_coloring_sum(g)
+    assert penrose(g) == brute_signed_coloring_sum(g)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -93,10 +101,8 @@ def test_extract_map_rejects_non_spherical_marking():
 
 
 def test_dumbbell_map_is_self_bordering():
-    g = load("dumbbell.tgf")
-    pm = extract_map(g, first_spherical_marking(g))
+    pm = planar_map("dumbbell")
     assert pm.is_self_bordering()
-    assert count_four_colorings(pm) == 0
     assert enumerate_four_colorings(pm) == []
 
 
@@ -104,19 +110,20 @@ def test_dumbbell_map_is_self_bordering():
     ("theta", 24), ("k4", 24), ("cube", 96),
 ])
 def test_four_coloring_counts(name, four):
-    g = load(name + ".tgf")
-    pm = extract_map(g, first_spherical_marking(g))
-    assert count_four_colorings(pm) == four
+    pm = planar_map(name)
+    assert len(enumerate_four_colorings(pm)) == four
     assert four == brute_four_coloring_count(pm.edge_faces, len(pm.faces))
 
 
 def test_pinning_the_outer_face_quarters_the_count():
+    # Adding h in H to every face color permutes the proper colorings, so
+    # each color of the outer face is taken by exactly a quarter of them.
     for name in ("theta", "k4", "cube"):
-        g = load(name + ".tgf")
-        pm = extract_map(g, first_spherical_marking(g))
-        pinned = enumerate_four_colorings(pm, fix_outer=0)
-        assert len(pinned) * 4 == count_four_colorings(pm)
-        assert all(fc[pm.outer_face] == 0 for fc in pinned)
+        pm = planar_map(name)
+        full = enumerate_four_colorings(pm)
+        for h in range(4):
+            pinned = [fc for fc in full if fc[pm.outer_face] == h]
+            assert len(pinned) * 4 == len(full)
 
 
 def test_tait_edge_coloring_by_hand():
@@ -130,8 +137,7 @@ def test_tait_edge_coloring_by_hand():
 
 
 def test_tait_images_are_proper():
-    g = load("k4.tgf")
-    pm = extract_map(g, first_spherical_marking(g))
+    pm = planar_map("k4")
     for fc in enumerate_four_colorings(pm):
         ec = tait_edge_coloring(pm, fc)
         coloring_sign(pm.graph, ec)  # raises if improper
@@ -139,12 +145,28 @@ def test_tait_images_are_proper():
 
 @pytest.mark.parametrize("name", ["theta", "k4", "cube"])
 def test_tait_bijection_verifies(name):
-    g = load(name + ".tgf")
-    pm = extract_map(g, first_spherical_marking(g))
-    assert verify_tait_bijection(pm) is None
+    pm = planar_map(name)
+    assert verify_tait_bijection(pm, enumerate_four_colorings(pm)) is None
+
+
+@pytest.mark.parametrize("name", ["k4", "cube"])
+def test_tait_bijection_rejects_a_dropped_pinned_coloring(name):
+    pm = planar_map(name)
+    full = enumerate_four_colorings(pm)
+    k = next(i for i, fc in enumerate(full) if fc[pm.outer_face] == 0)
+    assert verify_tait_bijection(pm, full[:k] + full[k + 1:]) is not None
+
+
+@pytest.mark.parametrize("name", ["k4", "cube"])
+@pytest.mark.parametrize("outer", [0, 1])
+def test_tait_bijection_rejects_a_duplicated_coloring(name, outer):
+    pm = planar_map(name)
+    full = enumerate_four_colorings(pm)
+    fc = next(fc for fc in full if fc[pm.outer_face] == outer)
+    assert verify_tait_bijection(pm, full + [fc]) is not None
 
 
 def test_loops_kill_colorings():
     g = load("dumbbell.tgf")
     assert enumerate_edge_3_colorings(g) == []
-    assert penrose_sum(g) == 0
+    assert penrose(g) == 0

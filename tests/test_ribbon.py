@@ -5,14 +5,12 @@ from pathlib import Path
 import pytest
 
 from weightsys.algebra import make_gl
-from weightsys.graphs import TrivalentGraph, flip_vertex, genus, parse_graph
+from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertex, genus,
+                              parse_graph)
 from weightsys.poly import IntPolynomial
-from weightsys.ribbon import (all_markings, boundary_count,
-                              count_spherical_embeddings,
-                              face_orbits_of_marking, first_spherical_marking,
-                              genus_of_marking, is_planar, marking_profile,
-                              rotation_of_marking, sign_of_marking, w_top,
-                              wgl_polynomial)
+from weightsys.ribbon import (count_spherical_embeddings,
+                              first_spherical_marking, marking_profile,
+                              rotation_of_marking, w_top, wgl_polynomial)
 from weightsys.statesum import evaluate_weight
 from oracles import first_spherical_by_flips, lagrange_int_poly
 
@@ -24,17 +22,6 @@ THETA_TWISTED = TrivalentGraph(2, (3, 4, 5, 0, 1, 2))
 
 def load(name):
     return parse_graph((DATA / name).read_bytes())
-
-
-def test_all_markings_order():
-    assert list(all_markings(2)) == [(1, 1), (-1, 1), (1, -1), (-1, -1)]
-    assert len(list(all_markings(4))) == 16
-
-
-def test_sign_of_marking():
-    assert sign_of_marking((1, 1)) == 1
-    assert sign_of_marking((-1, 1)) == -1
-    assert sign_of_marking((-1, -1, -1, 1)) == -1
 
 
 def test_rotation_of_marking_is_selective_flipping():
@@ -51,16 +38,25 @@ def test_rotation_of_marking_length_check():
 
 
 def test_boundary_count_theta():
-    assert boundary_count(THETA, (1, 1)) == 3
-    assert boundary_count(THETA, (-1, 1)) == 1
-    assert boundary_count(THETA, (1, -1)) == 1
-    assert boundary_count(THETA, (-1, -1)) == 3
+    # The boundary circles of a marking's surface are the faces of the
+    # re-oriented rotation system.
+    counts = [len(face_orbits(rotation_of_marking(THETA, m)))
+              for m in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+    assert counts == [3, 1, 1, 3]
 
 
-def test_genus_of_marking_matches_graph_genus():
-    for g in (THETA, THETA_TWISTED, load("k4.tgf"), load("k33.tgf")):
-        all_plus = (1,) * g.vertex_count
-        assert genus_of_marking(g, all_plus) == genus(g)
+def test_genus_zero_markings_are_the_spherical_ones():
+    # Markings in binary-counter order, vertex 0 least significant.
+    for name in ("theta", "dumbbell", "k4", "k33"):
+        g = load(name + ".tgf")
+        v = g.vertex_count
+        markings = [tuple(-1 if (mask >> i) & 1 else 1 for i in range(v))
+                    for mask in range(1 << v)]
+        spherical = [m for m in markings
+                     if genus(rotation_of_marking(g, m)) == 0]
+        assert len(spherical) == count_spherical_embeddings(g)
+        assert (spherical[0] if spherical else None) == \
+            first_spherical_marking(g)
 
 
 @pytest.mark.parametrize("name,coeffs", [
@@ -91,7 +87,7 @@ def test_top_and_spherical_goldens(name, top, spherical, planar):
     g = load(name + ".tgf")
     assert w_top(g) == top
     assert count_spherical_embeddings(g) == spherical
-    assert is_planar(g) is planar
+    assert (count_spherical_embeddings(g) > 0) is planar
 
 
 def test_first_spherical_marking_theta():
@@ -155,6 +151,5 @@ def test_polynomial_interpolates_the_tensor_route(name, points):
 
 
 def test_face_orbits_of_marking():
-    faces = face_orbits_of_marking(THETA, (-1, 1))
+    faces = face_orbits(rotation_of_marking(THETA, (-1, 1)))
     assert faces == [(0, 5, 2, 4, 1, 3)]
-    assert len(faces) == boundary_count(THETA, (-1, 1))
