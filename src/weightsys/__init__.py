@@ -18,8 +18,7 @@ from .graphs import (GraphParseError, TrivalentGraph, face_orbits,
                      flip_vertex, flip_vertices, genus, is_connected,
                      is_two_connected, parse_graph, serialize_graph)
 from .poly import IntPolynomial
-from .ribbon import (count_spherical_embeddings, first_spherical_marking,
-                     rotation_of_marking, w_top, wgl_polynomial)
+from .ribbon import marking_profile, rotation_of_marking
 from .statesum import evaluate_weight
 
 __version__ = "0.1.0"
@@ -28,12 +27,11 @@ __all__ = [
     "GraphParseError", "IntPolynomial", "MetrizedLieAlgebra", "PlanarMap",
     "TrivalentGraph", "VerificationReport", "algebra_by_name",
     "change_basis", "check_graph", "coloring_sign",
-    "count_spherical_embeddings", "enumerate_edge_3_colorings",
-    "enumerate_four_colorings", "evaluate_weight", "extract_map",
-    "face_orbits", "first_spherical_marking", "flip_vertex", "flip_vertices",
-    "generate_graphs", "genus", "is_connected", "is_two_connected",
-    "make_abelian", "make_gl", "make_sl2", "make_so3", "parse_graph",
-    "penrose_sum", "rotation_of_marking", "run_survey", "scale_metric",
-    "serialize_graph", "tait_edge_coloring", "validate_algebra",
-    "verify_tait_bijection", "w_sl2", "w_top", "wgl_polynomial",
+    "enumerate_edge_3_colorings", "enumerate_four_colorings",
+    "evaluate_weight", "extract_map", "face_orbits", "flip_vertex",
+    "flip_vertices", "generate_graphs", "genus", "is_connected",
+    "is_two_connected", "make_abelian", "make_gl", "make_sl2", "make_so3",
+    "marking_profile", "parse_graph", "penrose_sum", "rotation_of_marking",
+    "run_survey", "scale_metric", "serialize_graph", "tait_edge_coloring",
+    "validate_algebra", "verify_tait_bijection", "w_sl2",
 ]

@@ -112,7 +112,8 @@ static int connected(const Py_ssize_t *a, int v)
  * d to sigma(alpha(d)) or sigma^-1(alpha(d)) by the state of vertex
  * alpha(d) / 3, so a flip at vertex i rewrites p at alpha(3i..3i+2) only.
  * first_mask is the minimum spherical Gray mask, the first spherical mask
- * in counter order. */
+ * in counter order.  Returns (by_b, spherical, first_mask); the signed
+ * spherical count is by_b[v/2 + 2], so it is not tallied apart. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
     PyObject *alpha;
@@ -140,7 +141,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
             return value_error("alpha is not a fixed-point-free pairing");
     int b_top = v / 2 + 2;
     long long by_b[MAX_V / 2 + 3] = {0};
-    long long spherical = 0, spherical_signed = 0, first_mask = -1;
+    long long spherical = 0, first_mask = -1;
     if (v == 0)
         by_b[0] = 1; /* the empty graph: one marking, no faces */
     else if (!connected(a, v))
@@ -170,14 +171,12 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
                 if (first_mask < 0 || (long long)gray < first_mask)
                     first_mask = (long long)gray;
                 spherical++;
-                spherical_signed += sign;
             }
         }
         Py_END_ALLOW_THREADS
         for (int b = 0; b <= b_top; b++)
             by_b[b] *= 2;
         spherical *= 2;
-        spherical_signed *= 2;
     }
 
     PyObject *out = PyList_New(b_top + 1);
@@ -191,16 +190,14 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         }
         PyList_SET_ITEM(out, b, c);
     }
-    return Py_BuildValue("(NLLL)", out, spherical, spherical_signed,
-                         first_mask);
+    return Py_BuildValue("(NLL)", out, spherical, first_mask);
 }
 
 static PyMethodDef methods[] = {
     {"face_count", face_count, METH_O,
      "face_count(alpha): number of faces of the rotation system."},
     {"marking_scan", marking_scan, METH_VARARGS,
-     "marking_scan(alpha, v) -> (signed_by_b, spherical, spherical_signed,"
-     " first_mask)."},
+     "marking_scan(alpha, v) -> (signed_by_b, spherical, first_mask)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -71,11 +71,11 @@ def marking_scan(alpha, v: int):
     the re-oriented rotation system is taken with the marking's sign
     (parity of reversed vertices).  Returns
 
-        (signed_by_b, spherical, spherical_signed, first_mask)
+        (signed_by_b, spherical, first_mask)
 
     where signed_by_b[b] sums the signs of markings with face count b,
     spherical counts markings reaching the maximum b = v/2 + 2 (genus 0),
-    spherical_signed is their signed subtotal, and first_mask is the
+    whose signed subtotal is signed_by_b[v/2 + 2], and first_mask is the
     lowest spherical mask (-1 when there is none).  signed_by_b is sized
     by the connected-graph Euler bound b <= v/2 + 2, so the input must be
     a connected fixed-point-free pairing of 3v darts with v <= 28;
@@ -108,7 +108,7 @@ def marking_scan(alpha, v: int):
     signed_by_b = [0] * (b_top + 1)
     if not v:
         signed_by_b[0] = 1  # the empty graph: one marking, no faces
-        return signed_by_b, 0, 0, -1
+        return signed_by_b, 0, -1
     if not _connected(alpha, v):
         raise ValueError("marking scan requires a connected pairing")
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
@@ -116,7 +116,6 @@ def marking_scan(alpha, v: int):
     into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i
     p = fwd[:]
     spherical = 0
-    spherical_signed = 0
     first_mask = -1
     gray = 0
     sign = 1
@@ -136,6 +135,4 @@ def marking_scan(alpha, v: int):
             if first_mask < 0 or gray < first_mask:
                 first_mask = gray
             spherical += 1
-            spherical_signed += sign
-    return ([2 * c for c in signed_by_b], 2 * spherical, 2 * spherical_signed,
-            first_mask)
+    return [2 * c for c in signed_by_b], 2 * spherical, first_mask

@@ -41,6 +41,7 @@ catalog, optionally in parallel, with bit-identical output either way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Sequence
@@ -309,7 +310,8 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     """
     v = g.vertex_count
     two_connected = is_two_connected(g)
-    wgl, spherical, top_signed, marking = marking_profile(g)
+    profile = marking_profile(g)
+    wgl, spherical, top = profile.wgl, profile.spherical, profile.top
     planar = spherical > 0
     three = enumerate_edge_3_colorings(g)
     n3 = len(three)
@@ -323,7 +325,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     four = None
     tait_ok = True
     if planar and two_connected:
-        pm = extract_map(g, marking)
+        pm = extract_map(g, profile.first)
         fours = enumerate_four_colorings(pm)
         four = len(fours)
         tait_ok = verify_tait_bijection(pm, fours) is None
@@ -338,11 +340,10 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
             and wgl2 == (-1) ** (v // 2) * wsl2,
         "sl2_counts_four_colorings":
             four is None or 4 * abs(wsl2) == 2 ** (v // 2) * four,
-        "sl2_zero_implies_top_zero": wsl2 != 0 or top_signed == 0,
+        "sl2_zero_implies_top_zero": wsl2 != 0 or top == 0,
         "tait_factor": four is None or (four == 4 * n3 and tait_ok),
         "top_counts_embeddings":
-            abs(top_signed) == spherical if two_connected
-            else top_signed == 0,
+            abs(top) == spherical if two_connected else top == 0,
     }
     return VerificationReport(
         graph=serialize_graph(g).decode(),
@@ -351,7 +352,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
         two_connected=two_connected,
         planar=planar,
         wgl_poly=wgl,
-        w_top=top_signed,
+        w_top=top,
         spherical_embeddings=spherical,
         edge_3_colorings=n3,
         penrose=penrose,
@@ -380,6 +381,9 @@ def run_survey(max_v: int, allow_loops: bool = True, dedup: bool = False,
         for v in range(2, max_v + 1, 2):
             yield from generate_graphs(v, allow_loops=allow_loops)
 
+    # Reports come back in stream order, so the pool size is free to be
+    # capped at the core count.
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             reports = list(pool.imap(check_graph, stream(), chunksize=8))

@@ -18,12 +18,12 @@ import json
 import sys
 
 from .algebra import algebra_by_name, validate_algebra
-from .catalog import run_survey
+from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
                      is_two_connected, parse_graph)
-from .ribbon import first_spherical_marking, marking_profile
+from .ribbon import marking_profile
 from .statesum import evaluate_weight
 
 
@@ -47,10 +47,7 @@ def _bool(b: bool) -> str:
 
 
 def cmd_eval(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphParseError) as exc:
-        return _fail(2, f"error: {exc}")
+    g = args.graph
     try:
         alg = algebra_by_name(args.algebra)
     except ValueError as exc:
@@ -64,16 +61,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphParseError) as exc:
-        return _fail(2, f"error: {exc}")
+    g = args.graph
     if not is_connected(g):
         return _fail(2, "error: graph is not connected")
     try:
-        poly, spherical, top, _ = marking_profile(g)
+        profile = marking_profile(g)
     except ValueError as exc:
         return _fail(2, f"error: {exc}")
+    poly, spherical, top = profile.wgl, profile.spherical, profile.top
     planar = spherical > 0
     two_conn = is_two_connected(g)
     if args.format == "json":
@@ -90,10 +85,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphParseError) as exc:
-        return _fail(2, f"error: {exc}")
+    g = args.graph
     three = enumerate_edge_3_colorings(g)
     n3 = len(three)
     pen = penrose_sum(g, three)
@@ -108,14 +100,11 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_map(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphParseError) as exc:
-        return _fail(2, f"error: {exc}")
+    g = args.graph
     if not is_connected(g):
         return _fail(2, "error: graph is not connected")
     try:
-        marking = first_spherical_marking(g)
+        marking = marking_profile(g).first
     except ValueError as exc:
         return _fail(2, f"error: {exc}")
     if marking is None:
@@ -149,10 +138,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphParseError) as exc:
-        return _fail(2, f"error: {exc}")
+    g = args.graph
     connected = is_connected(g)
     facts = {
         "v": g.vertex_count,
@@ -190,22 +176,8 @@ def cmd_validate(args) -> int:
     return code
 
 
-def _report_dict(r) -> dict:
-    return {
-        "graph": r.graph,
-        "v": r.v,
-        "e": r.e,
-        "two_connected": r.two_connected,
-        "planar": r.planar,
-        "wgl_poly": r.wgl_poly.to_json(),
-        "w_top": r.w_top,
-        "spherical_embeddings": r.spherical_embeddings,
-        "edge_3_colorings": r.edge_3_colorings,
-        "penrose": r.penrose,
-        "w_sl2": r.w_sl2,
-        "four_colorings": r.four_colorings,
-        "identities": r.identities,
-    }
+def _report_dict(r: VerificationReport) -> dict:
+    return {**vars(r), "wgl_poly": r.wgl_poly.to_json()}
 
 
 def cmd_survey(args) -> int:
@@ -282,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "graph"):
+        try:
+            args.graph = _read_graph(args.graph)
+        except (OSError, GraphParseError) as exc:
+            return _fail(2, f"error: {exc}")
     return args.func(args)
 
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and a
-counter of coloring enumerations."""
+"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and
+counters of marking scans and coloring enumerations."""
 
 import importlib.util
 import os
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from setuptools import Distribution, Extension
 
-from weightsys import catalog, cli, coloring
+from weightsys import catalog, cli, coloring, kernels
 from weightsys.catalog import generate_graphs
 
 SRC = Path(__file__).parent.parent / "src"
@@ -72,4 +72,18 @@ def enumerations(monkeypatch):
         for module in (coloring, catalog, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def marking_scans(monkeypatch):
+    """The vertex count of every kernels.marking_scan call, in order."""
+    calls = []
+    scan = kernels.marking_scan
+
+    def counting_scan(alpha, v):
+        calls.append(v)
+        return scan(alpha, v)
+
+    monkeypatch.setattr(kernels, "marking_scan", counting_scan)
     return calls

@@ -103,7 +103,7 @@ def marking_scan_by_faces(alpha, v):
     popcount; the first spherical mask met is the lowest."""
     b_top = v // 2 + 2
     signed_by_b = [0] * (b_top + 1)
-    spherical = spherical_signed = 0
+    spherical = 0
     first_mask = -1
     for mask in range(1 << v):
         faces = face_count_by_lists(marked_alpha(alpha, mask))
@@ -113,8 +113,7 @@ def marking_scan_by_faces(alpha, v):
             if first_mask == -1:
                 first_mask = mask
             spherical += 1
-            spherical_signed += sign
-    return signed_by_b, spherical, spherical_signed, first_mask
+    return signed_by_b, spherical, first_mask
 
 
 def first_spherical_by_flips(g):

@@ -21,8 +21,7 @@ from weightsys.coloring import (enumerate_edge_3_colorings,
                                 penrose_sum, w_sl2)
 from weightsys.graphs import flip_vertex, parse_graph
 from weightsys.poly import IntPolynomial
-from weightsys.ribbon import (count_spherical_embeddings,
-                              first_spherical_marking, w_top, wgl_polynomial)
+from weightsys.ribbon import marking_profile
 from weightsys.statesum import evaluate_weight
 
 DATA = Path(__file__).parent / "data"
@@ -45,31 +44,31 @@ def survey():
 
 def test_criterion_1_theta_goldens():
     g = load("theta.tgf")
+    profile = marking_profile(g)
     failures = []
-    if wgl_polynomial(g) != IntPolynomial({3: 2, 1: -2}):
-        failures.append(("wgl", str(wgl_polynomial(g))))
+    if profile.wgl != IntPolynomial({3: 2, 1: -2}):
+        failures.append(("wgl", str(profile.wgl)))
     if abs(w_sl2(g)) != 12:
         failures.append(("w_sl2", w_sl2(g)))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = len(enumerate_four_colorings(
-        extract_map(g, first_spherical_marking(g))))
+    four = len(enumerate_four_colorings(extract_map(g, profile.first)))
     if four != 24:
         failures.append(("four", four))
-    if not (abs(w_top(g)) == 2 == count_spherical_embeddings(g)):
-        failures.append(("top/spherical", w_top(g), count_spherical_embeddings(g)))
+    if not (abs(profile.top) == 2 == profile.spherical):
+        failures.append(("top/spherical", profile.top, profile.spherical))
     conclude("criterion 1: theta goldens", failures)
 
 
 def test_criterion_2_k4_goldens():
     g = load("k4.tgf")
+    profile = marking_profile(g)
     failures = []
-    if not (abs(w_top(g)) == 2 == count_spherical_embeddings(g)):
-        failures.append(("top/spherical", w_top(g)))
+    if not (abs(profile.top) == 2 == profile.spherical):
+        failures.append(("top/spherical", profile.top))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = len(enumerate_four_colorings(
-        extract_map(g, first_spherical_marking(g))))
+    four = len(enumerate_four_colorings(extract_map(g, profile.first)))
     if four != 24:
         failures.append(("four", four))
     if not (abs(w_sl2(g)) == 24 == 2 ** (4 // 2 - 2) * four):
@@ -79,15 +78,16 @@ def test_criterion_2_k4_goldens():
 
 def test_criterion_3_dumbbell_degenerates():
     g = load("dumbbell.tgf")
+    profile = marking_profile(g)
     failures = []
-    if w_sl2(g) != 0 or w_top(g) != 0:
+    if w_sl2(g) != 0 or profile.top != 0:
         failures.append("weights not zero")
-    if not wgl_polynomial(g).is_zero():
+    if not profile.wgl.is_zero():
         failures.append("wgl not zero")
     if enumerate_edge_3_colorings(g):
         failures.append("colorings exist")
-    if count_spherical_embeddings(g) != 4:
-        failures.append(("spherical", count_spherical_embeddings(g)))
+    if profile.spherical != 4:
+        failures.append(("spherical", profile.spherical))
     conclude("criterion 3: dumbbell degenerates", failures)
 
 
@@ -98,7 +98,7 @@ def test_criterion_4_route_agreement_through_v6():
     failures = []
     for g in graphs:
         v = g.vertex_count
-        poly = wgl_polynomial(g)
+        poly = marking_profile(g).wgl
         for n in (1, 2, 3):
             if poly(n) != evaluate_weight(g, make_gl(n)):
                 failures.append((g.alpha, "gl", n))

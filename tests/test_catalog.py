@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 from collections import Counter
 from itertools import permutations
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import canonical_matrix
+from weightsys import catalog
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
@@ -231,6 +233,13 @@ def test_check_graph_enumerates_each_coloring_kind_once(enumerations):
                             "enumerate_edge_3_colorings": 2}
 
 
+def test_check_graph_scans_the_markings_once(marking_scans):
+    cube = parse_graph((DATA / "cube.tgf").read_bytes())
+    for g in (THETA, DUMBBELL, cube, K33):
+        assert check_graph(g).all_passed()
+    assert marking_scans == [2, 2, 8, 6]
+
+
 def test_check_graph_dumbbell():
     r = check_graph(DUMBBELL)
     assert not r.two_connected
@@ -280,6 +289,36 @@ def test_survey_parallel_matches_serial():
     parallel = run_survey(4, dedup=True, jobs=2)
     assert serial["reports"] == parallel["reports"]
     assert serial["summary"] == parallel["summary"]
+
+
+@pytest.mark.parametrize("cores", ["host", None, 1, 3])
+def test_survey_caps_the_pool_at_the_core_count(monkeypatch, cores):
+    # A fake Pool records the size asked for and maps in-process, so no
+    # worker is ever started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    if cores != "host":
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(catalog, "Pool", FakePool)
+    serial = run_survey(4, dedup=True, jobs=1)
+    assert sizes == []
+    capped = run_survey(4, dedup=True, jobs=10**6)
+    limit = os.cpu_count() or 1
+    assert sizes == ([limit] if limit > 1 else [])
+    assert capped == serial
 
 
 def test_survey_walk_matches_public_generator(capsys):

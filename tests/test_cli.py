@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from test_kernels import prism_alpha
-from weightsys import kernels
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -56,6 +55,22 @@ def test_eval_missing_file(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--algebra", "su2"),
+    ("poly",),
+    ("colorings",),
+    ("map",),
+    ("validate", "--algebra", "su2"),
+], ids=["eval", "poly", "colorings", "map", "validate"])
+def test_graph_error_comes_first(capsys, argv):
+    # The graph is read before anything else, so an unreadable file wins
+    # over a bad algebra name.
+    code, out, err = run(capsys, argv[0], "no-such-file", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no-such-file" in err
+
+
 def test_eval_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.tgf"
     bad.write_text("v 2\ne 0 0\ne 2 3\ne 4 5\n")
@@ -92,19 +107,15 @@ def test_poly_json(capsys):
     assert payload["planar"] is True
 
 
-def test_poly_scans_the_markings_once(capsys, monkeypatch):
-    calls = []
-    scan = kernels.marking_scan
-
-    def counting_scan(alpha, v):
-        calls.append(v)
-        return scan(alpha, v)
-
-    monkeypatch.setattr(kernels, "marking_scan", counting_scan)
-    code, out, _ = run(capsys, "poly", K4)
+@pytest.mark.parametrize("command,first_line", [
+    ("poly", "wgl 2*N^4 - 2*N^2"),
+    ("map", "marking + + + +"),
+])
+def test_scans_the_markings_once(capsys, marking_scans, command, first_line):
+    code, out, _ = run(capsys, command, K4)
     assert code == 0
-    assert out.splitlines()[0] == "wgl 2*N^4 - 2*N^2"
-    assert calls == [4]
+    assert out.splitlines()[0] == first_line
+    assert marking_scans == [4]
 
 
 @pytest.mark.parametrize("command", ["poly", "map"])

@@ -9,7 +9,7 @@ from weightsys.coloring import (coloring_sign, enumerate_edge_3_colorings,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
 from weightsys.graphs import TrivalentGraph, parse_graph
-from weightsys.ribbon import first_spherical_marking
+from weightsys.ribbon import marking_profile
 from oracles import (brute_edge_3_coloring_count, brute_four_coloring_count,
                      brute_signed_coloring_sum)
 
@@ -29,7 +29,7 @@ def penrose(g):
 
 def planar_map(name):
     g = load(name + ".tgf")
-    return extract_map(g, first_spherical_marking(g))
+    return extract_map(g, marking_profile(g).first)
 
 
 @pytest.mark.parametrize("name,count", [

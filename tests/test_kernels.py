@@ -73,21 +73,18 @@ def test_face_count_against_oracle():
 
 
 def test_marking_scan_theta():
-    signed_by_b, spherical, spherical_signed, first_mask = \
-        kernels.marking_scan(THETA, 2)
+    signed_by_b, spherical, first_mask = kernels.marking_scan(THETA, 2)
     assert signed_by_b == [0, -2, 0, 2]
     assert spherical == 2
-    assert spherical_signed == 2
+    assert signed_by_b[3] == 2  # the signed spherical count
     assert first_mask == 0
-    assert kernels.marking_scan(THETA_TWISTED, 2)[3] == 1
+    assert kernels.marking_scan(THETA_TWISTED, 2)[2] == 1
 
 
 def test_marking_scan_dumbbell():
-    signed_by_b, spherical, spherical_signed, first_mask = \
-        kernels.marking_scan(DUMBBELL, 2)
+    signed_by_b, spherical, first_mask = kernels.marking_scan(DUMBBELL, 2)
     assert all(c == 0 for c in signed_by_b)
     assert spherical == 4
-    assert spherical_signed == 0
     assert first_mask == 0
 
 
@@ -97,12 +94,11 @@ def test_marking_scan_totals():
     rng = random.Random(11)
     for v in (2, 4, 6):
         for _ in range(10):
-            signed_by_b, spherical, signed, first_mask = kernels.marking_scan(
+            signed_by_b, spherical, first_mask = kernels.marking_scan(
                 random_connected_alpha(v, rng), v)
             assert len(signed_by_b) == v // 2 + 3
             assert sum(signed_by_b) == 0
-            assert abs(signed) <= spherical
-            assert signed_by_b[v // 2 + 2] == signed
+            assert abs(signed_by_b[v // 2 + 2]) <= spherical
             assert (first_mask == -1) == (spherical == 0)
 
 
@@ -157,7 +153,7 @@ def test_face_count_rejects_bad_input(backend, alpha, message):
 
 
 def test_marking_scan_of_the_empty_graph(backend):
-    assert backend.marking_scan((), 0) == ([1, 0, 0], 0, 0, -1)
+    assert backend.marking_scan((), 0) == ([1, 0, 0], 0, -1)
 
 
 def test_mask_and_complement_have_equal_face_counts():
@@ -205,13 +201,13 @@ def prism_scans():
     cases = []
     for v, firsts in PRISM_FIRSTS.items():
         alpha = prism_alpha(v)
-        planar = marking_scan_by_faces(alpha, v)[3]
+        planar = marking_scan_by_faces(alpha, v)[2]
         for first in firsts:
             # The spherical masks of the flipped prism are the planar
             # drawing and its mirror image: first and its complement.
             cases.append((tuple(marked_alpha(alpha, planar ^ first)), v))
     scans = with_oracle(cases)
-    assert [scan[3] for _, _, scan in scans] == \
+    assert [scan[2] for _, _, scan in scans] == \
         [first for firsts in PRISM_FIRSTS.values() for first in firsts]
     assert all(scan[1] == 2 for _, _, scan in scans)
     return scans

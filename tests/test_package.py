@@ -10,3 +10,20 @@ def test_public_names_resolve_once():
     namespace = {}
     exec("from weightsys import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_public_surface_is_pinned():
+    # Growing or shrinking the public surface means editing this list.
+    assert weightsys.__all__ == [
+        "GraphParseError", "IntPolynomial", "MetrizedLieAlgebra", "PlanarMap",
+        "TrivalentGraph", "VerificationReport", "algebra_by_name",
+        "change_basis", "check_graph", "coloring_sign",
+        "enumerate_edge_3_colorings", "enumerate_four_colorings",
+        "evaluate_weight", "extract_map", "face_orbits", "flip_vertex",
+        "flip_vertices", "generate_graphs", "genus", "is_connected",
+        "is_two_connected", "make_abelian", "make_gl", "make_sl2",
+        "make_so3", "marking_profile", "parse_graph", "penrose_sum",
+        "rotation_of_marking", "run_survey", "scale_metric",
+        "serialize_graph", "tait_edge_coloring", "validate_algebra",
+        "verify_tait_bijection", "w_sl2",
+    ]

@@ -4,13 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from weightsys import kernels
 from weightsys.algebra import make_gl
 from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertex, genus,
                               parse_graph)
 from weightsys.poly import IntPolynomial
-from weightsys.ribbon import (count_spherical_embeddings,
-                              first_spherical_marking, marking_profile,
-                              rotation_of_marking, w_top, wgl_polynomial)
+from weightsys.ribbon import MarkingProfile, marking_profile, rotation_of_marking
 from weightsys.statesum import evaluate_weight
 from oracles import first_spherical_by_flips, lagrange_int_poly
 
@@ -54,9 +53,9 @@ def test_genus_zero_markings_are_the_spherical_ones():
                     for mask in range(1 << v)]
         spherical = [m for m in markings
                      if genus(rotation_of_marking(g, m)) == 0]
-        assert len(spherical) == count_spherical_embeddings(g)
-        assert (spherical[0] if spherical else None) == \
-            first_spherical_marking(g)
+        profile = marking_profile(g)
+        assert len(spherical) == profile.spherical
+        assert (spherical[0] if spherical else None) == profile.first
 
 
 @pytest.mark.parametrize("name,coeffs", [
@@ -67,13 +66,14 @@ def test_genus_zero_markings_are_the_spherical_ones():
     ("k33", {}),
 ])
 def test_wgl_polynomial_goldens(name, coeffs):
-    assert wgl_polynomial(load(name + ".tgf")) == IntPolynomial(coeffs)
+    assert marking_profile(load(name + ".tgf")).wgl == IntPolynomial(coeffs)
 
 
 def test_wgl_negates_under_a_single_flip():
-    assert wgl_polynomial(THETA_TWISTED) == -wgl_polynomial(THETA)
+    assert marking_profile(THETA_TWISTED).wgl == -marking_profile(THETA).wgl
     k4 = load("k4.tgf")
-    assert wgl_polynomial(flip_vertex(k4, 2)) == -wgl_polynomial(k4)
+    assert marking_profile(flip_vertex(k4, 2)).wgl == \
+        -marking_profile(k4).wgl
 
 
 @pytest.mark.parametrize("name,top,spherical,planar", [
@@ -84,56 +84,72 @@ def test_wgl_negates_under_a_single_flip():
     ("k33", 0, 0, False),
 ])
 def test_top_and_spherical_goldens(name, top, spherical, planar):
-    g = load(name + ".tgf")
-    assert w_top(g) == top
-    assert count_spherical_embeddings(g) == spherical
-    assert (count_spherical_embeddings(g) > 0) is planar
+    profile = marking_profile(load(name + ".tgf"))
+    assert profile.top == top
+    assert profile.spherical == spherical
+    assert (profile.spherical > 0) is planar
 
 
 def test_first_spherical_marking_theta():
-    assert first_spherical_marking(THETA) == (1, 1)
-    assert first_spherical_marking(THETA_TWISTED) == (-1, 1)
+    assert marking_profile(THETA).first == (1, 1)
+    assert marking_profile(THETA_TWISTED).first == (-1, 1)
 
 
 def test_first_spherical_marking_dumbbell_and_k33():
-    assert first_spherical_marking(load("dumbbell.tgf")) == (1, 1)
-    assert first_spherical_marking(load("k33.tgf")) is None
+    assert marking_profile(load("dumbbell.tgf")).first == (1, 1)
+    assert marking_profile(load("k33.tgf")).first is None
 
 
 @pytest.mark.parametrize("name", ["theta", "dumbbell", "k4", "cube", "k33"])
 def test_first_spherical_marking_matches_flip_oracle(name):
     g = load(name + ".tgf")
-    assert first_spherical_marking(g) == first_spherical_by_flips(g)
+    assert marking_profile(g).first == first_spherical_by_flips(g)
 
 
 def test_first_spherical_marking_matches_flip_oracle_on_catalog(catalog_v8):
     assert len(catalog_v8) == 95
     for g in catalog_v8:
-        assert first_spherical_marking(g) == first_spherical_by_flips(g), g
+        assert marking_profile(g).first == first_spherical_by_flips(g), g
 
 
 def test_marking_profile_agrees_with_pieces():
+    # Each field comes from the one scan; w_top is the N^(v/2+2)
+    # coefficient of the scan's histogram.
     for name in ("theta", "dumbbell", "k4", "cube", "k33"):
         g = load(name + ".tgf")
-        poly, spherical, signed, first = marking_profile(g)
-        assert poly == wgl_polynomial(g)
-        assert spherical == count_spherical_embeddings(g)
-        assert signed == w_top(g)
-        assert first == first_spherical_marking(g)
-        assert poly.coefficient(g.vertex_count // 2 + 2) == signed
+        v = g.vertex_count
+        signed_by_b, spherical, first_mask = kernels.marking_scan(g.alpha, v)
+        profile = marking_profile(g)
+        assert profile.wgl == IntPolynomial(enumerate(signed_by_b))
+        assert profile.spherical == spherical
+        assert profile.top == signed_by_b[v // 2 + 2]
+        assert (profile.first is None) == (first_mask < 0)
+
+
+def test_marking_profile_fields():
+    profile = marking_profile(load("k4.tgf"))
+    assert isinstance(profile, MarkingProfile)
+    assert profile == (IntPolynomial({4: 2, 2: -2}), 2, 2, (1, 1, 1, 1))
+    assert profile._fields == ("wgl", "spherical", "top", "first")
+
+
+def test_marking_profile_of_the_empty_graph():
+    assert marking_profile(TrivalentGraph(0, ())) == \
+        (IntPolynomial({0: 1}), 0, 0, None)
 
 
 def test_requires_connected():
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
-    with pytest.raises(ValueError):
-        wgl_polynomial(two_thetas)
+    with pytest.raises(ValueError,
+                       match="marking scan requires a connected pairing"):
+        marking_profile(two_thetas)
 
 
 def test_exponent_parity():
     # b = v/2 + 2 - 2g, so every exponent has the parity of v/2.
     for name in ("theta", "k4", "cube"):
         g = load(name + ".tgf")
-        for e, c in wgl_polynomial(g).items():
+        for e, c in marking_profile(g).wgl.items():
             assert c != 0
             assert e % 2 == (g.vertex_count // 2) % 2
 
@@ -147,7 +163,7 @@ def test_polynomial_interpolates_the_tensor_route(name, points):
     # the tensor values at v/2 + 2 points must reproduce the polynomial.
     g = load(name + ".tgf")
     samples = [(n, evaluate_weight(g, make_gl(n))) for n in points]
-    assert lagrange_int_poly(samples) == dict(wgl_polynomial(g).items())
+    assert lagrange_int_poly(samples) == dict(marking_profile(g).wgl.items())
 
 
 def test_face_orbits_of_marking():

@@ -9,7 +9,7 @@ from weightsys.algebra import (make_abelian, make_gl, make_sl2, make_so3,
                                scale_metric)
 from weightsys.coloring import w_sl2
 from weightsys.graphs import TrivalentGraph, flip_vertex, parse_graph
-from weightsys.ribbon import wgl_polynomial
+from weightsys.ribbon import marking_profile
 from weightsys.statesum import evaluate_weight
 from oracles import naive_weight, naive_weight_full
 
@@ -147,7 +147,7 @@ def ladder(v, mobius, relabel):
 @pytest.mark.parametrize("v", [8, 10])
 def test_matches_other_routes_at_dim_9_and_16(v, mobius, relabel):
     g = ladder(v, mobius, relabel)
-    wgl = wgl_polynomial(g)
+    wgl = marking_profile(g).wgl
     for n in (3, 4):
         assert evaluate_weight(g, make_gl(n)) == wgl(n)
     assert evaluate_weight(g, make_sl2()) == w_sl2(g)
