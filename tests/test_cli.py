@@ -107,14 +107,17 @@ def test_poly_json(capsys):
     assert payload["planar"] is True
 
 
-@pytest.mark.parametrize("command,first_line", [
-    ("poly", "wgl 2*N^4 - 2*N^2"),
-    ("map", "marking + + + +"),
-])
-def test_scans_the_markings_once(capsys, marking_scans, command, first_line):
-    code, out, _ = run(capsys, command, K4)
+def test_poly_scans_the_markings_once(capsys, marking_scans):
+    code, out, _ = run(capsys, "poly", K4)
     assert code == 0
-    assert out.splitlines()[0] == first_line
+    assert out.splitlines()[0] == "wgl 2*N^4 - 2*N^2"
+    assert marking_scans == [4]
+
+
+def test_map_scans_the_markings_once(capsys, marking_scans):
+    code, out, _ = run(capsys, "map", K4)
+    assert code == 0
+    assert out.splitlines()[0] == "marking + + + +"
     assert marking_scans == [4]
 
 
