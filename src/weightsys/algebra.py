@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 
 Scalar = int | Fraction
@@ -52,27 +53,14 @@ def make_gl(n: int) -> MetrizedLieAlgebra:
     if n < 1:
         raise ValueError("gl(n) needs n >= 1")
     dim = n * n
-
     t = [[0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            t[i * n + j][j * n + i] = 1
-
     f = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        i, j = divmod(a, n)
-        for b in range(dim):
-            k, l = divmod(b, n)
-            for c in range(dim):
-                m, nn = divmod(c, n)
-                val = 0
-                if j == k and l == m and nn == i:
-                    val += 1
-                if j == m and nn == k and l == i:
-                    val -= 1
-                if val:
-                    f[a][b][c] = val
-
+    for i, j, k in product(range(n), repeat=3):
+        # One δ-term each: ⟨E_ij, [E_jk, E_ki]⟩ and ⟨E_ij, [E_ki, E_jk]⟩.
+        ij, jk, ki = i * n + j, j * n + k, k * n + i
+        t[ij][j * n + i] = 1
+        f[ij][jk][ki] += 1
+        f[ij][ki][jk] -= 1
     tt = _freeze2(t)
     return MetrizedLieAlgebra(f"gl:{n}", dim, tt, tt, _freeze3(f))
 

@@ -127,8 +127,8 @@ def cmd_map(args) -> int:
         print(f"marking {' '.join('+' if s > 0 else '-' for s in marking)}")
         for idx, cyc in enumerate(pm.faces):
             print(f"face {idx} : {' '.join(map(str, cyc))}")
-        for k, (a, b) in enumerate(pm.edge_faces):
-            d, dd = pm.graph.edges()[k]
+        for k, ((d, dd), (a, b)) in enumerate(zip(pm.graph.edges(),
+                                                  pm.edge_faces)):
             print(f"edge {k} ({d} {dd}) faces {a} {b}")
         print(f"outer_face {pm.outer_face}")
         print(f"self_bordering {_bool(pm.is_self_bordering())}")

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
+
 
 class GraphParseError(ValueError):
     """Raised when graph text violates the format.
@@ -151,85 +153,70 @@ def serialize_graph(g: TrivalentGraph) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def is_connected(g: TrivalentGraph) -> bool:
+def _bfs_tree(g: TrivalentGraph):
+    """BFS tree from vertex 0: the vertices reached in order, parents (-1
+    at the root), depths (-1 where unreached) and flags on tree darts."""
     v = g.vertex_count
-    if v == 0:
-        return True
-    seen = [False] * v
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        i = stack.pop()
+    alpha = g.alpha
+    parent = [-1] * v
+    depth = [0] + [-1] * (v - 1)
+    tree = [False] * g.dart_count
+    order = [0] if v else []
+    for i in order:  # grows while it is walked
         for d in (3 * i, 3 * i + 1, 3 * i + 2):
-            j = g.alpha[d] // 3
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == v
+            j = alpha[d] // 3
+            if depth[j] < 0:
+                parent[j] = i
+                depth[j] = depth[i] + 1
+                tree[d] = tree[alpha[d]] = True
+                order.append(j)
+    return order, parent, depth, tree
+
+
+def is_connected(g: TrivalentGraph) -> bool:
+    return len(_bfs_tree(g)[0]) == g.vertex_count
 
 
 def is_two_connected(g: TrivalentGraph) -> bool:
     """Connected, loop-free and without cut vertices.
 
-    Loops are excluded outright: a loop makes a complementary region
-    border itself, which is exactly what 2-connectivity is meant to
-    rule out downstream.
+    Loops are excluded: a loop makes a complementary region border
+    itself, which 2-connectivity is meant to rule out downstream.
+
+    That is connected and bridgeless.  A loop leaves its vertex one
+    other edge, a bridge.  Without loops, a cut vertex splits its three
+    edges over two or more parts, so one part gets exactly one of them,
+    a bridge; and an end of a bridge is a cut vertex, its other two
+    edges staying on its side.  Each non-tree edge of a BFS tree covers
+    the tree path between its ends, walked by union-find jumps so that
+    each tree edge is covered once; bridgeless means all v - 1 get
+    covered.
     """
-    if not is_connected(g):
-        return False
-    if g.has_loop():
-        return False
-    return not _has_cut_vertex(g)
-
-
-def _has_cut_vertex(g: TrivalentGraph) -> bool:
-    # Hopcroft-Tarjan on the multigraph: track edge ids so parallel
-    # edges count as genuine back edges.  Self-loops are skipped (the
-    # caller has already excluded them anyway).
+    order, parent, depth, tree = _bfs_tree(g)
     v = g.vertex_count
-    if v <= 2:
+    if len(order) != v:
         return False
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for eid, (d, dd) in enumerate(g.edges()):
-        a, b = d // 3, dd // 3
-        if a == b:
-            continue
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
+    up = list(range(v))  # up[x] != x: x's tree edge is covered
 
-    disc = [0] * v
-    low = [0] * v
-    timer = 1
-    # iterative DFS from vertex 0; stack entries: (vertex, entry-edge, child-iterator)
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        node, in_edge, it = stack[-1]
-        advanced = False
-        for nxt, eid in it:
-            if eid == in_edge:
-                continue
-            if disc[nxt] == 0:
-                if node == 0:
-                    root_children += 1
-                disc[nxt] = low[nxt] = timer
-                timer += 1
-                stack.append((nxt, eid, iter(adj[nxt])))
-                advanced = True
-                break
-            low[node] = min(low[node], disc[nxt])
-        if not advanced:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if parent != 0 and low[node] >= disc[parent]:
-                    return True
-    return root_children > 1
+    def top(x: int) -> int:
+        # The highest ancestor reached from x by covered tree edges.
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    covered = 0
+    for d, dd in enumerate(g.alpha):
+        if d > dd or tree[d]:
+            continue
+        a, b = top(d // 3), top(dd // 3)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            up[a] = parent[a]
+            covered += 1
+            a = top(a)
+    return covered == max(v - 1, 0)
 
 
 def flip_vertex(g: TrivalentGraph, i: int) -> TrivalentGraph:
@@ -280,8 +267,7 @@ def genus(g: TrivalentGraph) -> int:
     """Genus of the closed surface of the rotation system."""
     if not is_connected(g):
         raise ValueError("genus requires a connected graph")
-    f = len(face_orbits(g))
-    chi = g.vertex_count - g.edge_count + f
+    chi = g.euler_characteristic + kernels.face_count(g.alpha)
     gg, rem = divmod(2 - chi, 2)
     if rem or gg < 0:
         raise AssertionError(f"impossible Euler characteristic {chi}")

@@ -5,8 +5,9 @@ the state sum by explicit summation over index assignments, face counts
 by walking per-vertex successor lists, the first spherical marking by
 flipping vertices one marking at a time, the marking scan by counting
 every marking's faces in counter order, coloring counts by raw 3^e / 4^f
-enumeration, polynomial recovery by exact Lagrange interpolation, and the
-canonical form of a count matrix by trying every vertex relabeling.
+enumeration, polynomial recovery by exact Lagrange interpolation, the
+canonical form of a count matrix by trying every vertex relabeling, and
+2-connectivity by deleting every vertex in turn.
 Slow on purpose; cross-checks, not tools.
 """
 
@@ -126,6 +127,29 @@ def first_spherical_by_flips(g):
         if face_count_by_lists(rotation_of_marking(g, m).alpha) == v // 2 + 2:
             return m
     return None
+
+
+def two_connected_by_deletion(g):
+    """Loop-free, and still connected after deleting any one vertex,
+    each vertex tried in turn and the rest searched from scratch.  A
+    disconnected graph fails too: its parts have two vertices or more,
+    so deleting one vertex leaves at least two parts."""
+    v = g.vertex_count
+    if g.has_loop():
+        return False
+    neighbours = [{g.alpha[d] // 3 for d in range(3 * i, 3 * i + 3)}
+                  for i in range(v)]
+    for gone in range(v):
+        rest = set(range(v)) - {gone}
+        stack = [min(rest)]
+        reached = set(stack)
+        while stack:
+            for j in neighbours[stack.pop()] & rest - reached:
+                reached.add(j)
+                stack.append(j)
+        if reached != rest:
+            return False
+    return True
 
 
 def canonical_matrix(a):

@@ -55,6 +55,24 @@ def test_gl_bracket_samples():
     assert alg.f[E00][E00][E01] == 0
 
 
+# Each entry is "abc" for f[a][b][c]; every other entry is 0.
+@pytest.mark.parametrize("n,plus,minus", [
+    (2, "012 120 132 201 213 321", "021 102 123 210 231 312"),
+    (3, "013 026 130 143 156 260 273 286 301 314 327 431 "
+        "457 561 574 587 602 615 628 732 745 758 862 875",
+        "031 062 103 134 165 206 237 268 310 341 372 413 "
+        "475 516 547 578 620 651 682 723 754 785 826 857"),
+])
+def test_gl_bracket_nonzero_entries_are_pinned(n, plus, minus):
+    f = make_gl(n).f
+    dim = n * n
+    nonzero = {(a, b, c): f[a][b][c] for a in range(dim) for b in range(dim)
+               for c in range(dim) if f[a][b][c]}
+    expected = {**{tuple(map(int, abc)): 1 for abc in plus.split()},
+                **{tuple(map(int, abc)): -1 for abc in minus.split()}}
+    assert nonzero == expected
+
+
 def test_so3_is_identity_metric_with_epsilon_bracket():
     alg = make_so3()
     assert alg.t == alg.t_inv

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_matrix
+from oracles import canonical_matrix, two_connected_by_deletion
 from weightsys import catalog
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
-from weightsys.graphs import (TrivalentGraph, is_connected, parse_graph,
-                              serialize_graph)
+from weightsys.graphs import (TrivalentGraph, is_connected,
+                              is_two_connected, parse_graph, serialize_graph)
 from weightsys.poly import IntPolynomial
 
 DATA = Path(__file__).parent / "data"
@@ -95,6 +95,19 @@ def test_dedup_class_counts(catalog_v10):
                                         dedup=True))) == loop_free
     assert len(catalog_v10[True]) == 388
     assert len(catalog_v10[False]) == 91
+
+
+def test_two_connected_matches_deletion_oracle(catalog_v10):
+    graphs = [g for allow_loops in (True, False) for v in (2, 4, 6, 8)
+              for g in generate_graphs(v, allow_loops=allow_loops, dedup=True)]
+    graphs += catalog_v10[True] + catalog_v10[False]
+    graphs += list(generate_graphs(2)) + list(generate_graphs(4))
+    verdicts = Counter()
+    for g in graphs:
+        verdict = is_two_connected(g)
+        assert verdict == two_connected_by_deletion(g), g
+        verdicts[verdict] += 1
+    assert verdicts == {True: 3426, False: 6912}
 
 
 def test_dedup_reps_are_pairwise_non_isomorphic():

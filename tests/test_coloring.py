@@ -166,6 +166,17 @@ def test_tait_bijection_rejects_a_duplicated_coloring(name, outer):
     assert verify_tait_bijection(pm, full + [fc]) is not None
 
 
+@pytest.mark.parametrize("name", ["k4", "cube"])
+def test_tait_bijection_rejects_a_dropped_unpinned_coloring(name):
+    # The pinned colorings still map onto the edge colorings, so only the
+    # four-to-one count can notice.
+    pm = planar_map(name)
+    full = enumerate_four_colorings(pm)
+    k = next(i for i, fc in enumerate(full) if fc[pm.outer_face] != 0)
+    assert verify_tait_bijection(pm, full[:k] + full[k + 1:]) == (
+        f"count mismatch: {len(full) - 1} != 4 * {len(full) // 4}")
+
+
 def test_loops_kill_colorings():
     g = load("dumbbell.tgf")
     assert enumerate_edge_3_colorings(g) == []

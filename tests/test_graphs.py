@@ -1,5 +1,7 @@
 """Combinatorial-map plumbing: parsing, traversal, reversal, genus."""
 
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from weightsys.graphs import (GraphParseError, TrivalentGraph, face_orbits,
                               flip_vertex, flip_vertices, genus, is_connected,
                               is_two_connected, parse_graph, serialize_graph)
-from oracles import face_count_by_lists
+from oracles import face_count_by_lists, two_connected_by_deletion
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +124,44 @@ def test_two_connected():
     assert not is_two_connected(BRIDGED)         # cut vertex
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
     assert not is_two_connected(two_thetas)
+
+
+def random_graph(rng):
+    """A seeded random pairing on v <= 40 vertices: one random piece, two
+    pieces, or two pieces joined by a bridge, with the vertices shuffled
+    so that vertex 0 may lie in either piece."""
+    v = 2 * rng.randint(1, 20)
+    shape = rng.choice(("one", "two", "bridged")) if v > 2 else "one"
+    k = v  # vertices of the first piece, odd when a bridge leaves it
+    if shape != "one":
+        k = 2 * rng.randint(1, v // 2 - 1) - (shape == "bridged")
+    pieces = [list(range(3 * k)), list(range(3 * k, 3 * v))]
+    pairs = []
+    if shape == "bridged":
+        pairs.append((pieces[0].pop(), pieces[1].pop()))
+    for darts in pieces:
+        rng.shuffle(darts)
+        pairs += zip(darts[::2], darts[1::2])
+    label = list(range(v))
+    rng.shuffle(label)
+    alpha = [0] * (3 * v)
+    for d, dd in pairs:
+        d, dd = 3 * label[d // 3] + d % 3, 3 * label[dd // 3] + dd % 3
+        alpha[d], alpha[dd] = dd, d
+    return TrivalentGraph(v, tuple(alpha))
+
+
+def test_two_connected_matches_deletion_oracle_on_random_pairings():
+    rng = random.Random(9)
+    kinds = Counter()
+    for _ in range(3000):
+        g = random_graph(rng)
+        verdict = is_two_connected(g)
+        assert verdict == two_connected_by_deletion(g), g
+        kinds[is_connected(g), g.has_loop(), verdict] += 1
+    assert kinds[True, False, True] > 200          # 2-connected
+    assert kinds[True, False, False] > 50          # bridged, no loop
+    assert kinds[False, False, False] > 50         # disconnected, no loop
 
 
 def test_flip_vertex_is_an_involution():

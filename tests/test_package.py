@@ -1,6 +1,10 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import weightsys
+from weightsys import kernels
 
 
 def test_public_names_resolve_once():
@@ -27,3 +31,21 @@ def test_public_surface_is_pinned():
         "serialize_graph", "tait_edge_coloring", "validate_algebra",
         "verify_tait_bijection", "w_sl2",
     ]
+
+
+def test_every_kernel_has_a_package_caller():
+    # A kernel only the tests and the benchmark call is dead weight.
+    exported = {name for name, value in vars(kernels).items()
+                if callable(value) and not name.startswith("_")}
+    assert exported == {"face_count", "marking_scan"}
+    called = set()
+    for path in Path(weightsys.__file__).parent.glob("*.py"):
+        if path.name in ("kernels.py", "_kernels_py.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "kernels"):
+                called.add(node.func.attr)
+    assert exported <= called, exported - called
