@@ -12,6 +12,7 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
+#define BLOCK 4 /* vertices in marking_scan's inner block, v - 1 if fewer */
 
 static PyObject *value_error(const char *message)
 {
@@ -41,13 +42,13 @@ static int read_alpha(PyObject *seq, Py_ssize_t n, Py_ssize_t *a)
 static Py_ssize_t sigma(Py_ssize_t x) { return x % 3 == 2 ? x - 2 : x + 1; }
 static Py_ssize_t sigma_inv(Py_ssize_t x) { return x % 3 == 0 ? x + 2 : x - 1; }
 
-/* Number of cycles of the permutation p of 0..n-1. */
+/* Number of cycles of the permutation p of 0..n-1 through the darts not
+ * yet marked in seen, which it marks; a cycle is marked whole or not at
+ * all. */
 static int count_cycles(const Py_ssize_t *p, unsigned char *seen,
                         Py_ssize_t n)
 {
     int cycles = 0;
-    for (Py_ssize_t d = 0; d < n; d++)
-        seen[d] = 0;
     for (Py_ssize_t start = 0; start < n; start++) {
         if (seen[start])
             continue;
@@ -70,7 +71,7 @@ static PyObject *face_count(PyObject *self, PyObject *alpha)
     if (n % 3)
         value_error("alpha length must be a multiple of 3");
     else if ((a = PyMem_New(Py_ssize_t, 2 * n + 1)) == NULL ||
-             (seen = PyMem_Malloc((size_t)n + 1)) == NULL)
+             (seen = PyMem_Calloc((size_t)n + 1, 1)) == NULL)
         PyErr_NoMemory();
     else if (read_alpha(seq, n, a) == 0) {
         for (Py_ssize_t d = 0; d < n; d++)
@@ -107,12 +108,28 @@ static int connected(const Py_ssize_t *a, int v)
 /* The half scan of _kernels_py.marking_scan: only masks with bit v-1
  * clear are traced (a mask and its complement give mirror images, with
  * equal face counts and, v being even, equal signs), so the totals are
- * doubled at the end.  The half is walked in Gray order, step k flipping
- * vertex ctz(k) and alternating the sign.  The face permutation p takes
- * d to sigma(alpha(d)) or sigma^-1(alpha(d)) by the state of vertex
- * alpha(d) / 3, so a flip at vertex i rewrites p at alpha(3i..3i+2) only.
- * first_mask is the minimum spherical Gray mask, the first spherical mask
- * in counter order.  Returns (by_b, spherical, first_mask); the signed
+ * doubled at the end.  The face permutation p takes d to sigma(alpha(d))
+ * or sigma^-1(alpha(d)) by the state of vertex alpha(d) / 3, so a flip at
+ * vertex i rewrites p at alpha(3i..3i+2) only.
+ *
+ * The half is walked block by block, both levels in Gray order, step j of
+ * a walk flipping its vertex ctz(j) and alternating the sign.  The outer
+ * walk runs over vertices k..v-2, the inner walk over the block of low
+ * vertices 0..k-1, k = min(v - 1, BLOCK).  Let V = alpha(darts 0..3k-1).
+ * p(d) is a block dart exactly when d is in V, so p(V) is the block's
+ * darts and p off V is fixed by the outer state.  For each outer state
+ * one pass over p follows each block dart t to the first dart of V,
+ * jump[t]; p(V) being the block's darts, jump is a bijection from them
+ * onto V, and it cuts every face through the block into segments.  The
+ * darts no segment reaches make the faces that avoid V, which the inner
+ * walk leaves alone: they are counted once, as closed.  Every face
+ * through the block is a cycle of r = jump . p on V, 3k entries, of which
+ * a flip in the block rewrites three, so faces = closed + cycles(r).
+ * r is kept by block dart: r[t] is alpha(jump(sigma_M(t))), standing for
+ * r at alpha(t).  The pure twin tallies the outer states by (closed,
+ * jump) and walks the block once per key; here the block is walked for
+ * every outer state, with no table to keep.  first_mask is the minimum
+ * spherical mask met.  Returns (by_b, spherical, first_mask); the signed
  * spherical count is by_b[v/2 + 2], so it is not tallied apart. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
@@ -125,7 +142,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq);
     Py_ssize_t a[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
-    unsigned char seen[MAX_N];
+    unsigned char in_v[MAX_N], seen[MAX_N];
     int fail = 1;
     if (n != 3 * (Py_ssize_t)v)
         value_error("alpha length does not match vertex count");
@@ -147,30 +164,78 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     else if (!connected(a, v))
         return value_error("marking scan requires a connected pairing");
     else {
+        int k = v - 1 < BLOCK ? v - 1 : BLOCK, nb = 3 * k;
         for (Py_ssize_t d = 0; d < n; d++) {
             fwd[d] = p[d] = sigma(a[d]);
             bwd[d] = sigma_inv(a[d]);
+            in_v[d] = a[d] < nb;
         }
         Py_BEGIN_ALLOW_THREADS
-        unsigned long gray = 0;
+        int jump[3 * BLOCK], r[3 * BLOCK];
+        unsigned int mark[3 * BLOCK] = {0}, stamp = 0;
+        unsigned long outer = 0, inner = 0;
         int sign = 1;
-        for (unsigned long k = 0; k < 1UL << (v - 1); k++) {
-            if (k) {
-                int i = 0;
-                while (!(k >> i & 1))
+        for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
+            if (h) {
+                int i = k;
+                while (!(h >> (i - k) & 1))
                     i++;
-                gray ^= 1UL << i;
+                outer ^= 1UL << i;
                 sign = -sign;
-                const Py_ssize_t *table = gray >> i & 1 ? bwd : fwd;
+                const Py_ssize_t *table = outer >> i & 1 ? bwd : fwd;
                 for (int t = 3 * i; t < 3 * i + 3; t++)
                     p[a[t]] = table[a[t]];
             }
-            int faces = count_cycles(p, seen, n);
-            by_b[faces] += sign;
-            if (faces == b_top) {
-                if (first_mask < 0 || (long long)gray < first_mask)
-                    first_mask = (long long)gray;
-                spherical++;
+            for (Py_ssize_t d = 0; d < n; d++)
+                seen[d] = 0;
+            for (int t = 0; t < nb; t++) {
+                Py_ssize_t d = t;
+                for (; !in_v[d]; d = p[d])
+                    seen[d] = 1;
+                seen[d] = 1;
+                jump[t] = (int)a[d];
+            }
+            int closed = count_cycles(p, seen, n);
+            for (int o = 0; o < nb; o += 3) {
+                int rev = inner >> (o / 3) & 1;
+                r[o] = jump[rev ? o + 2 : o + 1];
+                r[o + 1] = jump[rev ? o : o + 2];
+                r[o + 2] = jump[rev ? o + 1 : o];
+            }
+            for (unsigned long j = 0; j < 1UL << k; j++) {
+                if (j) {
+                    int i = 0;
+                    while (!(j >> i & 1))
+                        i++;
+                    inner ^= 1UL << i;
+                    sign = -sign;
+                    int o = 3 * i, x = r[o];
+                    if (inner >> i & 1) { /* forward to reversed */
+                        r[o] = r[o + 1];
+                        r[o + 1] = r[o + 2];
+                        r[o + 2] = x;
+                    } else {
+                        r[o] = r[o + 2];
+                        r[o + 2] = r[o + 1];
+                        r[o + 1] = x;
+                    }
+                }
+                int faces = closed;
+                stamp++;
+                for (int s = 0; s < nb; s++) {
+                    if (mark[s] == stamp)
+                        continue;
+                    faces++;
+                    for (int d = s; mark[d] != stamp; d = r[d])
+                        mark[d] = stamp;
+                }
+                by_b[faces] += sign;
+                if (faces == b_top) {
+                    long long mask = (long long)(outer | inner);
+                    if (first_mask < 0 || mask < first_mask)
+                        first_mask = mask;
+                    spherical++;
+                }
             }
         }
         Py_END_ALLOW_THREADS

@@ -15,6 +15,8 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 from __future__ import annotations
 
 MAX_SCAN_V = 28
+_BLOCK = 3  # vertices in the block of marking_scan's inner walk, at least
+_OUTER = 14  # vertices in its outer walk, at most
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -23,9 +25,10 @@ def _check_entries(alpha, n: int) -> None:
         raise ValueError("alpha entry outside 0..3v-1")
 
 
-def _count_cycles(p) -> int:
-    """Number of cycles of the permutation p of 0..len(p)-1."""
-    seen = bytearray(len(p))
+def _count_cycles(p, seen) -> int:
+    """Number of cycles of the permutation p of 0..len(p)-1 through the
+    darts not yet marked in the bytearray seen, which it marks; a cycle
+    is marked whole or not at all."""
     cycles = 0
     start = seen.find(0)
     while start >= 0:
@@ -45,7 +48,8 @@ def face_count(alpha) -> int:
     if n % 3:
         raise ValueError("alpha length must be a multiple of 3")
     _check_entries(alpha, n)
-    return _count_cycles([x - 2 if x % 3 == 2 else x + 1 for x in alpha])
+    return _count_cycles([x - 2 if x % 3 == 2 else x + 1 for x in alpha],
+                         bytearray(n))
 
 
 def _connected(alpha, v: int) -> bool:
@@ -88,13 +92,40 @@ def marking_scan(alpha, v: int):
     spherical mask is spherical and one of the two has bit v-1 clear, so
     the lowest spherical mask lies in the traced half.
 
-    The half is walked in Gray order: step k flips vertex ctz(k) and the
-    sign alternates.  Faces are the cycles of p = sigma_M . alpha, where
-    sigma_M is sigma at an unreversed vertex and its inverse at a
-    reversed one, so p[d] is fwd[d] or bwd[d] by the state of vertex
-    alpha[d] // 3, and a flip at vertex i rewrites p at the three darts
-    alpha[3i..3i+2] only.  first_mask is the minimum of the spherical
-    Gray masks, which is the first spherical mask in counter order.
+    Faces are the cycles of p = sigma_M . alpha, where sigma_M is sigma
+    at an unreversed vertex and its inverse at a reversed one, so p[d] is
+    fwd[d] or bwd[d] by the state of vertex alpha[d] // 3, and a flip at
+    vertex i rewrites p at the three darts alpha[3i..3i+2] only.
+
+    The half is walked in two levels, each in Gray order: step j of a
+    walk flips its vertex ctz(j), and the sign alternates.  The inner walk
+    runs over the block of low vertices 0..k-1, the outer walk over
+    vertices k..v-2.  Let V = alpha(darts 0..3k-1), the darts that alpha
+    sends into the block.  p[d] is a block dart exactly when d is in V,
+    so p(V) is the block's darts, and p off V is fixed by the outer
+    state.  For each outer state one pass over p
+
+    - follows each block dart t to the first dart of V it reaches,
+      jump[t].  As p(V) is the block's darts, jump is a bijection from
+      them onto V, and it cuts every face through the block into
+      segments;
+    - counts the faces that no segment reaches.  They avoid V, so every
+      inner state keeps them: they are the closed faces.
+
+    Every face through the block is a cycle of r = jump . p on V, which
+    has 3k entries, so faces = closed + cycles(r), and a flip in the block
+    rewrites three entries of r.  r is kept by block dart: r[t] is
+    alpha[jump[sigma_M(t)]] and stands for r at alpha[t].
+
+    The inner walk sees an outer state only through closed and jump, and
+    many outer states share both.  So the outer states are tallied by the
+    key (closed, jump), with their sign sum, their number and their
+    lowest mask, and the inner walk runs once per key.  Outer bits lie
+    above inner ones, so a key's lowest spherical mask is its lowest
+    outer mask joined with its lowest spherical inner state, and
+    first_mask is the least of these.  The block has k = _BLOCK vertices,
+    more where that keeps the outer walk, and so the tally, within
+    2^_OUTER states, and at most v - 1.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -111,28 +142,75 @@ def marking_scan(alpha, v: int):
         return signed_by_b, 0, -1
     if not _connected(alpha, v):
         raise ValueError("marking scan requires a connected pairing")
+    k = min(v - 1, max(_BLOCK, v - 1 - _OUTER))
+    nb = 3 * k
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
     bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
     into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i
+    in_v = [x < nb for x in alpha]
     p = fwd[:]
-    spherical = 0
-    first_mask = -1
-    gray = 0
+    jump = [0] * nb  # as block darts: alpha of the first V dart reached
+    tally = {}  # (closed, *jump) -> [signed, count, lowest outer mask]
+    outer = 0
     sign = 1
-    for k in range(1 << (v - 1)):
-        if k:
-            i = (k & -k).bit_length() - 1
-            gray ^= 1 << i
+    for h in range(1 << (v - 1 - k)):
+        if h:
+            i = (h & -h).bit_length() - 1 + k
+            outer ^= 1 << i
             sign = -sign
-            table = bwd if gray >> i & 1 else fwd
+            table = bwd if outer >> i & 1 else fwd
             x, y, z = into[i]
             p[x] = table[x]
             p[y] = table[y]
             p[z] = table[z]
-        faces = _count_cycles(p)
-        signed_by_b[faces] += sign
-        if faces == b_top:
-            if first_mask < 0 or gray < first_mask:
-                first_mask = gray
-            spherical += 1
+        seen = bytearray(n)
+        for t in range(nb):
+            d = t
+            while not in_v[d]:
+                seen[d] = 1
+                d = p[d]
+            seen[d] = 1
+            jump[t] = alpha[d]
+        key = (_count_cycles(p, seen), *jump)
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [sign, 1, outer]
+        else:
+            entry[0] += sign
+            entry[1] += 1
+            if outer < entry[2]:
+                entry[2] = outer
+    flips = [(j & -j).bit_length() - 1 for j in range(1, 1 << k)]
+    r = [0] * nb
+    spherical = 0
+    first_mask = -1
+    for (closed, *jump), (sign, count, outer) in tally.items():
+        for o in range(0, nb, 3):  # every block vertex unreversed
+            r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
+        inner = 0
+        for j in range(1 << k):
+            if j:
+                i = flips[j - 1]
+                inner ^= 1 << i
+                sign = -sign
+                o = 3 * i
+                if inner >> i & 1:
+                    r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
+                else:
+                    r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]
+            mark = [False] * nb
+            faces = closed
+            for s in range(nb):
+                if not mark[s]:
+                    faces += 1
+                    mark[s] = True
+                    d = r[s]
+                    while d != s:
+                        mark[d] = True
+                        d = r[d]
+            signed_by_b[faces] += sign
+            if faces == b_top:
+                if first_mask < 0 or outer | inner < first_mask:
+                    first_mask = outer | inner
+                spherical += count
     return [2 * c for c in signed_by_b], 2 * spherical, first_mask

@@ -21,8 +21,8 @@ from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
-from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
-                     is_two_connected, parse_graph)
+from .graphs import (GraphParseError, TrivalentGraph, _connected_genus,
+                     is_connected, is_two_connected, parse_graph)
 from .ribbon import marking_profile
 from .statesum import evaluate_weight
 
@@ -62,7 +62,8 @@ def cmd_eval(args) -> int:
 
 def cmd_poly(args) -> int:
     g = args.graph
-    if not is_connected(g):
+    two_conn = is_two_connected(g)  # implies connected
+    if not two_conn and not is_connected(g):
         return _fail(2, "error: graph is not connected")
     try:
         profile = marking_profile(g)
@@ -70,7 +71,6 @@ def cmd_poly(args) -> int:
         return _fail(2, f"error: {exc}")
     poly, spherical, top = profile.wgl, profile.spherical, profile.top
     planar = spherical > 0
-    two_conn = is_two_connected(g)
     if args.format == "json":
         _emit_json({"wgl": poly.to_json(), "w_top": top,
                     "spherical_embeddings": spherical, "planar": planar,
@@ -139,14 +139,15 @@ def cmd_map(args) -> int:
 
 def cmd_validate(args) -> int:
     g = args.graph
-    connected = is_connected(g)
+    two_conn = is_two_connected(g)  # implies connected
+    connected = two_conn or is_connected(g)
     facts = {
         "v": g.vertex_count,
         "e": g.edge_count,
         "connected": connected,
-        "two_connected": is_two_connected(g),
+        "two_connected": two_conn,
         "has_loop": g.has_loop(),
-        "genus": genus(g) if connected else None,
+        "genus": _connected_genus(g) if connected else None,
     }
     code = 0
     algebra_note = None

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_kernels import prism_alpha
+from weightsys import graphs
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -129,6 +130,25 @@ def test_refuses_a_graph_over_the_marking_scan_cap(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "28" in err
+
+
+@pytest.mark.parametrize("command", ["poly", "validate"])
+def test_builds_one_bfs_tree_for_a_two_connected_graph(capsys, monkeypatch,
+                                                        command):
+    # is_two_connected implies is_connected, so a 2-connected graph needs
+    # only the tree that is_two_connected builds.
+    calls = []
+    bfs_tree = graphs._bfs_tree
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        return bfs_tree(g)
+
+    monkeypatch.setattr(graphs, "_bfs_tree", counting)
+    code, out, _ = run(capsys, command, K4)
+    assert code == 0
+    assert "two_connected true" in out.splitlines()
+    assert calls == [4]
 
 
 def test_poly_rejects_disconnected(capsys, disconnected):

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from weightsys import _kernels_py, kernels
-from weightsys.graphs import TrivalentGraph, is_connected
+from weightsys.graphs import TrivalentGraph, face_orbits, is_connected
 from oracles import face_count_by_lists, marked_alpha, marking_scan_by_faces
 
 THETA = (4, 3, 5, 1, 0, 2)
@@ -35,6 +35,35 @@ def random_connected_alpha(v, rng):
         alpha = random_alpha(v, rng)
         if is_connected(TrivalentGraph(v, alpha)):
             return alpha
+
+
+def all_pairings(n):
+    """Every fixed-point-free pairing of the darts 0..n-1."""
+    def extend(alpha):
+        if -1 not in alpha:
+            yield tuple(alpha)
+            return
+        a = alpha.index(-1)
+        for b in range(a + 1, n):
+            if alpha[b] == -1:
+                alpha[a], alpha[b] = b, a
+                yield from extend(alpha)
+                alpha[a] = alpha[b] = -1
+    return extend([-1] * n)
+
+
+def relabeled(alpha, new):
+    """alpha with vertex i renamed new[i], every cyclic order kept."""
+    out = [0] * len(alpha)
+    for d, x in enumerate(alpha):
+        out[3 * new[d // 3] + d % 3] = 3 * new[x // 3] + x % 3
+    return tuple(out)
+
+
+def shuffled_labels(v, rng):
+    new = list(range(v))
+    rng.shuffle(new)
+    return new
 
 
 def prism_alpha(v):
@@ -220,6 +249,72 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
+# The block walk of marking_scan: an inner walk over the low vertices
+# 0..k-1 for each state of an outer walk over the rest.  k is v - 1 on
+# small graphs, else 4 compiled and 3 or more pure.
+
+
+def test_block_walk_with_one_outer_step_matches_oracle(backend):
+    # At v = 2 and 4 the block holds every traced vertex: the outer walk
+    # takes one step and every face goes through the block.
+    cases = [(alpha, 2) for alpha in all_pairings(6)
+             if is_connected(TrivalentGraph(2, alpha))]
+    rng = random.Random(19)
+    cases += [(random_connected_alpha(4, rng), 4) for _ in range(40)]
+    cases += [(prism_alpha(4), 4)]
+    for alpha, v, expected in with_oracle(cases):
+        assert backend.marking_scan(alpha, v) == expected, alpha
+
+
+def face_avoids_low_vertices(alpha, v, mask, low=4):
+    """Some face of the marking avoids vertices 0..low-1, so it avoids
+    every block and is counted among the closed faces."""
+    g = TrivalentGraph(v, tuple(marked_alpha(alpha, mask)))
+    return any(all(d // 3 >= low for d in face) for face in face_orbits(g))
+
+
+@pytest.fixture(scope="module")
+def relabeled_scans(catalog_v8):
+    rng = random.Random(23)
+    cases = [(relabeled(g.alpha, shuffled_labels(g.vertex_count, rng)),
+              g.vertex_count) for g in catalog_v8]
+    cases += [(relabeled(random_connected_alpha(v, rng),
+                         shuffled_labels(v, rng)), v)
+              for v, count in ((10, 3), (12, 2)) for _ in range(count)]
+    # Reversing the prism's labels puts the low vertices on one rim; the
+    # other rim bounds a face of the planar drawing that avoids them.
+    prism = relabeled(prism_alpha(12), list(range(11, -1, -1)))
+    cases.append((prism, 12))
+    scans = with_oracle(cases)
+    assert face_avoids_low_vertices(prism, 12, scans[-1][2][2])
+    return scans
+
+
+def test_marking_scan_matches_oracle_on_relabeled_graphs(backend,
+                                                         relabeled_scans):
+    for alpha, v, expected in relabeled_scans:
+        assert backend.marking_scan(alpha, v) == expected, alpha
+
+
+@pytest.mark.parametrize("v", [10, 12, 14, 16])
+def test_marking_scan_is_invariant_under_relabeling(backend, v):
+    # Renaming vertices permutes the masks: it keeps every face count and
+    # sign, so the histogram and the spherical count, and only moves the
+    # lowest spherical mask, which must still be spherical.
+    rng = random.Random(29 + v)
+    for alpha in (random_connected_alpha(v, rng), prism_alpha(v)):
+        signed_by_b, spherical, _ = backend.marking_scan(alpha, v)
+        for _ in range(3):
+            copy = relabeled(alpha, shuffled_labels(v, rng))
+            by_b, count, first = backend.marking_scan(copy, v)
+            assert (by_b, count) == (signed_by_b, spherical), copy
+            if count:
+                assert face_count_by_lists(marked_alpha(copy, first)) == \
+                    v // 2 + 2, copy
+            else:
+                assert first == -1
+
+
 def test_compiled_matches_pure_on_catalog(compiled_kernels, catalog_v8):
     for g in catalog_v8:
         v = g.vertex_count
@@ -242,6 +337,17 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
             alpha = random_alpha(v, rng)
             assert compiled_kernels.face_count(alpha) == \
                 _kernels_py.face_count(alpha), alpha
+
+
+def test_compiled_matches_pure_where_the_pure_block_grows(compiled_kernels):
+    # From v = 20 on the pure walk widens its block to keep the outer walk
+    # at 2^14 states; the compiled one keeps k = 4.
+    rng = random.Random(31)
+    cases = [(random_connected_alpha(20, rng), 20), (prism_alpha(20), 20),
+             (random_connected_alpha(22, rng), 22)]
+    for alpha, v in cases:
+        assert compiled_kernels.marking_scan(alpha, v) == \
+            _kernels_py.marking_scan(alpha, v), alpha
 
 
 def test_pure_override_via_environment():
