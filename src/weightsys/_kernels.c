@@ -12,7 +12,8 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define BLOCK 4 /* vertices in marking_scan's inner block, v - 1 if fewer */
+#define BLOCK 3 /* vertices in marking_scan's inner block, v - 1 if fewer */
+#define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
 
 static PyObject *value_error(const char *message)
 {
@@ -105,6 +106,76 @@ static int connected(const Py_ssize_t *a, int v)
     return count == v;
 }
 
+/* The outer states of marking_scan tallied under one key (closed, jump):
+ * their sign sum, their number and their lowest mask.  key packs jump[t]
+ * into bits 4t up and closed above them; bit 63 marks a used slot. */
+struct outer_key {
+    unsigned long long key;
+    long long sign, count;
+    unsigned long outer;
+};
+
+/* Walk the block in Gray order once for each key in the slots of tally,
+ * adding the faces of each inner state to by_b, spherical and first_mask,
+ * and empty the slots. */
+static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
+                       long long *by_b, long long *spherical,
+                       long long *first_mask)
+{
+    int nb = 3 * k, jump[3 * BLOCK], r[3 * BLOCK];
+    unsigned int mark[3 * BLOCK] = {0}, stamp = 0;
+    for (struct outer_key *e = tally; e < tally + slots; e++) {
+        if (!e->key)
+            continue;
+        for (int t = 0; t < nb; t++)
+            jump[t] = e->key >> 4 * t & 15;
+        int closed = e->key >> 4 * nb & 0xff;
+        for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
+            r[o] = jump[o + 1];
+            r[o + 1] = jump[o + 2];
+            r[o + 2] = jump[o];
+        }
+        long long sign = e->sign;
+        unsigned long inner = 0;
+        for (unsigned long j = 0; j < 1UL << k; j++) {
+            if (j) {
+                int i = 0;
+                while (!(j >> i & 1))
+                    i++;
+                inner ^= 1UL << i;
+                sign = -sign;
+                int o = 3 * i, x = r[o];
+                if (inner >> i & 1) { /* forward to reversed */
+                    r[o] = r[o + 1];
+                    r[o + 1] = r[o + 2];
+                    r[o + 2] = x;
+                } else {
+                    r[o] = r[o + 2];
+                    r[o + 2] = r[o + 1];
+                    r[o + 1] = x;
+                }
+            }
+            int faces = closed;
+            stamp++;
+            for (int s = 0; s < nb; s++) {
+                if (mark[s] == stamp)
+                    continue;
+                faces++;
+                for (int d = s; mark[d] != stamp; d = r[d])
+                    mark[d] = stamp;
+            }
+            by_b[faces] += sign;
+            if (faces == b_top) {
+                long long mask = (long long)(e->outer | inner);
+                if (*first_mask < 0 || mask < *first_mask)
+                    *first_mask = mask;
+                *spherical += e->count;
+            }
+        }
+        e->key = 0;
+    }
+}
+
 /* The half scan of _kernels_py.marking_scan: only masks with bit v-1
  * clear are traced (a mask and its complement give mirror images, with
  * equal face counts and, v being even, equal signs), so the totals are
@@ -126,11 +197,16 @@ static int connected(const Py_ssize_t *a, int v)
  * through the block is a cycle of r = jump . p on V, 3k entries, of which
  * a flip in the block rewrites three, so faces = closed + cycles(r).
  * r is kept by block dart: r[t] is alpha(jump(sigma_M(t))), standing for
- * r at alpha(t).  The pure twin tallies the outer states by (closed,
- * jump) and walks the block once per key; here the block is walked for
- * every outer state, with no table to keep.  first_mask is the minimum
- * spherical mask met.  Returns (by_b, spherical, first_mask); the signed
- * spherical count is by_b[v/2 + 2], so it is not tallied apart. */
+ * r at alpha(t).
+ *
+ * As in the pure twin, the outer states are tallied by the key (closed,
+ * jump), with their sign sum, number and lowest mask, and the block is
+ * walked once per key.  The tally is an open-addressed table with twice
+ * as many slots as the keys it may hold, the fewer of the outer states
+ * and 2^TALLY_BITS; when it is full its keys are walked and it starts
+ * again empty.  first_mask is the minimum spherical mask met.  Returns
+ * (by_b, spherical, first_mask); the signed spherical count is
+ * by_b[v/2 + 2], so it is not tallied apart. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
     PyObject *alpha;
@@ -165,15 +241,18 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         return value_error("marking scan requires a connected pairing");
     else {
         int k = v - 1 < BLOCK ? v - 1 : BLOCK, nb = 3 * k;
+        int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
+        int slots = 1 << bits, used = 0;
+        struct outer_key *tally = PyMem_RawCalloc(slots, sizeof *tally);
+        if (tally == NULL)
+            return PyErr_NoMemory();
         for (Py_ssize_t d = 0; d < n; d++) {
             fwd[d] = p[d] = sigma(a[d]);
             bwd[d] = sigma_inv(a[d]);
             in_v[d] = a[d] < nb;
         }
         Py_BEGIN_ALLOW_THREADS
-        int jump[3 * BLOCK], r[3 * BLOCK];
-        unsigned int mark[3 * BLOCK] = {0}, stamp = 0;
-        unsigned long outer = 0, inner = 0;
+        unsigned long outer = 0;
         int sign = 1;
         for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
             if (h) {
@@ -188,57 +267,35 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
             }
             for (Py_ssize_t d = 0; d < n; d++)
                 seen[d] = 0;
+            unsigned long long key = 1ULL << 63;
             for (int t = 0; t < nb; t++) {
                 Py_ssize_t d = t;
                 for (; !in_v[d]; d = p[d])
                     seen[d] = 1;
                 seen[d] = 1;
-                jump[t] = (int)a[d];
+                key |= (unsigned long long)a[d] << 4 * t;
             }
-            int closed = count_cycles(p, seen, n);
-            for (int o = 0; o < nb; o += 3) {
-                int rev = inner >> (o / 3) & 1;
-                r[o] = jump[rev ? o + 2 : o + 1];
-                r[o + 1] = jump[rev ? o : o + 2];
-                r[o + 2] = jump[rev ? o + 1 : o];
-            }
-            for (unsigned long j = 0; j < 1UL << k; j++) {
-                if (j) {
-                    int i = 0;
-                    while (!(j >> i & 1))
-                        i++;
-                    inner ^= 1UL << i;
-                    sign = -sign;
-                    int o = 3 * i, x = r[o];
-                    if (inner >> i & 1) { /* forward to reversed */
-                        r[o] = r[o + 1];
-                        r[o + 1] = r[o + 2];
-                        r[o + 2] = x;
-                    } else {
-                        r[o] = r[o + 2];
-                        r[o + 2] = r[o + 1];
-                        r[o + 1] = x;
-                    }
-                }
-                int faces = closed;
-                stamp++;
-                for (int s = 0; s < nb; s++) {
-                    if (mark[s] == stamp)
-                        continue;
-                    faces++;
-                    for (int d = s; mark[d] != stamp; d = r[d])
-                        mark[d] = stamp;
-                }
-                by_b[faces] += sign;
-                if (faces == b_top) {
-                    long long mask = (long long)(outer | inner);
-                    if (first_mask < 0 || mask < first_mask)
-                        first_mask = mask;
-                    spherical++;
+            key |= (unsigned long long)count_cycles(p, seen, n) << 4 * nb;
+            unsigned long e = (key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+            while (tally[e].key && tally[e].key != key)
+                e = (e + 1) & (slots - 1);
+            if (tally[e].key) {
+                tally[e].sign += sign;
+                tally[e].count++;
+                if (outer < tally[e].outer)
+                    tally[e].outer = outer;
+            } else {
+                tally[e] = (struct outer_key){key, sign, 1, outer};
+                if (++used == slots / 2) {
+                    walk_block(tally, slots, k, b_top, by_b, &spherical,
+                               &first_mask);
+                    used = 0;
                 }
             }
         }
+        walk_block(tally, slots, k, b_top, by_b, &spherical, &first_mask);
         Py_END_ALLOW_THREADS
+        PyMem_RawFree(tally);
         for (int b = 0; b <= b_top; b++)
             by_b[b] *= 2;
         spherical *= 2;

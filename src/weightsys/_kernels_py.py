@@ -15,8 +15,8 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 from __future__ import annotations
 
 MAX_SCAN_V = 28
-_BLOCK = 3  # vertices in the block of marking_scan's inner walk, at least
-_OUTER = 14  # vertices in its outer walk, at most
+_BLOCK = 3  # vertices in the block of marking_scan's inner walk, v - 1 if fewer
+_TALLY = 1 << 14  # keys it tallies before walking the block for them
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -124,8 +124,9 @@ def marking_scan(alpha, v: int):
     above inner ones, so a key's lowest spherical mask is its lowest
     outer mask joined with its lowest spherical inner state, and
     first_mask is the least of these.  The block has k = _BLOCK vertices,
-    more where that keeps the outer walk, and so the tally, within
-    2^_OUTER states, and at most v - 1.
+    v - 1 if fewer.  The tally holds at most _TALLY keys: when it is
+    full, their inner walks run and it starts again empty, so a key met
+    again later is walked again, and the sums are the same.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -142,7 +143,7 @@ def marking_scan(alpha, v: int):
         return signed_by_b, 0, -1
     if not _connected(alpha, v):
         raise ValueError("marking scan requires a connected pairing")
-    k = min(v - 1, max(_BLOCK, v - 1 - _OUTER))
+    k = min(v - 1, _BLOCK)
     nb = 3 * k
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
     bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
@@ -151,6 +152,7 @@ def marking_scan(alpha, v: int):
     p = fwd[:]
     jump = [0] * nb  # as block darts: alpha of the first V dart reached
     tally = {}  # (closed, *jump) -> [signed, count, lowest outer mask]
+    found = [0, -1]  # spherical masks traced, lowest spherical mask
     outer = 0
     sign = 1
     for h in range(1 << (v - 1 - k)):
@@ -175,15 +177,28 @@ def marking_scan(alpha, v: int):
         entry = tally.get(key)
         if entry is None:
             tally[key] = [sign, 1, outer]
+            if len(tally) == _TALLY:
+                _walk_block(tally, k, signed_by_b, found)
         else:
             entry[0] += sign
             entry[1] += 1
             if outer < entry[2]:
                 entry[2] = outer
+    _walk_block(tally, k, signed_by_b, found)
+    spherical, first_mask = found
+    return [2 * c for c in signed_by_b], 2 * spherical, first_mask
+
+
+def _walk_block(tally, k: int, signed_by_b, found) -> None:
+    """Walk the block of marking_scan in Gray order once for each key of
+    tally, and empty it.  The faces of each inner state go into
+    signed_by_b; found holds the spherical count and the lowest spherical
+    mask so far, and is updated."""
+    nb = 3 * k
+    b_top = len(signed_by_b) - 1
+    spherical, first_mask = found
     flips = [(j & -j).bit_length() - 1 for j in range(1, 1 << k)]
     r = [0] * nb
-    spherical = 0
-    first_mask = -1
     for (closed, *jump), (sign, count, outer) in tally.items():
         for o in range(0, nb, 3):  # every block vertex unreversed
             r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
@@ -198,7 +213,7 @@ def marking_scan(alpha, v: int):
                     r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
                 else:
                     r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]
-            mark = [False] * nb
+            mark = [False] * nb  # inline: faster here than _count_cycles
             faces = closed
             for s in range(nb):
                 if not mark[s]:
@@ -213,4 +228,5 @@ def marking_scan(alpha, v: int):
                 if first_mask < 0 or outer | inner < first_mask:
                     first_mask = outer | inner
                 spherical += count
-    return [2 * c for c in signed_by_b], 2 * spherical, first_mask
+    found[:] = spherical, first_mask
+    tally.clear()

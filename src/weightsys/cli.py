@@ -21,8 +21,8 @@ from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
-from .graphs import (GraphParseError, TrivalentGraph, _connected_genus,
-                     is_connected, is_two_connected, parse_graph)
+from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
+                     is_two_connected, parse_graph)
 from .ribbon import marking_profile
 from .statesum import evaluate_weight
 
@@ -147,7 +147,7 @@ def cmd_validate(args) -> int:
         "connected": connected,
         "two_connected": two_conn,
         "has_loop": g.has_loop(),
-        "genus": _connected_genus(g) if connected else None,
+        "genus": genus(g) if connected else None,
     }
     code = 0
     algebra_note = None

@@ -267,11 +267,6 @@ def genus(g: TrivalentGraph) -> int:
     """Genus of the closed surface of the rotation system."""
     if not is_connected(g):
         raise ValueError("genus requires a connected graph")
-    return _connected_genus(g)
-
-
-def _connected_genus(g: TrivalentGraph) -> int:
-    """``genus`` for a graph already known to be connected."""
     chi = g.euler_characteristic + kernels.face_count(g.alpha)
     gg, rem = divmod(2 - chi, 2)
     if rem or gg < 0:

@@ -132,11 +132,12 @@ def test_refuses_a_graph_over_the_marking_scan_cap(capsys, tmp_path, command):
     assert "28" in err
 
 
-@pytest.mark.parametrize("command", ["poly", "validate"])
-def test_builds_one_bfs_tree_for_a_two_connected_graph(capsys, monkeypatch,
-                                                        command):
+@pytest.mark.parametrize("command, trees", [("poly", 1), ("validate", 2)])
+def test_checks_connectivity_once_for_a_two_connected_graph(
+        capsys, monkeypatch, command, trees):
     # is_two_connected implies is_connected, so a 2-connected graph needs
-    # only the tree that is_two_connected builds.
+    # only the tree that is_two_connected builds; validate's genus builds
+    # one more for its own connectivity check.
     calls = []
     bfs_tree = graphs._bfs_tree
 
@@ -148,7 +149,7 @@ def test_builds_one_bfs_tree_for_a_two_connected_graph(capsys, monkeypatch,
     code, out, _ = run(capsys, command, K4)
     assert code == 0
     assert "two_connected true" in out.splitlines()
-    assert calls == [4]
+    assert calls == [4] * trees
 
 
 def test_poly_rejects_disconnected(capsys, disconnected):

@@ -250,8 +250,8 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
 
 
 # The block walk of marking_scan: an inner walk over the low vertices
-# 0..k-1 for each state of an outer walk over the rest.  k is v - 1 on
-# small graphs, else 4 compiled and 3 or more pure.
+# 0..k-1 for each state of an outer walk over the rest, k = min(v - 1, 3)
+# on both backends.
 
 
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
@@ -266,9 +266,9 @@ def test_block_walk_with_one_outer_step_matches_oracle(backend):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
-def face_avoids_low_vertices(alpha, v, mask, low=4):
+def face_avoids_low_vertices(alpha, v, mask, low=3):
     """Some face of the marking avoids vertices 0..low-1, so it avoids
-    every block and is counted among the closed faces."""
+    the block and is counted among the closed faces."""
     g = TrivalentGraph(v, tuple(marked_alpha(alpha, mask)))
     return any(all(d // 3 >= low for d in face) for face in face_orbits(g))
 
@@ -339,15 +339,15 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
                 _kernels_py.face_count(alpha), alpha
 
 
-def test_compiled_matches_pure_where_the_pure_block_grows(compiled_kernels):
-    # From v = 20 on the pure walk widens its block to keep the outer walk
-    # at 2^14 states; the compiled one keeps k = 4.
-    rng = random.Random(31)
-    cases = [(random_connected_alpha(20, rng), 20), (prism_alpha(20), 20),
-             (random_connected_alpha(22, rng), 22)]
-    for alpha, v in cases:
-        assert compiled_kernels.marking_scan(alpha, v) == \
-            _kernels_py.marking_scan(alpha, v), alpha
+@pytest.mark.parametrize("keys", [1, 2, 5])
+def test_pure_scan_matches_oracle_when_the_tally_fills(monkeypatch, keys,
+                                                       relabeled_scans):
+    # A full tally is walked and emptied mid-scan, and a key met again is
+    # walked again; with room for one key every outer state is walked on
+    # its own.
+    monkeypatch.setattr(_kernels_py, "_TALLY", keys)
+    for alpha, v, expected in relabeled_scans:
+        assert _kernels_py.marking_scan(alpha, v) == expected, alpha
 
 
 def test_pure_override_via_environment():
