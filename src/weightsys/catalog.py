@@ -52,7 +52,7 @@ from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
 from .poly import IntPolynomial
 from .ribbon import marking_profile
-from .statesum import evaluate_weight
+from .statesum import contraction_plan, evaluate_weight
 
 MAX_V_DEFAULT = 10
 # The labeled stream walks (3v - 1)!! pairings: 17!! = 3.4e7 at v = 6.
@@ -318,9 +318,11 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     penrose = penrose_sum(g, three)
     wsl2 = 2 ** (v // 2) * penrose
 
-    ev_gl2 = evaluate_weight(g, _GL2)
-    ev_so3 = evaluate_weight(g, _SO3)
-    ev_sl2 = evaluate_weight(g, _SL2)
+    # The merge order depends on the legs alone: one plan, three algebras.
+    plan = contraction_plan(g)
+    ev_gl2 = evaluate_weight(g, _GL2, plan)
+    ev_so3 = evaluate_weight(g, _SO3, plan)
+    ev_sl2 = evaluate_weight(g, _SL2, plan)
 
     four = None
     tait_ok = True

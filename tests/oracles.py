@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes package results by a different, dumber route:
-the state sum by explicit summation over index assignments, face counts
-by walking per-vertex successor lists, the first spherical marking by
+the state sum by explicit summation over index assignments and by a
+greedy pairwise contraction that rescans every pair after each merge, face
+counts by walking per-vertex successor lists, the first spherical marking by
 flipping vertices one marking at a time, the marking scan by counting
 every marking's faces in counter order, coloring counts by raw 3^e / 4^f
 enumeration, polynomial recovery by exact Lagrange interpolation, the
@@ -65,6 +66,80 @@ def naive_weight_full(g, alg):
                     break
             total += factor
     return int(total) if total.denominator == 1 else total
+
+
+def _split_on(t, shared):
+    """Bucket the entries of ``t`` by their indices on the shared legs.
+
+    Returns (kept leg labels, {shared indices: [(kept indices, value)]}).
+    """
+    legs, entries = t
+    shared_pos = [legs.index(l) for l in shared]
+    keep_pos = [k for k, l in enumerate(legs) if l not in shared]
+    buckets = {}
+    for idx, val in entries.items():
+        at = idx.__getitem__
+        buckets.setdefault(tuple(map(at, shared_pos)), []).append(
+            (tuple(map(at, keep_pos)), val))
+    return tuple(legs[k] for k in keep_pos), buckets
+
+
+def _contract_pair(a, b):
+    shared = sorted(set(a[0]) & set(b[0]))
+    keep_a, by_a = _split_on(a, shared)
+    keep_b, by_b = _split_on(b, shared)
+    out = {}
+    for key, ents_a in by_a.items():
+        ents_b = by_b.get(key)
+        if not ents_b:
+            continue
+        for ia, va in ents_a:
+            for ib, vb in ents_b:
+                idx = ia + ib
+                out[idx] = out.get(idx, 0) + va * vb
+    return keep_a + keep_b, {idx: x for idx, x in out.items() if x}
+
+
+def greedy_contraction(g, alg):
+    """The state sum by greedy pairwise contraction, rescanning every pair
+    after each merge: rebuild the owners of every leg, group the legs by
+    owner pair, and merge the pair of least (result rank, lowest shared
+    dart); the merged tensor goes to the end of the list.
+
+    Returns ``(merges, value)``: the ``(legs_a, legs_b)`` of every merge
+    in order, and the weight as statesum.evaluate_weight normalises it.
+    """
+    f = {(a, b, c): x for a, plane in enumerate(alg.f)
+         for b, row in enumerate(plane) for c, x in enumerate(row) if x}
+    t_inv = {(a, b): x for a, row in enumerate(alg.t_inv)
+             for b, x in enumerate(row) if x}
+    tensors = [((3 * i, 3 * i + 1, 3 * i + 2), f)
+               for i in range(g.vertex_count)]
+    tensors.extend(((d, dd), t_inv) for d, dd in g.edges())
+    merges = []
+    while True:
+        owners = {}
+        for k, (legs, _) in enumerate(tensors):
+            for l in legs:
+                owners.setdefault(l, []).append(k)
+        shared = {}
+        for l, pair in owners.items():
+            shared.setdefault(tuple(pair), []).append(l)
+        if not shared:
+            break
+        i, j = min(shared, key=lambda p: (
+            len(tensors[p[0]][0]) + len(tensors[p[1]][0]) - 2 * len(shared[p]),
+            min(shared[p])))
+        merges.append((tensors[i][0], tensors[j][0]))
+        merged = _contract_pair(tensors[i], tensors[j])
+        tensors = [t for k, t in enumerate(tensors) if k != i and k != j]
+        tensors.append(merged)
+    prod = 1
+    for _, entries in tensors:
+        prod *= entries.get((), 0)
+    if isinstance(prod, Fraction) and prod.denominator == 1:
+        prod = int(prod)
+    return merges, prod
 
 
 def face_count_by_lists(alpha):

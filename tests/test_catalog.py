@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from oracles import canonical_matrix, two_connected_by_deletion
-from weightsys import catalog
+from weightsys import catalog, statesum
+from weightsys.algebra import make_gl, make_sl2, make_so3
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
@@ -251,6 +252,31 @@ def test_check_graph_scans_the_markings_once(marking_scans):
     for g in (THETA, DUMBBELL, cube, K33):
         assert check_graph(g).all_passed()
     assert marking_scans == [2, 2, 8, 6]
+
+
+def test_check_graph_plans_the_contraction_once(monkeypatch):
+    plans, sums = [], []
+    plan_of, evaluate = statesum.contraction_plan, catalog.evaluate_weight
+
+    def counting_plan(g):
+        plans.append(g.vertex_count)
+        return plan_of(g)
+
+    def recording(g, alg, plan=None):
+        value = evaluate(g, alg, plan)
+        sums.append((alg.name, value))
+        return value
+
+    for module in (statesum, catalog):
+        monkeypatch.setattr(module, "contraction_plan", counting_plan)
+    monkeypatch.setattr(catalog, "evaluate_weight", recording)
+    cube = parse_graph((DATA / "cube.tgf").read_bytes())
+    r = check_graph(cube)
+    assert r.all_passed()
+    assert plans == [8]
+    gl2 = r.wgl_poly(2)
+    assert sums == [(make_gl(2).name, gl2), (make_so3().name, r.penrose),
+                    (make_sl2().name, r.w_sl2)]
 
 
 def test_check_graph_dumbbell():

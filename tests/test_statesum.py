@@ -1,17 +1,20 @@
-"""Tensor route: greedy contraction against brute-force oracles."""
+"""Tensor route: the planned contraction against the rescanning greedy
+and brute-force oracles."""
 
 import random
 from pathlib import Path
 
 import pytest
 
-from weightsys.algebra import (make_abelian, make_gl, make_sl2, make_so3,
-                               scale_metric)
+from weightsys.algebra import (algebra_by_name, make_abelian, make_gl,
+                               make_sl2, make_so3, scale_metric)
+from weightsys.catalog import generate_graphs
 from weightsys.coloring import w_sl2
-from weightsys.graphs import TrivalentGraph, flip_vertex, parse_graph
+from weightsys.graphs import (TrivalentGraph, flip_vertex, is_connected,
+                              parse_graph)
 from weightsys.ribbon import marking_profile
-from weightsys.statesum import evaluate_weight
-from oracles import naive_weight, naive_weight_full
+from weightsys.statesum import contraction_plan, evaluate_weight
+from oracles import greedy_contraction, naive_weight, naive_weight_full
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +25,7 @@ DUMBBELL = TrivalentGraph(2, (1, 0, 5, 4, 3, 2))
 DOMINO = TrivalentGraph(4, (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8))
 # A loop at vertex 3, double edge between 0 and 1.
 LOOPED4 = TrivalentGraph(4, (3, 4, 6, 0, 1, 7, 2, 5, 9, 8, 11, 10))
+TWO_THETAS = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
 
 
 def load(name):
@@ -151,3 +155,71 @@ def test_matches_other_routes_at_dim_9_and_16(v, mobius, relabel):
     for n in (3, 4):
         assert evaluate_weight(g, make_gl(n)) == wgl(n)
     assert evaluate_weight(g, make_sl2()) == w_sl2(g)
+
+
+def random_connected_graph(v, rng):
+    """A uniform random dart pairing on v vertices, redrawn until
+    connected."""
+    while True:
+        darts = list(range(3 * v))
+        rng.shuffle(darts)
+        alpha = [0] * (3 * v)
+        for k in range(0, 3 * v, 2):
+            alpha[darts[k]], alpha[darts[k + 1]] = darts[k + 1], darts[k]
+        g = TrivalentGraph(v, tuple(alpha))
+        if is_connected(g):
+            return g
+
+
+def planned_merges(g):
+    """The (legs_a, legs_b) of every step of g's plan, the legs rebuilt
+    from the step positions: vertex legs, then edge legs, then each
+    merged tensor's kept legs of a followed by those of b."""
+    plan = contraction_plan(g)
+    legs = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(g.vertex_count)]
+    legs += g.edges()
+    merges = []
+    for a, b, sa, ka, sb, kb in plan.steps:
+        la, lb = legs[a], legs[b]
+        shared = sorted(set(la) & set(lb))
+        assert [la[k] for k in sa] == [lb[k] for k in sb] == shared
+        assert sorted(sa + ka) == list(range(len(la)))
+        assert sorted(sb + kb) == list(range(len(lb)))
+        merges.append((la, lb))
+        legs.append(tuple(la[k] for k in ka) + tuple(lb[k] for k in kb))
+    assert all(not legs[t] for t in plan.scalars)
+    return merges
+
+
+def merge_order_cases():
+    cases = [(f"catalog loops={loops}", g)
+             for loops in (True, False) for v in (2, 4, 6, 8)
+             for g in generate_graphs(v, allow_loops=loops, dedup=True)]
+    cases += [(f"ladder v={v} mobius={m} relabel={r}", ladder(v, m, r))
+              for v in (8, 10, 12, 14) for m in (False, True)
+              for r in (False, True)]
+    rng = random.Random(11)
+    cases += [(f"random v={v}", random_connected_graph(v, rng))
+              for v in range(2, 17, 2) for _ in range(3)]
+    cases += [("two thetas", TWO_THETAS), ("empty", TrivalentGraph(0, ()))]
+    return cases
+
+
+def test_plan_merges_in_the_rescanning_greedy_order():
+    # The order reads legs only, so one cheap algebra drives the oracle.
+    so3 = make_so3()
+    for name, g in merge_order_cases():
+        merges, value = greedy_contraction(g, so3)
+        assert planned_merges(g) == merges, name
+        assert evaluate_weight(g, so3) == value, name
+
+
+@pytest.mark.parametrize("name", [
+    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2"])
+def test_values_identical_to_the_rescanning_greedy(name, catalog_v8):
+    alg = algebra_by_name(name)
+    for g in catalog_v8:
+        _, expected = greedy_contraction(g, alg)
+        value = evaluate_weight(g, alg)
+        assert (repr(value), type(value)) == (repr(expected), type(expected))
+
