@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .algebra import make_gl, make_sl2, make_so3
@@ -98,31 +99,42 @@ def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:
 # by row.  Each class is represented by its largest member.
 
 Matrix = tuple[tuple[int, ...], ...]
+# A relabeling p puts vertex p[r] at position r.
+Relabeling = list[int]
+# A reducible pair of a child: (x, y) for an edge, (y,) for a lollipop.
+Pair = tuple[int, ...]
 
 # Level 2: the dumbbell and the theta, each its class's largest matrix.
 _LEVEL_2: list[Matrix] = [((1, 1), (1, 1)), ((0, 3), (3, 0))]
 
 
-def _canonical_form(a: Sequence[Sequence[int]]) -> Matrix:
-    """The largest vertex relabeling of count matrix ``a``.
+def _canonical_search(a: Sequence[Sequence[int]]
+                      ) -> tuple[Matrix, list[Relabeling]]:
+    """The largest vertex relabeling of count matrix ``a``, and every
+    relabeling p that reaches it, form[r][c] = a[p[r]][p[c]].
 
-    Builds b[r][c] = a[p[r]][p[c]] row by row over every partial
-    relabeling that still ties for the largest rows so far.  For each, the
-    unplaced vertices fall into ordered cells, each holding vertices with
-    equal entries toward every placed one, and the k-th cell must fill the
-    k-th block of positions r..v-1.  Taking p[r] from the first cell and
-    sorting each cell by its entry toward p[r] (0 to 3 edges) gives the
-    largest row r reachable from that choice; the choices whose row is
-    largest over all of them are kept, their cells refined by that entry,
-    and the next row placed.
+    Builds the form row by row over every partial relabeling that still
+    ties for the largest rows so far.  For each, the unplaced vertices
+    fall into ordered cells, each holding vertices with equal entries
+    toward every placed one, and the k-th cell must fill the k-th block of
+    positions r..v-1.  Taking p[r] from the first cell and sorting each
+    cell by its entry toward p[r] (0 to 3 edges) gives the largest row r
+    reachable from that choice; the choices whose row is largest over all
+    of them are kept, their cells refined by that entry, and the next row
+    placed.  Each kept choice carries its placed vertices as a chain
+    (p[r], chain of p[0..r-1]), so no node copies them.  No choice that
+    reaches the largest form is ever cut, so the leaves are all such
+    relabelings: two of them, p and q, differ by the automorphism
+    q o p^-1 of ``a``.
     """
     v = len(a)
-    nodes = [[list(range(v))]]
+    nodes: list[tuple[list[list[int]], tuple | None]] = [([list(range(v))],
+                                                          None)]
     rows = []
     for _ in range(v):
         best: list[int] = []
-        kept: list[list[list[int]]] = []
-        for cells in nodes:
+        kept: list[tuple[list[list[int]], tuple | None]] = []
+        for cells, chain in nodes:
             first = cells[0]
             for x in first:
                 row = a[x]
@@ -141,28 +153,69 @@ def _canonical_form(a: Sequence[Sequence[int]]) -> Matrix:
                             refined.append(by_value[value])
                             tail += [value] * len(by_value[value])
                 if tail > best:
-                    best, kept = tail, [refined]
+                    best, kept = tail, [(refined, (x, chain))]
                 elif tail == best:
-                    kept.append(refined)
+                    kept.append((refined, (x, chain)))
         rows.append(best)
         nodes = kept
-    return tuple(tuple(rows[c][r - c] if c < r else rows[r][c - r]
+    form = tuple(tuple(rows[c][r - c] if c < r else rows[r][c - r]
                        for c in range(v)) for r in range(v))
+    leaves = []
+    for _, chain in nodes:
+        p = [0] * v
+        for r in range(v - 1, -1, -1):
+            p[r], chain = chain
+        leaves.append(p)
+    return form, leaves
 
 
-def _children(a: Matrix) -> Iterator[list[list[int]]]:
-    """Every count matrix one growth step from ``a``, on two new vertices
+def _canonical_form(a: Sequence[Sequence[int]]) -> Matrix:
+    """The largest vertex relabeling of count matrix ``a``."""
+    return _canonical_search(a)[0]
+
+
+def _inverse(p: Relabeling) -> list[int]:
+    inverse = [0] * len(p)
+    for r, u in enumerate(p):
+        inverse[u] = r
+    return inverse
+
+
+def _automorphisms(leaves: list[Relabeling]) -> list[Relabeling]:
+    """The automorphisms of the form that ``leaves`` reach, as maps of its
+    positions: each leaf composed with the inverse of the first."""
+    inverse = _inverse(leaves[0])
+    return [[inverse[u] for u in p] for p in leaves]
+
+
+def _children(a: Matrix, auts: list[Relabeling]
+              ) -> Iterator[list[list[int]]]:
+    """Count matrices one growth step from ``a``, on two new vertices
     x and y: (a) subdivide two edge slots with x and y and join x-y, the
     same edge twice, two parallel copies and loops included; (b) subdivide
     one edge with x and hang y, carrying a loop, on x.
 
     (a) is applied only where it subdivides every loop of ``a``: a child
     left with a loop is also a child by (b) of the graph without that
-    lollipop, so the catalog stays complete."""
+    lollipop, so the catalog stays complete.  An automorphism of ``a``
+    maps every insertion to one of the same kind that makes an isomorphic
+    child with the new pair in the same place, so only the first insertion
+    of each orbit under ``auts`` is made."""
     n = len(a)
     x, y = n, n + 1
     slots = [(i, j) for i in range(n) for j in range(i, n) if a[i][j]]
     loops = {(i, i) for i in range(n) if a[i][i]}
+    seen: set[tuple] = set()
+
+    def first_of_orbit(kind: str, *used: tuple[int, int]) -> bool:
+        if len(auts) == 1:
+            return True
+        if (kind, *used) in seen:
+            return False
+        for p in auts:
+            seen.add((kind, *sorted((p[i], p[j]) if p[i] < p[j] else
+                                    (p[j], p[i]) for i, j in used)))
+        return True
 
     def grown(*changes: tuple[int, int, int]) -> list[list[int]]:
         m = [[*row, 0, 0] for row in a] + [[0] * (n + 2), [0] * (n + 2)]
@@ -173,16 +226,136 @@ def _children(a: Matrix) -> Iterator[list[list[int]]]:
         return m
 
     for s, (i, j) in enumerate(slots):
-        yield grown((i, j, -1), (i, x, 1), (x, j, 1), (x, y, 1), (y, y, 1))
+        if first_of_orbit("b", (i, j)):
+            yield grown((i, j, -1), (i, x, 1), (x, j, 1), (x, y, 1),
+                        (y, y, 1))
         if loops <= {(i, j)}:
-            yield grown((i, j, -1), (i, x, 1), (x, y, 2), (y, j, 1))
-            if a[i][j] > 1:
+            if first_of_orbit("a1", (i, j)):
+                yield grown((i, j, -1), (i, x, 1), (x, y, 2), (y, j, 1))
+            if a[i][j] > 1 and first_of_orbit("a2", (i, j)):
                 yield grown((i, j, -2), (i, x, 1), (x, j, 1), (i, y, 1),
                             (y, j, 1), (x, y, 1))
         for k, l in slots[s + 1:]:
-            if loops <= {(i, j), (k, l)}:
+            if loops <= {(i, j), (k, l)} and first_of_orbit("a", (i, j),
+                                                            (k, l)):
                 yield grown((i, j, -1), (i, x, 1), (x, j, 1), (k, l, -1),
                             (k, y, 1), (y, l, 1), (x, y, 1))
+
+
+def _is_bridge(c: list[list[int]], u: int, w: int) -> bool:
+    """Whether deleting the single edge u-w disconnects ``c``."""
+    reached = {u}
+    stack = [u]
+    while stack:
+        s = stack.pop()
+        for t, k in enumerate(c[s]):
+            if k and t not in reached and (s, t) != (u, w):
+                if t == w:
+                    return False
+                reached.add(t)
+                stack.append(t)
+    return True
+
+
+def _layers(c: list[list[int]], neighbours: list[list[int]],
+            pair: Pair) -> tuple[tuple[int, int], ...]:
+    """The breadth-first layers of ``c`` around ``pair``: per layer, its
+    vertex count and how many of them carry a loop."""
+    reached = set(pair)
+    layer = list(pair)
+    layers = []
+    while layer:
+        layers.append((len(layer), sum(c[u][u] for u in layer)))
+        nxt = []
+        for u in layer:
+            for t in neighbours[u]:
+                if t not in reached:
+                    reached.add(t)
+                    nxt.append(t)
+        layer = nxt
+    return tuple(layers)
+
+
+def _ties(pairs: list[Pair], invariant) -> list[Pair]:
+    """The pairs whose invariant equals the last pair's, or an empty list
+    if some pair's is larger."""
+    mine = invariant(pairs[-1])
+    tied = []
+    for pair in pairs:
+        k = invariant(pair)
+        if k > mine:
+            return []
+        if k == mine:
+            tied.append(pair)
+    return tied
+
+
+def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
+    """Child ``c``'s form and leaves if its new pair, x and y on the last
+    two vertices, lies in the orbit of its canonical reducible pair; else
+    None.
+
+    The reducible pairs are those whose removal undoes a step of
+    ``_children``.  With a loop they are the lollipops, each named by the
+    vertex y carrying the loop, its neighbour being x.  Without one they
+    are the x-y edges that leave the graph connected when one copy is
+    deleted and x and y are smoothed: a multiple edge, or an edge that is
+    not a bridge.  Either way the new pair comes last.  The canonical pair
+    has the largest invariant, first a cheap one (the largest multiplicity
+    at a lollipop's x; an edge's multiplicity, then the triangles on it),
+    then its breadth-first layers, and among those the smallest position
+    in the form.  A pair whose invariant beats the new pair's rejects the
+    child before any search; otherwise the child is accepted if some leaf
+    puts the new pair on that position.  So each class is accepted once,
+    from one orbit of insertions in its one parent (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998)."""
+    v = len(c)
+    if c[v - 1][v - 1]:
+        def stem(pair: Pair) -> int:
+            row = c[pair[0]]
+            return max(c[next(u for u in range(v) if row[u] and u != pair[0])])
+
+        tied = _ties([(h,) for h in range(v) if c[h][h]], stem)
+    else:
+        def edge(pair: Pair) -> tuple[int, int]:
+            u, w = pair
+            return c[u][w], sum(map(mul, c[u], c[w]))
+
+        tied = _ties([(u, w) for u in range(v) for w in range(u + 1, v)
+                      if c[u][w]], edge)
+        # A multiple edge or one on a triangle is no bridge, so a bridge
+        # can tie the new pair only if that is a single edge on none.
+        if tied and edge(tied[-1]) == (1, 0):
+            tied = [pair for pair in tied if not _is_bridge(c, *pair)]
+    if len(tied) > 1:
+        neighbours = [[t for t, k in enumerate(row) if k] for row in c]
+        tied = _ties(tied, lambda pair: _layers(c, neighbours, pair))
+    if not tied:
+        return None
+    form, leaves = _canonical_search(c)
+    if len(tied) > 1:
+        inverse = _inverse(leaves[0])
+        target = min(sorted(inverse[u] for u in pair) for pair in tied)
+        new = set(tied[-1])
+        if not any({p[r] for r in target} == new for p in leaves):
+            return None
+    return form, leaves
+
+
+def _grow(level: list[tuple[Matrix, list[Relabeling]]], with_auts: bool
+          ) -> list[tuple[Matrix, list[Relabeling] | None]]:
+    """One representative of every class one growth step above ``level``,
+    each a form with its automorphisms if ``with_auts``, in no set
+    order."""
+    grown = []
+    for a, auts in level:
+        for c in _children(a, auts):
+            found = _accepted(c)
+            if found:
+                form, leaves = found
+                grown.append((form, _automorphisms(leaves) if with_auts
+                              else None))
+    return grown
 
 
 def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
@@ -191,15 +364,17 @@ def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
 
     Every level is grown from the whole with-loops level below it: a
     loopless graph can reduce to one with a loop, so loop-free mode only
-    filters what it yields."""
-    level = _LEVEL_2
+    filters what it yields.  Automorphisms are kept for the level being
+    grown from, not for the last."""
+    level = [(m, _automorphisms(_canonical_search(m)[1])) for m in _LEVEL_2]
     while True:
-        yield [_graph_from_matrix(m) for m in level
+        yield [_graph_from_matrix(m) for m, _ in level
                if allow_loops or not any(m[i][i] for i in range(len(m)))]
-        if len(level[0]) == max_v:
+        v = len(level[0][0]) + 2
+        if v > max_v:
             return
-        level = sorted({_canonical_form(c) for a in level
-                        for c in _children(a)}, reverse=True)
+        level = sorted(_grow(level, v < max_v), key=itemgetter(0),
+                       reverse=True)
 
 
 def _graph_from_matrix(a: Matrix) -> TrivalentGraph:

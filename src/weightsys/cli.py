@@ -8,7 +8,11 @@ fixed-width integer limits).
 
 Exit codes: 0 success, 1 identity failure found by a survey, 2 input
 error (unreadable/malformed graph, bad survey bounds, precondition not
-met), 3 configuration error (unknown algebra name, algebra violation).
+met), 3 configuration error (unknown algebra name, algebra violation, an
+algebra over 36 dimensions: gl:<n> takes n <= 6, abelian:<n> n <= 36).
+
+``weightsys --version`` prints the package version and the live kernel
+backend (``pure`` or ``compiled``).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import json
 import sys
 
+from . import __version__, kernels
 from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
@@ -207,6 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weightsys",
         description="Exact Lie-algebra weight systems on oriented trivalent graphs.")
+    parser.add_argument(
+        "--version", action="version",
+        version=f"weightsys {__version__} (kernels: {kernels.BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):

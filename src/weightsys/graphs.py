@@ -91,10 +91,21 @@ class TrivalentGraph:
         return any(self.alpha[d] // 3 == d // 3 for d in range(self.dart_count))
 
 
+def _is_number(word: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also takes digits like '²'
+    that ``int`` refuses."""
+    return word.isascii() and word.isdigit()
+
+
 def parse_graph(text: bytes | str) -> TrivalentGraph:
     """Parse the text format, preserving dart numbering exactly."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise GraphParseError(line, "syntax",
+                                  f"not UTF-8 at byte {exc.start}") from None
     lines = text.splitlines()
     last = max(1, len(lines))
 
@@ -108,7 +119,7 @@ def parse_graph(text: bytes | str) -> TrivalentGraph:
         if parts[0] == "v":
             if v is not None:
                 raise GraphParseError(no, "syntax", "repeated 'v' line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 raise GraphParseError(no, "syntax", f"malformed vertex line {line!r}")
             v = int(parts[1])
             if v % 2:
@@ -116,7 +127,8 @@ def parse_graph(text: bytes | str) -> TrivalentGraph:
         elif parts[0] == "e":
             if v is None:
                 raise GraphParseError(no, "syntax", "'e' line before 'v' line")
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) != 3 or not (_is_number(parts[1])
+                                       and _is_number(parts[2])):
                 raise GraphParseError(no, "syntax", f"malformed edge line {line!r}")
             pairs.append((no, int(parts[1]), int(parts[2])))
         else:

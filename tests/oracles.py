@@ -7,8 +7,9 @@ counts by walking per-vertex successor lists, the first spherical marking by
 flipping vertices one marking at a time, the marking scan by counting
 every marking's faces in counter order, coloring counts by raw 3^e / 4^f
 enumeration, polynomial recovery by exact Lagrange interpolation, the
-canonical form of a count matrix by trying every vertex relabeling, and
-2-connectivity by deleting every vertex in turn.
+canonical form of a count matrix by trying every vertex relabeling, the
+class catalog by growing every child and keeping the set of canonical
+forms, and 2-connectivity by deleting every vertex in turn.
 Slow on purpose; cross-checks, not tools.
 """
 
@@ -235,6 +236,52 @@ def canonical_matrix(a):
     v = len(a)
     return max(tuple(tuple(a[p[i]][p[j]] for j in range(v)) for i in range(v))
                for p in permutations(range(v)))
+
+
+def children_by_insertion(a):
+    """Every count matrix one growth step from ``a``, with no pruning by
+    symmetry: (a) subdivide two edge slots with x and y and join x-y, the
+    same edge twice, two parallel copies and loops included, only where
+    every loop of ``a`` is subdivided; (b) subdivide one edge with x and
+    hang y, carrying a loop, on x."""
+    n = len(a)
+    x, y = n, n + 1
+    slots = [(i, j) for i in range(n) for j in range(i, n) if a[i][j]]
+    loops = {(i, i) for i in range(n) if a[i][i]}
+
+    def grown(*changes):
+        m = [[*row, 0, 0] for row in a] + [[0] * (n + 2), [0] * (n + 2)]
+        for i, j, k in changes:
+            m[i][j] += k
+            if i != j:
+                m[j][i] += k
+        return m
+
+    for s, (i, j) in enumerate(slots):
+        yield grown((i, j, -1), (i, x, 1), (x, j, 1), (x, y, 1), (y, y, 1))
+        if loops <= {(i, j)}:
+            yield grown((i, j, -1), (i, x, 1), (x, y, 2), (y, j, 1))
+            if a[i][j] > 1:
+                yield grown((i, j, -2), (i, x, 1), (x, j, 1), (i, y, 1),
+                            (y, j, 1), (x, y, 1))
+        for k, l in slots[s + 1:]:
+            if loops <= {(i, j), (k, l)}:
+                yield grown((i, j, -1), (i, x, 1), (x, j, 1), (k, l, -1),
+                            (k, y, 1), (y, l, 1), (x, y, 1))
+
+
+def levels_by_dedup_set(max_v, canonical_form):
+    """The with-loops class levels v = 2, 4, ..., max_v: each level the
+    set of the canonical forms of every child of the level below, sorted
+    in descending order.  ``canonical_form`` maps a count matrix to its
+    class's largest relabeling."""
+    level = [((1, 1), (1, 1)), ((0, 3), (3, 0))]
+    levels = [level]
+    while len(level[0]) < max_v:
+        level = sorted({canonical_form(c) for a in level
+                        for c in children_by_insertion(a)}, reverse=True)
+        levels.append(level)
+    return levels
 
 
 def brute_edge_3_coloring_count(g):

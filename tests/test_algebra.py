@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from weightsys import algebra
 from weightsys.algebra import (MetrizedLieAlgebra, algebra_by_name,
                                change_basis, make_abelian, make_gl, make_sl2,
                                make_so3, scale_metric, validate_algebra)
@@ -106,6 +107,27 @@ def test_algebra_by_name(name, dim):
 def test_algebra_by_name_rejects(name):
     with pytest.raises(ValueError):
         algebra_by_name(name)
+
+
+@pytest.mark.parametrize("name,built", [
+    ("gl:6", ("gl", 6)), ("gl:7", None), ("abelian:36", ("abelian", 36)),
+    ("abelian:37", None), ("gl:10000000000", None),
+])
+def test_algebra_by_name_refuses_dimensions_over_the_limit(monkeypatch, name,
+                                                           built):
+    # Stand-ins for the constructors: the refusal must come first, and the
+    # limit itself must still resolve, without building a large algebra.
+    made = []
+    monkeypatch.setattr(algebra, "make_gl", lambda n: made.append(("gl", n)))
+    monkeypatch.setattr(algebra, "make_abelian",
+                        lambda n: made.append(("abelian", n)))
+    if built:
+        algebra_by_name(name)
+        assert made == [built]
+    else:
+        with pytest.raises(ValueError, match="over the limit 36"):
+            algebra_by_name(name)
+        assert made == []
 
 
 def test_validate_reports_asymmetric_t():

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_matrix, two_connected_by_deletion
+from oracles import (canonical_matrix, levels_by_dedup_set,
+                     two_connected_by_deletion)
 from weightsys import catalog, statesum
 from weightsys.algebra import make_gl, make_sl2, make_so3
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
@@ -171,6 +172,110 @@ def test_dedup_catalog_v10_matches_golden_digest(catalog_v10):
             digest.update(serialize_graph(g))
     assert digest.hexdigest() == (
         "a677062878bf87482a50a1e15a532920876811629e4a0f15b3de58808d53a41b")
+
+
+@pytest.fixture(scope="module")
+def oracle_levels():
+    """The with-loops levels v = 2..10 as sorted sets of canonical forms."""
+    return levels_by_dedup_set(10, _canonical_form)
+
+
+def has_loop(m):
+    return any(m[i][i] for i in range(len(m)))
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+def test_grown_levels_match_the_dedup_set_oracle(oracle_levels, allow_loops):
+    levels = [[tuple(map(tuple, count_matrix(g))) for g in level]
+              for level in catalog._levels(10, allow_loops)]
+    assert levels == [[m for m in level if allow_loops or not has_loop(m)]
+                      for level in oracle_levels]
+
+
+def test_growth_accepts_each_class_once(oracle_levels):
+    below = oracle_levels[0]
+    for expected in oracle_levels[1:]:
+        level = [(m, catalog._automorphisms(catalog._canonical_search(m)[1]))
+                 for m in below]
+        forms = [form for form, _ in catalog._grow(level, False)]
+        assert len(forms) == len(set(forms))
+        assert sorted(forms, reverse=True) == expected
+        below = expected
+
+
+@pytest.mark.parametrize("v", [2, 4, 6])
+def test_automorphisms_match_every_permutation(v):
+    rng = random.Random(v)
+    for g in generate_graphs(v, dedup=True):
+        a = count_matrix(g)
+        shuffled = relabeled(a, rng)
+        form, leaves = catalog._canonical_search(shuffled)
+        assert all(shuffled[p[r]][p[c]] == form[r][c]
+                   for p in leaves for r in range(v) for c in range(v))
+        auts = catalog._automorphisms(leaves)
+        assert sorted(auts) == [
+            list(p) for p in permutations(range(v))
+            if all(form[p[r]][p[c]] == form[r][c]
+                   for r in range(v) for c in range(v))]
+
+
+def reducible_pairs(c):
+    """The pairs whose removal leaves a connected graph on v - 2 vertices:
+    with a loop, every (x, y) with y carrying the loop and x its neighbour;
+    without, every edge {x, y} still connected with one copy deleted."""
+    v = len(c)
+    if has_loop(c):
+        return [(next(u for u in range(v) if c[y][u] and u != y), y)
+                for y in range(v) if c[y][y]]
+    pairs = []
+    for x in range(v):
+        for y in range(x + 1, v):
+            if c[x][y]:
+                cut = [list(row) for row in c]
+                cut[x][y] -= 1
+                cut[y][x] -= 1
+                reached, stack = {x}, [x]
+                while stack:
+                    for t, k in enumerate(cut[stack.pop()]):
+                        if k and t not in reached:
+                            reached.add(t)
+                            stack.append(t)
+                if len(reached) == v:
+                    pairs.append((x, y))
+    return pairs
+
+
+def bridged_k33_pair():
+    """Two copies of K3,3, each with one edge subdivided, joined by a
+    bridge between the subdividing vertices: the v = 14 class whose every
+    edge has multiplicity 1 and no triangle."""
+    edges = []
+    for o in (0, 7):
+        edges += [(o + i, o + j) for i in range(3) for j in range(3, 6)
+                  if (i, j) != (0, 3)]
+        edges += [(o, o + 6), (o + 6, o + 3)]
+    a = [[0] * 14 for _ in range(14)]
+    for i, j in edges + [(6, 13)]:
+        a[i][j] += 1
+        a[j][i] += 1
+    return a
+
+
+def test_every_class_is_accepted_from_one_orbit_of_its_pairs(catalog_v8):
+    graphs = [count_matrix(g) for g in catalog_v8] + [bridged_k33_pair()]
+    for a in graphs:
+        form, leaves = catalog._canonical_search(a)
+        auts = catalog._automorphisms(leaves)
+        v = len(form)
+        accepted = set()
+        for pair in reducible_pairs(form):
+            p = [u for u in range(v) if u not in pair] + list(pair)
+            child = [[form[p[r]][p[c]] for c in range(v)] for r in range(v)]
+            if catalog._accepted(child):
+                accepted.add(frozenset(pair))
+        assert accepted, form
+        pair = next(iter(accepted))
+        assert accepted == {frozenset(q[u] for u in pair) for q in auts}
 
 
 def test_dedup_respects_loop_flag():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_kernels import prism_alpha
-from weightsys import graphs
+from weightsys import __version__, algebra, graphs, kernels
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -78,6 +78,40 @@ def test_eval_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(bad), "--algebra", "so3")
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text", ["v \u00b2\n".encode(), b"v 2\xff\n"],
+                         ids=["superscript-two", "not-utf8"])
+def test_validate_refuses_unparseable_text(capsys, tmp_path, text):
+    bad = tmp_path / "bad.tgf"
+    bad.write_bytes(text)
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("name", ["gl:7", "gl:99999999999999999999",
+                                  "abelian:37"])
+def test_eval_refuses_an_algebra_over_the_dimension_limit(capsys,
+                                                          monkeypatch, name):
+    def unbuilt(n):
+        raise AssertionError(f"built an algebra for n = {n}")
+
+    monkeypatch.setattr(algebra, "make_gl", unbuilt)
+    monkeypatch.setattr(algebra, "make_abelian", unbuilt)
+    code, out, err = run(capsys, "eval", THETA, "--algebra", name)
+    assert code == 3
+    assert out == ""
+    assert f"over the limit {algebra.MAX_ALGEBRA_DIM}" in err
+
+
+def test_version_names_the_backend(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == (
+        f"weightsys {__version__} (kernels: {kernels.BACKEND})\n")
 
 
 def test_eval_unknown_algebra(capsys):
