@@ -15,19 +15,32 @@ yields children on two new vertices x and y by
 * (b) lollipop: subdivide one edge with x and hang y, carrying a loop,
   on x.
 
-The largest relabeling of every child goes into a set, and the set
-sorted in descending order is the level.  The growth misses no class:
-for v >= 4 a connected graph with a loop reduces to a connected one at
-v - 2 by undoing (b), and a loopless one has an edge on a cycle, whose
-deletion with both ends suppressed undoes (a) and keeps the graph
-connected.  So (a) need only make loopless children, and it is skipped
-where it would leave a loop.  Children of connected graphs are
-connected, so nothing is filtered for connectivity.  Loop-free mode
-grows the with-loops levels and filters what it yields, because a
-loopless graph can reduce to one with a loop.  Pure Python on a 2-core
-box, all levels through v = 8 take about 0.07 s and v = 10 about 0.45 s
-in either loop mode; the orderly generator this replaced took about
-0.5 s at v = 8 and 60 s at v = 10 (21 s loop-free).
+The growth misses no class: for v >= 4 a connected graph with a loop
+reduces to a connected one at v - 2 by undoing (b), and a loopless one
+has an edge on a cycle, whose deletion with both ends suppressed undoes
+(a) and keeps the graph connected.  So (a) need only make loopless
+children, and it is skipped where it would leave a loop.  Children of
+connected graphs are connected, so nothing is filtered for
+connectivity.
+
+Each class is made once, from one parent, by McKay's canonical
+construction path ("Isomorph-free exhaustive generation", J. Algorithms
+26, 1998), as Brinkmann, Goedgebeur and McKay use it for cubic graphs
+("Generation of cubic graphs", DMTCS 13, 2011).  A parent's
+automorphisms are the tied leaves of its own canonical search, and it
+makes one insertion per orbit of them.  A child is kept only if its new
+pair lies in the orbit of its canonical reducible pair (``_accepted``),
+which cheap invariants pick out first, so most repeats are turned away
+before any canonical search.  No level needs a set: each is sorted in
+descending order of its classes' largest matrices.  Loop-free mode grows
+the with-loops levels and filters what it yields, because a loopless
+graph can reduce to one with a loop.  Pure Python on a 2-core box, all
+levels through v = 8 take about 0.02 s, v = 10 about 0.11 s, v = 12
+about 0.9 s and v = 14 about 10 s, in either loop mode, with about
+1.04 canonical searches per class at v = 12 and 14.  The set-based
+growth this replaced made a canonical form of every child, 6.0 per class
+at v = 12 and 14, and took about 0.045 s, 0.38 s, 2.8 s and
+29 s (``BENCH_catalog.json``).
 
 Every identity checked here is invariant under dart relabeling and
 vertex reversals, and any two rotation systems over the same multigraph

@@ -247,8 +247,9 @@ def reducible_pairs(c):
 
 def bridged_k33_pair():
     """Two copies of K3,3, each with one edge subdivided, joined by a
-    bridge between the subdividing vertices: the v = 14 class whose every
-    edge has multiplicity 1 and no triangle."""
+    bridge between the subdividing vertices: the only class to v = 14
+    with a bridge but no loop, multiple edge or triangle, so the only one
+    where a bridge ties the reducible edges on the cheap invariant."""
     edges = []
     for o in (0, 7):
         edges += [(o + i, o + j) for i in range(3) for j in range(3, 6)
