@@ -270,25 +270,6 @@ def _is_bridge(c: list[list[int]], u: int, w: int) -> bool:
     return True
 
 
-def _layers(c: list[list[int]], neighbours: list[list[int]],
-            pair: Pair) -> tuple[tuple[int, int], ...]:
-    """The breadth-first layers of ``c`` around ``pair``: per layer, its
-    vertex count and how many of them carry a loop."""
-    reached = set(pair)
-    layer = list(pair)
-    layers = []
-    while layer:
-        layers.append((len(layer), sum(c[u][u] for u in layer)))
-        nxt = []
-        for u in layer:
-            for t in neighbours[u]:
-                if t not in reached:
-                    reached.add(t)
-                    nxt.append(t)
-        layer = nxt
-    return tuple(layers)
-
-
 def _ties(pairs: list[Pair], invariant) -> list[Pair]:
     """The pairs whose invariant equals the last pair's, or an empty list
     if some pair's is larger."""
@@ -314,12 +295,12 @@ def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
     are the x-y edges that leave the graph connected when one copy is
     deleted and x and y are smoothed: a multiple edge, or an edge that is
     not a bridge.  Either way the new pair comes last.  The canonical pair
-    has the largest invariant, first a cheap one (the largest multiplicity
-    at a lollipop's x; an edge's multiplicity, then the triangles on it),
-    then its breadth-first layers, and among those the smallest position
-    in the form.  A pair whose invariant beats the new pair's rejects the
-    child before any search; otherwise the child is accepted if some leaf
-    puts the new pair on that position.  So each class is accepted once,
+    has the largest cheap invariant (the largest multiplicity at a
+    lollipop's x; an edge's multiplicity, then the triangles on it), and
+    among those the smallest position in the form.  A pair whose invariant
+    beats the new pair's rejects the child before any search; otherwise
+    the child is accepted if some leaf puts the new pair on that position.
+    So each class is accepted once,
     from one orbit of insertions in its one parent (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998)."""
     v = len(c)
@@ -340,9 +321,6 @@ def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
         # can tie the new pair only if that is a single edge on none.
         if tied and edge(tied[-1]) == (1, 0):
             tied = [pair for pair in tied if not _is_bridge(c, *pair)]
-    if len(tied) > 1:
-        neighbours = [[t for t, k in enumerate(row) if k] for row in c]
-        tied = _ties(tied, lambda pair: _layers(c, neighbours, pair))
     if not tied:
         return None
     form, leaves = _canonical_search(c)
