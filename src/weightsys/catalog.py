@@ -284,43 +284,50 @@ def _ties(pairs: list[Pair], invariant) -> list[Pair]:
     return tied
 
 
-def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
-    """Child ``c``'s form and leaves if its new pair, x and y on the last
-    two vertices, lies in the orbit of its canonical reducible pair; else
-    None.
+def _candidates(c: list[list[int]]) -> list[Pair]:
+    """The reducible pairs of child ``c`` that tie its new pair, x and y
+    on the last two vertices, on a cheap invariant, the new pair last; or
+    an empty list if some reducible pair beats it.
 
     The reducible pairs are those whose removal undoes a step of
     ``_children``.  With a loop they are the lollipops, each named by the
     vertex y carrying the loop, its neighbour being x.  Without one they
     are the x-y edges that leave the graph connected when one copy is
     deleted and x and y are smoothed: a multiple edge, or an edge that is
-    not a bridge.  Either way the new pair comes last.  The canonical pair
-    has the largest cheap invariant (the largest multiplicity at a
-    lollipop's x; an edge's multiplicity, then the triangles on it), and
-    among those the smallest position in the form.  A pair whose invariant
-    beats the new pair's rejects the child before any search; otherwise
-    the child is accepted if some leaf puts the new pair on that position.
-    So each class is accepted once,
-    from one orbit of insertions in its one parent (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998)."""
+    not a bridge.  The invariant is the largest multiplicity at a
+    lollipop's x, and an edge's multiplicity, then the triangles on it."""
     v = len(c)
     if c[v - 1][v - 1]:
         def stem(pair: Pair) -> int:
             row = c[pair[0]]
             return max(c[next(u for u in range(v) if row[u] and u != pair[0])])
 
-        tied = _ties([(h,) for h in range(v) if c[h][h]], stem)
-    else:
-        def edge(pair: Pair) -> tuple[int, int]:
-            u, w = pair
-            return c[u][w], sum(map(mul, c[u], c[w]))
+        return _ties([(h,) for h in range(v) if c[h][h]], stem)
 
-        tied = _ties([(u, w) for u in range(v) for w in range(u + 1, v)
-                      if c[u][w]], edge)
-        # A multiple edge or one on a triangle is no bridge, so a bridge
-        # can tie the new pair only if that is a single edge on none.
-        if tied and edge(tied[-1]) == (1, 0):
-            tied = [pair for pair in tied if not _is_bridge(c, *pair)]
+    def edge(pair: Pair) -> tuple[int, int]:
+        u, w = pair
+        return c[u][w], sum(map(mul, c[u], c[w]))
+
+    tied = _ties([(u, w) for u in range(v) for w in range(u + 1, v)
+                  if c[u][w]], edge)
+    # A multiple edge or one on a triangle is no bridge, so a bridge can
+    # tie the new pair only if that is a single edge on none.
+    if tied and edge(tied[-1]) == (1, 0):
+        tied = [pair for pair in tied if not _is_bridge(c, *pair)]
+    return tied
+
+
+def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
+    """Child ``c``'s form and leaves if its new pair lies in the orbit of
+    its canonical reducible pair; else None.
+
+    The canonical pair is, among the ``_candidates`` of ``c``, the one
+    with the smallest position in the form.  A child with no candidates is
+    rejected before any search; otherwise it is accepted if some leaf puts
+    the new pair on that position.  So each class is accepted once, from
+    one orbit of insertions in its one parent (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998)."""
+    tied = _candidates(c)
     if not tied:
         return None
     form, leaves = _canonical_search(c)

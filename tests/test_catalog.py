@@ -279,6 +279,18 @@ def test_every_class_is_accepted_from_one_orbit_of_its_pairs(catalog_v8):
         assert accepted == {frozenset(q[u] for u in pair) for q in auts}
 
 
+def test_candidates_are_reducible_pairs(catalog_v8):
+    graphs = [count_matrix(g) for g in catalog_v8 if not g.has_loop()]
+    for a in graphs + [bridged_k33_pair()]:
+        v = len(a)
+        for pair in reducible_pairs(a):
+            p = [u for u in range(v) if u not in pair] + list(pair)
+            child = [[a[p[r]][p[c]] for c in range(v)] for r in range(v)]
+            tied = catalog._candidates(child)
+            assert set(tied) <= set(reducible_pairs(child))
+            assert not tied or tied[-1] == (v - 2, v - 1)
+
+
 def test_dedup_respects_loop_flag():
     for g in generate_graphs(6, allow_loops=False, dedup=True):
         assert not g.has_loop()
