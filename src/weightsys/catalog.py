@@ -35,12 +35,12 @@ before any canonical search.  No level needs a set: each is sorted in
 descending order of its classes' largest matrices.  Loop-free mode grows
 the with-loops levels and filters what it yields, because a loopless
 graph can reduce to one with a loop.  Pure Python on a 2-core box, all
-levels through v = 8 take about 0.02 s, v = 10 about 0.11 s, v = 12
-about 0.9 s and v = 14 about 10 s, in either loop mode, with about
-1.04 canonical searches per class at v = 12 and 14.  The set-based
-growth this replaced made a canonical form of every child, 6.0 per class
-at v = 12 and 14, and took about 0.045 s, 0.38 s, 2.8 s and
-29 s (``BENCH_catalog.json``).
+levels through v = 8 take about 0.02 s, v = 10 about 0.18 s, v = 12
+about 1.5 s and v = 14 about 16 s, in either loop mode, with 1.50
+canonical searches per class at v = 12 and 1.66 at v = 14.  The
+set-based growth this replaced made a canonical form of every child,
+6.0 per class at v = 12 and 14, and took about 0.067 s, 0.55 s, 4.5 s
+and 43 s on the same box (``BENCH_catalog.json``).
 
 Every identity checked here is invariant under dart relabeling and
 vertex reversals, and any two rotation systems over the same multigraph
