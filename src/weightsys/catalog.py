@@ -318,8 +318,8 @@ def _candidates(c: list[list[int]]) -> list[Pair]:
 
 
 def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
-    """Child ``c``'s form and leaves if its new pair lies in the orbit of
-    its canonical reducible pair; else None.
+    """Child ``c``'s form and automorphisms if its new pair lies in the
+    orbit of its canonical reducible pair; else None.
 
     The canonical pair is, among the ``_candidates`` of ``c``, the one
     with the smallest position in the form.  A child with no candidates is
@@ -337,23 +337,15 @@ def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
         new = set(tied[-1])
         if not any({p[r] for r in target} == new for p in leaves):
             return None
-    return form, leaves
+    return form, _automorphisms(leaves)
 
 
-def _grow(level: list[tuple[Matrix, list[Relabeling]]], with_auts: bool
-          ) -> list[tuple[Matrix, list[Relabeling] | None]]:
+def _grow(level: list[tuple[Matrix, list[Relabeling]]]
+          ) -> list[tuple[Matrix, list[Relabeling]]]:
     """One representative of every class one growth step above ``level``,
-    each a form with its automorphisms if ``with_auts``, in no set
-    order."""
-    grown = []
-    for a, auts in level:
-        for c in _children(a, auts):
-            found = _accepted(c)
-            if found:
-                form, leaves = found
-                grown.append((form, _automorphisms(leaves) if with_auts
-                              else None))
-    return grown
+    each a form with its automorphisms, in no set order."""
+    return [found for a, auts in level for c in _children(a, auts)
+            if (found := _accepted(c))]
 
 
 def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
@@ -362,8 +354,7 @@ def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
 
     Every level is grown from the whole with-loops level below it: a
     loopless graph can reduce to one with a loop, so loop-free mode only
-    filters what it yields.  Automorphisms are kept for the level being
-    grown from, not for the last."""
+    filters what it yields."""
     level = [(m, _automorphisms(_canonical_search(m)[1])) for m in _LEVEL_2]
     while True:
         yield [_graph_from_matrix(m) for m, _ in level
@@ -371,8 +362,7 @@ def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
         v = len(level[0][0]) + 2
         if v > max_v:
             return
-        level = sorted(_grow(level, v < max_v), key=itemgetter(0),
-                       reverse=True)
+        level = sorted(_grow(level), key=itemgetter(0), reverse=True)
 
 
 def _graph_from_matrix(a: Matrix) -> TrivalentGraph:

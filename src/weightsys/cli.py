@@ -18,6 +18,7 @@ backend (``pure`` or ``compiled``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -208,7 +209,10 @@ def cmd_survey(args) -> int:
     return 1 if summary["failures"] else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: it
+    holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="weightsys",
         description="Exact Lie-algebra weight systems on oriented trivalent graphs.")

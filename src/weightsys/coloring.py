@@ -14,6 +14,15 @@ faces can be 4-colored by the Klein group H = Z/2 x Z/2 (encoded 0..3
 with XOR as addition); coloring each edge by the XOR of its two face
 colors is the classical Tait correspondence, verified exhaustively.
 
+Both enumerations are one search, ``_proper_colorings``, over a conflict
+graph: the line graph for edge colorings (two edges conflict when they
+share a vertex), the dual for face colorings (two faces conflict when a
+map edge lies between them).  It colors positions in index order and
+tries colors in ascending order, so each list comes out sorted and
+distinct.  A loop or a face that borders itself would conflict with
+itself, so a graph with a loop and a map with such a face have no proper
+colorings: both enumerations return [] before the search.
+
 Each enumeration is made once per graph by the caller and handed on:
 ``penrose_sum`` signs the edge colorings it is given, and
 ``verify_tait_bijection`` checks the face colorings it is given.  It
@@ -25,6 +34,7 @@ input graph's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import TrivalentGraph, face_orbits
 from .ribbon import Marking, rotation_of_marking
@@ -36,36 +46,49 @@ _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
 
 
-def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
-    """All proper colorings, backtracking over edges in index order with
-    colors tried 1, 2, 3 — a fixed, reproducible output order."""
-    edges = g.edges()
-    ne = len(edges)
-    used = [0] * g.vertex_count  # bitmask of colors present at each vertex
-    chosen = [0] * ne
-    out: list[EdgeColoring] = []
+def _proper_colorings(earlier: list[list[int]],
+                      colors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every assignment of ``colors`` to the positions 0..n-1 in which
+    position k differs from each position in ``earlier[k]``, all of them
+    below k.  Positions are assigned in index order and colors tried in
+    the order given, so the list is sorted by that order of the colors."""
+    n = len(earlier)
+    chosen = [0] * n
+    out: list[tuple[int, ...]] = []
+    # taken[k](chosen) holds the colors of k's earlier conflicts; one
+    # index is read as a slice, since itemgetter returns it bare.
+    taken = [itemgetter(*js) if len(js) > 1
+             else itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
+             for js in earlier]
 
     def place(k: int):
-        if k == ne:
+        if k == n:
             out.append(tuple(chosen))
             return
-        d, dd = edges[k]
-        a, b = d // 3, dd // 3
-        if a == b:
-            return  # a loop repeats its color at the vertex: dead end
-        for c in (1, 2, 3):
-            bit = 1 << c
-            if used[a] & bit or used[b] & bit:
-                continue
-            used[a] |= bit
-            used[b] |= bit
-            chosen[k] = c
-            place(k + 1)
-            used[a] ^= bit
-            used[b] ^= bit
+        used = taken[k](chosen)
+        for c in colors:
+            if c not in used:
+                chosen[k] = c
+                place(k + 1)
 
     place(0)
     return out
+
+
+def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
+    """All proper edge colorings of ``g`` by 1, 2, 3, sorted: edges are
+    colored in index order, colors tried ascending.  Empty if ``g`` has a
+    loop."""
+    if g.has_loop():
+        return []
+    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    earlier = []
+    for k, (d, dd) in enumerate(g.edges()):
+        a, b = d // 3, dd // 3
+        earlier.append(sorted({*at[a], *at[b]}))
+        at[a].append(k)
+        at[b].append(k)
+    return _proper_colorings(earlier, (1, 2, 3))
 
 
 def _signer(g: TrivalentGraph):
@@ -144,31 +167,15 @@ def extract_map(g: TrivalentGraph, m: Marking) -> PlanarMap:
 
 
 def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
-    """All proper face colorings by H = {0,1,2,3}, faces colored in index
-    order with colors tried ascending; empty when a face borders itself."""
-    nf = len(pm.faces)
-    adj: list[set[int]] = [set() for _ in range(nf)]
+    """All proper face colorings of ``pm`` by H = {0,1,2,3}, sorted: faces
+    are colored in index order, colors tried ascending.  Empty if a face
+    borders itself."""
+    if pm.is_self_bordering():
+        return []
+    earlier: list[set[int]] = [set() for _ in pm.faces]
     for a, b in pm.edge_faces:
-        if a == b:
-            return []  # self-bordering face can never be proper
-        adj[a].add(b)
-        adj[b].add(a)
-    chosen = [-1] * nf
-    out: list[FaceColoring] = []
-
-    def place(k: int):
-        if k == nf:
-            out.append(tuple(chosen))
-            return
-        for h in range(4):
-            if any(chosen[f] == h for f in adj[k] if chosen[f] >= 0):
-                continue
-            chosen[k] = h
-            place(k + 1)
-            chosen[k] = -1
-
-    place(0)
-    return out
+        earlier[max(a, b)].add(min(a, b))
+    return _proper_colorings([sorted(js) for js in earlier], (0, 1, 2, 3))
 
 
 def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:

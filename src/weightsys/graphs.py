@@ -238,16 +238,18 @@ def flip_vertex(g: TrivalentGraph, i: int) -> TrivalentGraph:
     ``(3i, 3i+2, 3i+1)`` amounts to conjugating ``alpha`` by the swap of
     darts ``3i+1`` and ``3i+2``.
     """
-    if not 0 <= i < g.vertex_count:
-        raise IndexError(f"vertex index {i} out of range")
     return flip_vertices(g, (i,))
 
 
 def flip_vertices(g: TrivalentGraph, which: tuple[int, ...]) -> TrivalentGraph:
-    """Flip several vertices at once (flips at distinct vertices commute)."""
+    """Flip each listed vertex once per listing (flips commute, so the
+    order does not matter and a vertex listed twice is left as it was).
+    Raises IndexError on a vertex out of range."""
     tau = list(range(g.dart_count))
     for i in which:
-        tau[3 * i + 1], tau[3 * i + 2] = 3 * i + 2, 3 * i + 1
+        if not 0 <= i < g.vertex_count:
+            raise IndexError(f"vertex index {i} out of range")
+        tau[3 * i + 1], tau[3 * i + 2] = tau[3 * i + 2], tau[3 * i + 1]
     alpha = tuple(tau[g.alpha[tau[d]]] for d in range(g.dart_count))
     return TrivalentGraph(g.vertex_count, alpha)
 

@@ -36,9 +36,13 @@ def _marking_of_mask(mask: int, v: int) -> Marking:
 
 
 def rotation_of_marking(g: TrivalentGraph, m: Marking) -> TrivalentGraph:
-    """The graph with cyclic order reversed at exactly the '-' vertices."""
+    """The graph with cyclic order reversed at exactly the '-' vertices.
+    Raises ValueError unless ``m`` has one entry +1 or -1 per vertex."""
     if len(m) != g.vertex_count:
         raise ValueError("marking length does not match vertex count")
+    for s in m:
+        if s not in (1, -1):
+            raise ValueError(f"marking entry {s!r} is not +1 or -1")
     return flip_vertices(g, tuple(i for i, s in enumerate(m) if s < 0))
 
 

@@ -6,7 +6,8 @@ greedy pairwise contraction that rescans every pair after each merge, face
 counts by walking per-vertex successor lists, the first spherical marking by
 flipping vertices one marking at a time, the marking scan by counting
 every marking's faces in counter order, coloring counts by raw 3^e / 4^f
-enumeration, polynomial recovery by exact Lagrange interpolation, the
+enumeration, coloring lists by per-vertex color bitmasks and by per-face
+neighbour scans, polynomial recovery by exact Lagrange interpolation, the
 canonical form of a count matrix by trying every vertex relabeling, the
 class catalog by growing every child and keeping the set of canonical
 forms, and 2-connectivity by deleting every vertex in turn.
@@ -333,6 +334,66 @@ def brute_four_coloring_count(edge_faces, num_faces):
         if all(colors[a] != colors[b] for a, b in edge_faces):
             count += 1
     return count
+
+
+def edge_3_colorings_by_bitmasks(g):
+    """Proper edge colorings by backtracking over edges in index order,
+    colors tried 1, 2, 3, with a bitmask of the colors at each vertex."""
+    edges = g.edges()
+    ne = len(edges)
+    used = [0] * g.vertex_count
+    chosen = [0] * ne
+    out = []
+
+    def place(k):
+        if k == ne:
+            out.append(tuple(chosen))
+            return
+        d, dd = edges[k]
+        a, b = d // 3, dd // 3
+        if a == b:
+            return  # a loop repeats its color at the vertex: dead end
+        for c in (1, 2, 3):
+            bit = 1 << c
+            if used[a] & bit or used[b] & bit:
+                continue
+            used[a] |= bit
+            used[b] |= bit
+            chosen[k] = c
+            place(k + 1)
+            used[a] ^= bit
+            used[b] ^= bit
+
+    place(0)
+    return out
+
+
+def four_colorings_by_neighbours(pm):
+    """Proper face colorings by backtracking over faces in index order,
+    colors tried 0..3, each checked against every colored neighbour."""
+    nf = len(pm.faces)
+    adj = [set() for _ in range(nf)]
+    for a, b in pm.edge_faces:
+        if a == b:
+            return []  # self-bordering face can never be proper
+        adj[a].add(b)
+        adj[b].add(a)
+    chosen = [-1] * nf
+    out = []
+
+    def place(k):
+        if k == nf:
+            out.append(tuple(chosen))
+            return
+        for h in range(4):
+            if any(chosen[f] == h for f in adj[k] if chosen[f] >= 0):
+                continue
+            chosen[k] = h
+            place(k + 1)
+            chosen[k] = -1
+
+    place(0)
+    return out
 
 
 def lagrange_int_poly(points):

@@ -197,7 +197,7 @@ def test_growth_accepts_each_class_once(oracle_levels):
     for expected in oracle_levels[1:]:
         level = [(m, catalog._automorphisms(catalog._canonical_search(m)[1]))
                  for m in below]
-        forms = [form for form, _ in catalog._grow(level, False)]
+        forms = [form for form, _ in catalog._grow(level)]
         assert len(forms) == len(set(forms))
         assert sorted(forms, reverse=True) == expected
         below = expected

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_kernels import prism_alpha
-from weightsys import __version__, algebra, graphs, kernels
+from weightsys import __version__, algebra, cli, graphs, kernels
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -260,6 +260,16 @@ def test_validate_with_algebra(capsys):
     code, out, _ = run(capsys, "validate", THETA, "--algebra", "so3")
     assert code == 0
     assert out.splitlines()[-1] == "algebra so3 ok"
+
+
+def test_one_parser_serves_every_call(capsys):
+    # An option given to one call must not carry over to the next.
+    parser = cli.build_parser()
+    _, out, _ = run(capsys, "validate", THETA, "--algebra", "so3")
+    assert out.splitlines()[-1] == "algebra so3 ok"
+    code, out, _ = run(capsys, "validate", THETA)
+    assert (code, out.splitlines()[-1]) == (0, "genus 0")
+    assert cli.build_parser() is parser
 
 
 def test_validate_disconnected_has_no_genus(capsys, disconnected):

@@ -1,9 +1,11 @@
 """Edge-3-colorings, Penrose signs, map faces, Tait correspondence."""
 
+import random
 from pathlib import Path
 
 import pytest
 
+from weightsys.catalog import generate_graphs
 from weightsys.coloring import (coloring_sign, enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, tait_edge_coloring,
@@ -11,7 +13,9 @@ from weightsys.coloring import (coloring_sign, enumerate_edge_3_colorings,
 from weightsys.graphs import TrivalentGraph, parse_graph
 from weightsys.ribbon import marking_profile
 from oracles import (brute_edge_3_coloring_count, brute_four_coloring_count,
-                     brute_signed_coloring_sum)
+                     brute_signed_coloring_sum, edge_3_colorings_by_bitmasks,
+                     four_colorings_by_neighbours)
+from test_statesum import ladder, random_connected_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,3 +185,37 @@ def test_loops_kill_colorings():
     g = load("dumbbell.tgf")
     assert enumerate_edge_3_colorings(g) == []
     assert penrose(g) == 0
+
+
+def search_order_cases():
+    cases = [(f"catalog loops={loops}", g)
+             for loops in (True, False) for v in (2, 4, 6, 8)
+             for g in generate_graphs(v, allow_loops=loops, dedup=True)]
+    cases += [("labeled v=2", g) for g in generate_graphs(2)]
+    cases += [(f"ladder v={v} mobius={m} relabel={r}", ladder(v, m, r))
+              for v in (8, 10, 12, 14) for m in (False, True)
+              for r in (False, True)]
+    rng = random.Random(13)
+    cases += [(f"random v={v}", random_connected_graph(v, rng))
+              for v in range(2, 15, 2) for _ in range(4)]
+    return cases
+
+
+def test_enumerations_list_what_the_references_list_in_order():
+    # The map's own graph is re-oriented, so its edge colorings are
+    # checked too; loops and self-bordering maps reach the refusals.
+    loops = self_bordering = 0
+    for name, g in search_order_cases():
+        loops += g.has_loop()
+        assert enumerate_edge_3_colorings(g) == \
+            edge_3_colorings_by_bitmasks(g), name
+        first = marking_profile(g).first
+        if first is None:
+            continue
+        pm = extract_map(g, first)
+        self_bordering += pm.is_self_bordering()
+        assert enumerate_four_colorings(pm) == \
+            four_colorings_by_neighbours(pm), name
+        assert enumerate_edge_3_colorings(pm.graph) == \
+            edge_3_colorings_by_bitmasks(pm.graph), name
+    assert loops and self_bordering

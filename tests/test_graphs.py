@@ -181,9 +181,22 @@ def test_flip_vertices_composes():
     assert flip_vertices(g, ()) == g
 
 
+def test_flip_vertices_flips_once_per_listing():
+    g = load("k4.tgf")
+    assert flip_vertices(g, (0, 0)) == g
+    assert flip_vertices(g, (1, 0, 1)) == flip_vertex(g, 0)
+    assert flip_vertices(g, (2, 2, 2)) == flip_vertex(g, 2)
+
+
 def test_flip_vertex_range_check():
     with pytest.raises(IndexError):
         flip_vertex(THETA, 2)
+
+
+@pytest.mark.parametrize("i", [-1, 4, 7])
+def test_flip_vertices_names_a_vertex_out_of_range(i):
+    with pytest.raises(IndexError, match=f"^vertex index {i} out of range$"):
+        flip_vertices(load("k4.tgf"), (0, i))
 
 
 def test_face_orbits_theta():

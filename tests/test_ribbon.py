@@ -36,6 +36,14 @@ def test_rotation_of_marking_length_check():
         rotation_of_marking(THETA, (1, 1, 1))
 
 
+@pytest.mark.parametrize("m,bad", [
+    ((1, 1, 1, 0), "0"), ((2, 1, -1, 1), "2"), ((1, -2, 1, 1), "-2"),
+])
+def test_rotation_of_marking_refuses_entries_other_than_plus_minus_one(m, bad):
+    with pytest.raises(ValueError, match=f"^marking entry {bad} is not"):
+        rotation_of_marking(load("k4.tgf"), m)
+
+
 def test_boundary_count_theta():
     # The boundary circles of a marking's surface are the faces of the
     # re-oriented rotation system.
