@@ -206,7 +206,10 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * and 2^TALLY_BITS; when it is full its keys are walked and it starts
  * again empty.  first_mask is the minimum spherical mask met.  Returns
  * (by_b, spherical, first_mask); the signed spherical count is
- * by_b[v/2 + 2], so it is not tallied apart. */
+ * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
+ * ValueError in the twin's order, connectivity last ("graph is not
+ * connected"): the cap on v comes before it because connected() uses
+ * arrays sized by MAX_V. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
     PyObject *alpha;
@@ -238,7 +241,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     if (v == 0)
         by_b[0] = 1; /* the empty graph: one marking, no faces */
     else if (!connected(a, v))
-        return value_error("marking scan requires a connected pairing");
+        return value_error("graph is not connected");
     else {
         int k = v - 1 < BLOCK ? v - 1 : BLOCK, nb = 3 * k;
         int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);

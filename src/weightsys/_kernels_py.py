@@ -83,7 +83,9 @@ def marking_scan(alpha, v: int):
     lowest spherical mask (-1 when there is none).  signed_by_b is sized
     by the connected-graph Euler bound b <= v/2 + 2, so the input must be
     a connected fixed-point-free pairing of 3v darts with v <= 28;
-    anything else raises ValueError.
+    anything else raises ValueError, checked in this order: the length,
+    the cap on v, the entries, the pairing, and last connectivity, with
+    the message "graph is not connected" that the CLI prints as it is.
 
     Only the 2^(v-1) masks with bit v-1 clear are traced.  A mask and its
     complement reverse every cyclic order, so they give mirror-image
@@ -142,7 +144,7 @@ def marking_scan(alpha, v: int):
         signed_by_b[0] = 1  # the empty graph: one marking, no faces
         return signed_by_b, 0, -1
     if not _connected(alpha, v):
-        raise ValueError("marking scan requires a connected pairing")
+        raise ValueError("graph is not connected")
     k = min(v - 1, _BLOCK)
     nb = 3 * k
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]

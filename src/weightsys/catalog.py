@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
+from itertools import chain
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import make_gl, make_sl2, make_so3
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
@@ -388,9 +388,22 @@ def _graph_from_matrix(a: Matrix) -> TrivalentGraph:
     return TrivalentGraph(v, tuple(alpha))
 
 
+def _walk(max_v: int, allow_loops: bool, dedup: bool
+          ) -> Iterator[Iterable[TrivalentGraph]]:
+    """The catalog level by level, v = 2, 4, ..., max_v: the grown
+    levels in dedup mode, else a lazy stream of the connected pairings
+    on each v."""
+    if dedup:
+        return _levels(max_v, allow_loops)
+    return (filter(is_connected, (TrivalentGraph(v, mate) for mate
+                                  in _pairings(3 * v, allow_loops)))
+            for v in range(2, max_v + 1, 2))
+
+
 def generate_graphs(v: int, allow_loops: bool = True,
                     dedup: bool = False) -> Iterator[TrivalentGraph]:
-    """Connected trivalent graphs on v vertices.
+    """Connected trivalent graphs on v vertices: the last level of the
+    catalog walk to v.
 
     Labeled mode (default) streams every connected dart pairing in
     lexicographic order, up to v = MAX_V_LABELED; dedup mode yields one
@@ -398,14 +411,8 @@ def generate_graphs(v: int, allow_loops: bool = True,
     count matrix, in descending order, with a deterministic dart layout.
     """
     _check_max_v("vertex count", v, dedup)
-    if dedup:
-        *_, level = _levels(v, allow_loops)
-        yield from level
-        return
-    for mate in _pairings(3 * v, allow_loops):
-        g = TrivalentGraph(v, mate)
-        if is_connected(g):
-            yield g
+    *_, level = _walk(v, allow_loops, dedup)
+    yield from level
 
 
 def _check_max_v(what: str, v: int, dedup: bool) -> None:
@@ -527,33 +534,37 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     )
 
 
+def Pool(processes: int):
+    """A ``multiprocessing`` pool, imported on the first call: only
+    ``run_survey`` with jobs > 1 starts one, and the import alone adds
+    10-14 ms to every process start (``BENCH_cli.json``)."""
+    from multiprocessing import Pool
+    return Pool(processes)
+
+
 def run_survey(max_v: int, allow_loops: bool = True, dedup: bool = False,
                jobs: int = 1) -> dict:
     """check_graph over every catalog graph with v = 2, 4, ..., max_v.
 
     Returns {"reports": [VerificationReport...], "summary": {...}} with
-    reports in generation order regardless of the worker count.
+    reports in catalog order, level by level as ``generate_graphs``
+    yields each, regardless of the worker count.  One walk of the catalog
+    feeds the checks; in dedup mode each level is grown from the one
+    below, so the survey grows the catalog once.
     """
     _check_max_v("max_v", max_v, dedup)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
 
-    def stream() -> Iterator[TrivalentGraph]:
-        if dedup:
-            for level in _levels(max_v, allow_loops):
-                yield from level
-            return
-        for v in range(2, max_v + 1, 2):
-            yield from generate_graphs(v, allow_loops=allow_loops)
-
-    # Reports come back in stream order, so the pool size is free to be
+    graphs = chain.from_iterable(_walk(max_v, allow_loops, dedup))
+    # Reports come back in catalog order, so the pool size is free to be
     # capped at the core count.
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
-            reports = list(pool.imap(check_graph, stream(), chunksize=8))
+            reports = list(pool.imap(check_graph, graphs, chunksize=8))
     else:
-        reports = [check_graph(g) for g in stream()]
+        reports = [check_graph(g) for g in graphs]
 
     graph_counts: dict[int, int] = {}
     identity_passes = {name: 0 for name in IDENTITY_NAMES}

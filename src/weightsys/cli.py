@@ -68,13 +68,11 @@ def cmd_eval(args) -> int:
 
 def cmd_poly(args) -> int:
     g = args.graph
-    two_conn = is_two_connected(g)  # implies connected
-    if not two_conn and not is_connected(g):
-        return _fail(2, "error: graph is not connected")
     try:
         profile = marking_profile(g)
     except ValueError as exc:
         return _fail(2, f"error: {exc}")
+    two_conn = is_two_connected(g)
     poly, spherical, top = profile.wgl, profile.spherical, profile.top
     planar = spherical > 0
     if args.format == "json":
@@ -107,8 +105,6 @@ def cmd_colorings(args) -> int:
 
 def cmd_map(args) -> int:
     g = args.graph
-    if not is_connected(g):
-        return _fail(2, "error: graph is not connected")
     try:
         marking = marking_profile(g).first
     except ValueError as exc:

@@ -2,86 +2,74 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+@dataclass(frozen=True, init=False, repr=False)
 class IntPolynomial:
     """Immutable polynomial with arbitrary-precision integer coefficients.
 
-    Stored as exponent -> coefficient with no zero entries, so two equal
-    polynomials always compare and hash equal.
+    Stored as ``terms``, the (exponent, coefficient) pairs in descending
+    exponent order with no zero coefficients, built once by ``__init__``;
+    so two equal polynomials always compare and hash equal.  ``__init__``
+    takes a dict or an iterable of pairs; duplicate exponents add up.
     """
 
-    __slots__ = ("_coeffs",)
+    terms: tuple[tuple[int, int], ...]
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for exp, c in (coeffs.items() if hasattr(coeffs, "items")
-                           else coeffs):
-                if exp < 0:
-                    raise ValueError(f"negative exponent {exp}")
-                if c:
-                    clean[exp] = clean.get(exp, 0) + c
-                    if not clean[exp]:
-                        del clean[exp]
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __reduce__(self):
-        # The blocked __setattr__ also blocks the default unpickling
-        # path, so rebuild through the constructor instead.
-        return (IntPolynomial, (dict(self._coeffs),))
+        clean: dict[int, int] = {}
+        for exp, c in (coeffs.items() if hasattr(coeffs, "items")
+                       else coeffs or ()):
+            if exp < 0:
+                raise ValueError(f"negative exponent {exp}")
+            clean[exp] = clean.get(exp, 0) + c
+        object.__setattr__(self, "terms", tuple(sorted(
+            ((e, c) for e, c in clean.items() if c), reverse=True)))
 
     def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        return next((c for e, c in self.terms if e == exp), 0)
 
     def items(self):
         """(exponent, coefficient) pairs in descending exponent order."""
-        return sorted(self._coeffs.items(), reverse=True)
+        return list(self.terms)
 
     @property
     def degree(self) -> int:
         """Largest exponent with nonzero coefficient; -1 for the zero
         polynomial (so degree bounds read as plain <=)."""
-        return max(self._coeffs, default=-1)
+        return self.terms[0][0] if self.terms else -1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.terms
 
     def __call__(self, n):
-        return sum(c * n ** e for e, c in self._coeffs.items())
+        return sum(c * n ** e for e, c in self.terms)
 
     def __eq__(self, other):
         if isinstance(other, IntPolynomial):
-            return self._coeffs == other._coeffs
+            return self.terms == other.terms
         if isinstance(other, int):  # handy for "== 0" in tests
-            return self._coeffs == ({} if other == 0 else {0: other})
+            return self.terms == (((0, other),) if other else ())
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
     def __neg__(self):
-        return IntPolynomial({e: -c for e, c in self._coeffs.items()})
+        return IntPolynomial((e, -c) for e, c in self.terms)
 
     def __add__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, 0) + c
-        return IntPolynomial(merged)
+        return IntPolynomial(self.terms + other.terms)
 
     def __repr__(self):
-        return f"IntPolynomial({self._coeffs!r})"
+        return f"IntPolynomial({dict(self.terms)!r})"
 
     def __str__(self):
         """Descending exponents with explicit signs, e.g. "2*N^3 - 2*N"."""
-        if not self._coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e, c in self.items():
+        for e, c in self.terms:
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -98,7 +86,7 @@ class IntPolynomial:
     def to_json(self) -> dict[str, str]:
         """{"exponent": "coefficient"} with both sides as decimal strings
         (coefficients can outgrow fixed-width integer consumers)."""
-        return {str(e): str(c) for e, c in self.items()}
+        return {str(e): str(c) for e, c in self.terms}
 
     @classmethod
     def from_json(cls, data: dict[str, str]) -> "IntPolynomial":

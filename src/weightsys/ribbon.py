@@ -52,8 +52,11 @@ def marking_profile(g: TrivalentGraph) -> MarkingProfile:
     ``first`` is in binary-counter order: vertex 0 least significant,
     bit set means '-'.  The scan traces the 2^(v-1) markings that leave
     vertex v-1 unreversed and doubles the totals: a marking and its
-    complement have equal face counts and equal signs.  A disconnected
-    graph raises ValueError."""
+    complement have equal face counts and equal signs.  A graph the
+    kernels refuse raises their ValueError: over v = 28 "marking scan
+    capped at v = 28", else, if disconnected, "graph is not connected".
+    This is the only connectivity check on the marking route; the CLI
+    prints the message as it is."""
     v = g.vertex_count
     signed_by_b, spherical, first_mask = kernels.marking_scan(g.alpha, v)
     wgl = IntPolynomial(enumerate(signed_by_b))

@@ -490,6 +490,42 @@ def test_survey_walk_matches_public_generator(capsys):
                       for g in generate_graphs(v, dedup=True)]
 
 
+@pytest.mark.parametrize("allow_loops", [True, False])
+@pytest.mark.parametrize("dedup, max_v", [(False, 4), (True, 8)])
+def test_walk_yields_the_levels_of_generate_graphs(dedup, max_v,
+                                                   allow_loops):
+    levels = [list(level)
+              for level in catalog._walk(max_v, allow_loops, dedup)]
+    assert levels == [list(generate_graphs(v, allow_loops, dedup))
+                      for v in range(2, max_v + 1, 2)]
+
+
+@pytest.mark.parametrize("max_v, dedup", [(2, False), (6, True)])
+def test_survey_reports_follow_the_walk(max_v, dedup):
+    reports = run_survey(max_v, dedup=dedup)["reports"]
+    assert [r.graph for r in reports] == [
+        serialize_graph(g).decode() for v in range(2, max_v + 1, 2)
+        for g in generate_graphs(v, dedup=dedup)]
+
+
+# 2-connected and not planar, yet W_sl2 = -288: w_top = 0 does not force
+# W_sl2 = 0.  The identity the survey checks runs the other way,
+# W_sl2 = 0 => w_top = 0.
+SL2_NONZERO_TOP_ZERO = ("v 8\ne 0 3\ne 1 6\ne 2 9\ne 4 12\ne 5 15\ne 7 13\n"
+                        "e 8 18\ne 10 16\ne 11 21\ne 14 22\ne 17 19\n"
+                        "e 20 23\n")
+
+
+def test_nonzero_sl2_weight_allows_a_zero_top_coefficient(catalog_v8):
+    found = [g for g in catalog_v8
+             if serialize_graph(g).decode() == SL2_NONZERO_TOP_ZERO]
+    assert len(found) == 1
+    r = check_graph(found[0])
+    assert (r.two_connected, r.planar, r.w_sl2, r.w_top) == \
+        (True, False, -288, 0)
+    assert r.all_passed()
+
+
 @pytest.mark.parametrize("bad", [0, 3, -4, 12])
 def test_survey_rejects_bad_max_v(bad):
     with pytest.raises(ValueError):

@@ -192,6 +192,58 @@ def test_poly_rejects_disconnected(capsys, disconnected):
     assert "not connected" in err
 
 
+@pytest.fixture
+def refusal_graphs(tmp_path, disconnected):
+    """Paths by name for the refusal goldens: a disconnected v=4 graph, a
+    connected v=30 prism, a disconnected v=30 graph (a v=28 prism beside
+    a theta), K33 and a file that does not exist."""
+    beside = prism_alpha(28) + (88, 87, 89, 85, 84, 86)
+    paths = {"disconnected": disconnected, "k33": K33,
+             "missing": str(tmp_path / "missing.tgf")}
+    for name, alpha in (("v30", prism_alpha(30)), ("v30_disconnected", beside)):
+        path = tmp_path / f"{name}.tgf"
+        path.write_bytes(serialize_graph(TrivalentGraph(30, alpha)))
+        paths[name] = str(path)
+    return paths
+
+
+CAP = "error: marking scan capped at v = 28\n"
+
+
+# Exact stderr and exit code of each refusal.  The marking scan checks its
+# cap before connectivity, so a disconnected graph over the cap gets the
+# cap message.
+@pytest.mark.parametrize("argv, code, err", [
+    (("poly", "{disconnected}"), 2, "error: graph is not connected\n"),
+    (("map", "{disconnected}"), 2, "error: graph is not connected\n"),
+    (("poly", "{v30}"), 2, CAP),
+    (("map", "{v30}"), 2, CAP),
+    (("map", "{k33}"), 2, "error: graph has no spherical embedding\n"),
+    (("eval", THETA, "--algebra", "su2"), 3,
+     "error: unknown algebra 'su2'\n"),
+    (("eval", THETA, "--algebra", "gl:7"), 3,
+     "error: algebra 'gl:7' has dimension 49, over the limit 36\n"),
+    (("survey", "--max-v", "12", "--dedup"), 2,
+     "error: max_v 12 over the catalog maximum 10\n"),
+    (("survey", "--max-v", "6"), 2,
+     "error: max_v 6 over the labeled catalog maximum 4; dedup mode goes "
+     "to 10\n"),
+    (("survey", "--max-v", "2", "--jobs", "0"), 2,
+     "error: jobs must be positive, got 0\n"),
+    (("poly", "{missing}"), 2,
+     "error: [Errno 2] No such file or directory: {missing!r}\n"),
+    (("poly", "{v30_disconnected}"), 2, CAP),
+    (("map", "{v30_disconnected}"), 2, CAP),
+], ids=["poly-disconnected", "map-disconnected", "poly-v30", "map-v30",
+        "map-k33", "eval-unknown-algebra", "eval-gl7", "survey-dedup-v12",
+        "survey-labeled-v6", "survey-jobs-0", "unreadable-file",
+        "poly-v30-disconnected", "map-v30-disconnected"])
+def test_refusal_messages_are_pinned(capsys, refusal_graphs, argv, code,
+                                    err):
+    argv = [a.format(**refusal_graphs) for a in argv]
+    assert run(capsys, *argv) == (code, "", err.format(**refusal_graphs))
+
+
 def test_colorings_text(capsys):
     code, out, _ = run(capsys, "colorings", THETA)
     assert code == 0

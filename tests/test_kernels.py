@@ -160,7 +160,7 @@ NOT_PAIRING = "alpha is not a fixed-point-free pairing"
     ((4, 3, 5, 1, 0, 1 << 70), 2, OUTSIDE),
     ((0, 3, 5, 1, 4, 2), 2, NOT_PAIRING),
     ((4, 3, 5, 1, 2, 0), 2, NOT_PAIRING),
-    (TWO_THETAS, 4, "marking scan requires a connected pairing"),
+    (TWO_THETAS, 4, "graph is not connected"),
 ], ids=["v-too-big", "v-negative", "short", "v-over-cap", "last-negative",
         "first-negative", "too-large", "huge", "fixed-point", "not-involution",
         "disconnected"])

@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import weightsys
@@ -49,3 +51,13 @@ def test_every_kernel_has_a_package_caller():
                     and node.func.value.id == "kernels"):
                 called.add(node.func.attr)
     assert exported <= called, exported - called
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a survey with jobs > 1 starts a pool, and importing
+    # multiprocessing slows every process start.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weightsys.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -99,3 +99,18 @@ def test_pickle_round_trip():
     p = IntPolynomial({3: 2, 1: -2})
     assert pickle.loads(pickle.dumps(p)) == p
     assert pickle.loads(pickle.dumps(IntPolynomial())) == 0
+
+
+def test_pickle_keeps_the_hash():
+    import pickle
+    for p in (IntPolynomial({3: 2, 1: -2}), IntPolynomial()):
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+
+
+@pytest.mark.parametrize("name", ["terms", "_coeffs", "degree", "extra"])
+def test_no_attribute_can_be_set(name):
+    p = IntPolynomial({1: 1})
+    with pytest.raises(AttributeError):
+        setattr(p, name, ())
+    assert p == IntPolynomial({1: 1})

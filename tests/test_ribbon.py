@@ -149,7 +149,7 @@ def test_marking_profile_of_the_empty_graph():
 def test_requires_connected():
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
     with pytest.raises(ValueError,
-                       match="marking scan requires a connected pairing"):
+                       match="graph is not connected"):
         marking_profile(two_thetas)
 
 
