@@ -149,8 +149,11 @@ def cmd_validate(args) -> int:
         "connected": connected,
         "two_connected": two_conn,
         "has_loop": g.has_loop(),
-        "genus": genus(g) if connected else None,
     }
+    try:
+        facts["genus"] = genus(g) if connected else None
+    except ValueError:  # the empty graph has no surface
+        facts["genus"] = None
     code = 0
     algebra_note = None
     if args.algebra:
@@ -173,7 +176,7 @@ def cmd_validate(args) -> int:
             print(f"{key} {facts[key]}")
         for key in ("connected", "two_connected", "has_loop"):
             print(f"{key} {_bool(facts[key])}")
-        print(f"genus {facts['genus'] if connected else 'n/a'}")
+        print(f"genus {'n/a' if facts['genus'] is None else facts['genus']}")
         if algebra_note is not None:
             print(f"algebra {args.algebra} {algebra_note}")
     return code

@@ -278,7 +278,13 @@ def face_orbits(g: TrivalentGraph) -> list[tuple[int, ...]]:
 
 
 def genus(g: TrivalentGraph) -> int:
-    """Genus of the closed surface of the rotation system."""
+    """Genus of the closed surface of the rotation system.
+
+    The empty graph has no faces and so no surface; it is refused, as a
+    disconnected graph is.
+    """
+    if not g.vertex_count:
+        raise ValueError("genus requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("genus requires a connected graph")
     chi = g.euler_characteristic + kernels.face_count(g.alpha)

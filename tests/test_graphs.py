@@ -235,3 +235,9 @@ def test_genus_requires_connected():
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
     with pytest.raises(ValueError):
         genus(two_thetas)
+
+
+def test_genus_refuses_the_empty_graph():
+    # No faces, so no surface: chi = 0 would otherwise read as genus 1.
+    with pytest.raises(ValueError, match="nonempty"):
+        genus(TrivalentGraph(0, ()))

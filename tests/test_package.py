@@ -1,38 +1,49 @@
-"""The package's public surface."""
+"""The package's layout: what each layer loads and which kernels it calls."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weightsys
 from weightsys import kernels
 
 
-def test_public_names_resolve_once():
-    names = weightsys.__all__
-    assert len(set(names)) == len(names)
-    assert [n for n in names if not hasattr(weightsys, n)] == []
-    namespace = {}
-    exec("from weightsys import *", namespace)
-    assert set(names) <= set(namespace)
+# The weightsys.* modules each import loads, the kernel backend aside.
+# The routes stay independent: statesum loads neither ribbon nor coloring,
+# and ribbon none of statesum, coloring and algebra.  coloring loads ribbon
+# only to turn a spherical marking into a map (extract_map); catalog and
+# cli bring in every layer.
+LAYERS = ("poly", "algebra", "kernels", "graphs", "ribbon", "coloring",
+          "statesum", "catalog")
+LOADS = {
+    "weightsys": set(),
+    "weightsys.poly": {"poly"},
+    "weightsys.algebra": {"algebra"},
+    "weightsys.kernels": {"kernels"},
+    "weightsys.graphs": {"graphs", "kernels"},
+    "weightsys.ribbon": {"ribbon", "graphs", "kernels", "poly"},
+    "weightsys.coloring": {"coloring", "ribbon", "graphs", "kernels", "poly"},
+    "weightsys.statesum": {"statesum", "algebra", "graphs", "kernels"},
+    "weightsys.catalog": set(LAYERS),
+    "weightsys.cli": {*LAYERS, "cli"},
+}
 
 
-def test_public_surface_is_pinned():
-    # Growing or shrinking the public surface means editing this list.
-    assert weightsys.__all__ == [
-        "GraphParseError", "IntPolynomial", "MetrizedLieAlgebra", "PlanarMap",
-        "TrivalentGraph", "VerificationReport", "algebra_by_name",
-        "change_basis", "check_graph", "coloring_sign",
-        "enumerate_edge_3_colorings", "enumerate_four_colorings",
-        "evaluate_weight", "extract_map", "face_orbits", "flip_vertex",
-        "flip_vertices", "generate_graphs", "genus", "is_connected",
-        "is_two_connected", "make_abelian", "make_gl", "make_sl2",
-        "make_so3", "marking_profile", "parse_graph", "penrose_sum",
-        "rotation_of_marking", "run_survey", "scale_metric",
-        "serialize_graph", "tait_edge_coloring", "validate_algebra",
-        "verify_tait_bijection", "w_sl2",
-    ]
+@pytest.mark.parametrize("module", LOADS)
+def test_each_layer_loads_only_the_layers_it_uses(module):
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(*sorted(n for n in sys.modules "
+         "if n.startswith('weightsys.')))"],
+        capture_output=True, text=True, check=True)
+    expected = set(LOADS[module])
+    if "kernels" in expected:
+        expected.add({"compiled": "_kernels",
+                      "pure": "_kernels_py"}[kernels.BACKEND])
+    assert set(done.stdout.split()) == {f"weightsys.{m}" for m in expected}
 
 
 def test_every_kernel_has_a_package_caller():
