@@ -114,6 +114,12 @@ def test_version_names_the_backend(capsys):
         f"weightsys {__version__} (kernels: {kernels.BACKEND})\n")
 
 
+def test_eval_unknown_algebra(capsys):
+    code, _, err = run(capsys, "eval", THETA, "--algebra", "su2")
+    assert code == 3
+    assert "unknown algebra" in err
+
+
 def test_poly_text(capsys):
     code, out, _ = run(capsys, "poly", THETA)
     assert code == 0
@@ -150,6 +156,16 @@ def test_map_scans_the_markings_once(capsys, marking_scans):
     assert marking_scans == [4]
 
 
+@pytest.mark.parametrize("command", ["poly", "map"])
+def test_refuses_a_graph_over_the_marking_scan_cap(capsys, tmp_path, command):
+    path = tmp_path / "prism30.tgf"
+    path.write_bytes(serialize_graph(TrivalentGraph(30, prism_alpha(30))))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "28" in err
+
+
 @pytest.mark.parametrize("command, trees", [("poly", 1), ("validate", 2)])
 def test_checks_connectivity_once_for_a_two_connected_graph(
         capsys, monkeypatch, command, trees):
@@ -168,6 +184,12 @@ def test_checks_connectivity_once_for_a_two_connected_graph(
     assert code == 0
     assert "two_connected true" in out.splitlines()
     assert calls == [4] * trees
+
+
+def test_poly_rejects_disconnected(capsys, disconnected):
+    code, _, err = run(capsys, "poly", disconnected)
+    assert code == 2
+    assert "not connected" in err
 
 
 @pytest.fixture
@@ -268,6 +290,12 @@ def test_map_enumerates_the_face_colorings_once(capsys, enumerations):
     assert code == 0
     assert enumerations == {"enumerate_four_colorings": 1,
                             "enumerate_edge_3_colorings": 1}
+
+
+def test_map_requires_spherical_embedding(capsys):
+    code, _, err = run(capsys, "map", K33)
+    assert code == 2
+    assert "no spherical embedding" in err
 
 
 def test_validate_text(capsys):
