@@ -90,7 +90,10 @@ def cmd_poly(args) -> int:
 
 def cmd_colorings(args) -> int:
     g = args.graph
-    three = enumerate_edge_3_colorings(g)
+    try:
+        three = enumerate_edge_3_colorings(g)
+    except ValueError as exc:
+        return _fail(2, f"error: {exc}")
     n3 = len(three)
     pen = penrose_sum(g, three)
     sl2 = 2 ** (g.vertex_count // 2) * pen
@@ -149,11 +152,8 @@ def cmd_validate(args) -> int:
         "connected": connected,
         "two_connected": two_conn,
         "has_loop": g.has_loop(),
+        "genus": genus(g) if connected else None,
     }
-    try:
-        facts["genus"] = genus(g) if connected else None
-    except ValueError:  # the empty graph has no surface
-        facts["genus"] = None
     code = 0
     algebra_note = None
     if args.algebra:

@@ -45,6 +45,10 @@ FaceColoring = tuple[int, ...]
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
 
+# The search recurses once per position, and an edge search has 3v/2 of
+# them: at this cap 768 frames, well under Python's default limit of 1000.
+MAX_SEARCH_V = 512
+
 
 def _proper_colorings(earlier: list[list[int]],
                       colors: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -78,7 +82,9 @@ def _proper_colorings(earlier: list[list[int]],
 def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
     """All proper edge colorings of ``g`` by 1, 2, 3, sorted: edges are
     colored in index order, colors tried ascending.  Empty if ``g`` has a
-    loop."""
+    loop.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
+    if g.vertex_count > MAX_SEARCH_V:
+        raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if g.has_loop():
         return []
     at: list[list[int]] = [[] for _ in range(g.vertex_count)]
@@ -112,18 +118,12 @@ def _signer(g: TrivalentGraph):
     return sign
 
 
-def coloring_sign(g: TrivalentGraph, c: EdgeColoring) -> int:
-    """Product over vertices of the sign of the color permutation read
-    counterclockwise; raises ValueError on an improper coloring."""
-    if len(c) != g.edge_count:
-        raise ValueError("coloring length does not match edge count")
-    return _signer(g)(c)
-
-
 def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
     """Signed count of proper edge-3-colorings, given as
     ``enumerate_edge_3_colorings(g)``, so that a caller who also wants
-    the count enumerates them once."""
+    the count enumerates them once.  A coloring's sign is the product
+    over vertices of the sign of its color permutation read
+    counterclockwise; raises ValueError on an improper coloring."""
     return sum(map(_signer(g), colorings))
 
 

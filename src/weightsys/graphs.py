@@ -1,6 +1,6 @@
 """Oriented trivalent multigraphs as combinatorial maps.
 
-A graph on ``v`` vertices (``v`` even) is encoded by its darts (half-edges)
+A graph on ``v`` vertices (``v`` even and positive) is encoded by its darts (half-edges)
 ``0 .. 3v-1`` together with a fixed-point-free involution ``alpha`` pairing
 each dart with the opposite half of its edge.  Vertex ``i`` owns darts
 ``3i, 3i+1, 3i+2`` and that order is its counterclockwise cyclic order; the
@@ -49,8 +49,8 @@ class TrivalentGraph:
 
     def __post_init__(self):
         v = self.vertex_count
-        if v < 0 or v % 2:
-            raise ValueError(f"vertex count must be even and non-negative, got {v}")
+        if v <= 0 or v % 2:
+            raise ValueError(f"vertex count must be even and positive, got {v}")
         a = self.alpha
         if len(a) != 3 * v:
             raise ValueError(f"alpha must have length {3 * v}, got {len(a)}")
@@ -70,18 +70,11 @@ class TrivalentGraph:
     def edge_count(self) -> int:
         return 3 * self.vertex_count // 2
 
-    @property
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as dart pairs ``(d, alpha(d))`` with ``d < alpha(d)``,
         sorted by first dart.  This order is the edge indexing used
         everywhere (colorings, map adjacency, serialization)."""
         return [(d, self.alpha[d]) for d in range(self.dart_count) if d < self.alpha[d]]
-
-    def vertex_of(self, dart: int) -> int:
-        return dart // 3
 
     def sigma(self, dart: int) -> int:
         """Counterclockwise successor of ``dart`` around its vertex."""
@@ -122,6 +115,9 @@ def parse_graph(text: bytes | str) -> TrivalentGraph:
             if len(parts) != 2 or not _is_number(parts[1]):
                 raise GraphParseError(no, "syntax", f"malformed vertex line {line!r}")
             v = int(parts[1])
+            if not v:
+                raise GraphParseError(no, "bad-count",
+                                      "vertex count must be positive, got 0")
             if v % 2:
                 raise GraphParseError(no, "bad-count", f"vertex count {v} is odd")
         elif parts[0] == "e":
@@ -173,7 +169,7 @@ def _bfs_tree(g: TrivalentGraph):
     parent = [-1] * v
     depth = [0] + [-1] * (v - 1)
     tree = [False] * g.dart_count
-    order = [0] if v else []
+    order = [0]
     for i in order:  # grows while it is walked
         for d in (3 * i, 3 * i + 1, 3 * i + 2):
             j = alpha[d] // 3
@@ -228,23 +224,17 @@ def is_two_connected(g: TrivalentGraph) -> bool:
             up[a] = parent[a]
             covered += 1
             a = top(a)
-    return covered == max(v - 1, 0)
-
-
-def flip_vertex(g: TrivalentGraph, i: int) -> TrivalentGraph:
-    """Reverse the cyclic order at vertex ``i`` (an involution).
-
-    With the fixed global rotation, reversing ``(3i, 3i+1, 3i+2)`` to
-    ``(3i, 3i+2, 3i+1)`` amounts to conjugating ``alpha`` by the swap of
-    darts ``3i+1`` and ``3i+2``.
-    """
-    return flip_vertices(g, (i,))
+    return covered == v - 1
 
 
 def flip_vertices(g: TrivalentGraph, which: tuple[int, ...]) -> TrivalentGraph:
-    """Flip each listed vertex once per listing (flips commute, so the
-    order does not matter and a vertex listed twice is left as it was).
-    Raises IndexError on a vertex out of range."""
+    """Reverse the cyclic order at each listed vertex, once per listing.
+
+    With the fixed global rotation, reversing ``(3i, 3i+1, 3i+2)`` to
+    ``(3i, 3i+2, 3i+1)`` amounts to conjugating ``alpha`` by the swap of
+    darts ``3i+1`` and ``3i+2``.  Flips are involutions and commute, so
+    the order does not matter and a vertex listed twice is left as it
+    was.  Raises IndexError on a vertex out of range."""
     tau = list(range(g.dart_count))
     for i in which:
         if not 0 <= i < g.vertex_count:
@@ -278,16 +268,10 @@ def face_orbits(g: TrivalentGraph) -> list[tuple[int, ...]]:
 
 
 def genus(g: TrivalentGraph) -> int:
-    """Genus of the closed surface of the rotation system.
-
-    The empty graph has no faces and so no surface; it is refused, as a
-    disconnected graph is.
-    """
-    if not g.vertex_count:
-        raise ValueError("genus requires a nonempty graph")
+    """Genus of the closed surface of the rotation system."""
     if not is_connected(g):
         raise ValueError("genus requires a connected graph")
-    chi = g.euler_characteristic + kernels.face_count(g.alpha)
+    chi = g.vertex_count - g.edge_count + kernels.face_count(g.alpha)
     gg, rem = divmod(2 - chi, 2)
     if rem or gg < 0:
         raise AssertionError(f"impossible Euler characteristic {chi}")

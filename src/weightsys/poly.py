@@ -30,36 +30,14 @@ class IntPolynomial:
     def coefficient(self, exp: int) -> int:
         return next((c for e, c in self.terms if e == exp), 0)
 
-    def items(self):
-        """(exponent, coefficient) pairs in descending exponent order."""
-        return list(self.terms)
-
     @property
     def degree(self) -> int:
         """Largest exponent with nonzero coefficient; -1 for the zero
         polynomial (so degree bounds read as plain <=)."""
         return self.terms[0][0] if self.terms else -1
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __call__(self, n):
         return sum(c * n ** e for e, c in self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self.terms == other.terms
-        if isinstance(other, int):  # handy for "== 0" in tests
-            return self.terms == (((0, other),) if other else ())
-        return NotImplemented
-
-    def __neg__(self):
-        return IntPolynomial((e, -c) for e, c in self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return IntPolynomial(self.terms + other.terms)
 
     def __repr__(self):
         return f"IntPolynomial({dict(self.terms)!r})"
@@ -87,7 +65,3 @@ class IntPolynomial:
         """{"exponent": "coefficient"} with both sides as decimal strings
         (coefficients can outgrow fixed-width integer consumers)."""
         return {str(e): str(c) for e, c in self.terms}
-
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> "IntPolynomial":
-        return cls({int(e): int(c) for e, c in data.items()})

@@ -19,7 +19,7 @@ from weightsys.catalog import generate_graphs, run_survey
 from weightsys.coloring import (enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, w_sl2)
-from weightsys.graphs import flip_vertex, parse_graph
+from weightsys.graphs import flip_vertices, parse_graph
 from weightsys.poly import IntPolynomial
 from weightsys.ribbon import marking_profile
 from weightsys.statesum import evaluate_weight
@@ -82,7 +82,7 @@ def test_criterion_3_dumbbell_degenerates():
     failures = []
     if w_sl2(g) != 0 or profile.top != 0:
         failures.append("weights not zero")
-    if not profile.wgl.is_zero():
+    if profile.wgl != IntPolynomial():
         failures.append("wgl not zero")
     if enumerate_edge_3_colorings(g):
         failures.append("colorings exist")
@@ -182,7 +182,7 @@ def test_criterion_9_property_suite(tmp_path):
         for alg in (make_so3(), make_gl(2), make_sl2()):
             base = evaluate_weight(g, alg)
             for i in range(g.vertex_count):
-                if evaluate_weight(flip_vertex(g, i), alg) != -base:
+                if evaluate_weight(flip_vertices(g, (i,)), alg) != -base:
                     failures.append(("flip", alg.name, i))
 
     # Any loop kills the weight.

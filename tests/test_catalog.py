@@ -411,7 +411,7 @@ def test_check_graph_k33():
     r = check_graph(K33)
     assert r.two_connected and not r.planar
     assert r.four_colorings is None
-    assert r.wgl_poly == 0
+    assert r.wgl_poly == IntPolynomial()
     assert r.edge_3_colorings == 12 and r.penrose == 0
     assert r.all_passed()
 

@@ -194,25 +194,31 @@ def test_poly_rejects_disconnected(capsys, disconnected):
 
 @pytest.fixture
 def refusal_graphs(tmp_path, disconnected):
-    """Paths by name for the refusal goldens: a disconnected v=4 graph, a
-    connected v=30 prism, a disconnected v=30 graph (a v=28 prism beside
-    a theta), K33 and a file that does not exist."""
+    """Paths by name for the refusal goldens: a disconnected v=4 graph,
+    connected v=30 and v=514 prisms, a disconnected v=30 graph (a v=28
+    prism beside a theta), K33, the empty graph and a file that does not
+    exist."""
     beside = prism_alpha(28) + (88, 87, 89, 85, 84, 86)
     paths = {"disconnected": disconnected, "k33": K33,
              "missing": str(tmp_path / "missing.tgf")}
-    for name, alpha in (("v30", prism_alpha(30)), ("v30_disconnected", beside)):
+    for name, alpha in (("v30", prism_alpha(30)), ("v30_disconnected", beside),
+                        ("v514", prism_alpha(514))):
         path = tmp_path / f"{name}.tgf"
-        path.write_bytes(serialize_graph(TrivalentGraph(30, alpha)))
+        path.write_bytes(serialize_graph(TrivalentGraph(len(alpha) // 3,
+                                                        alpha)))
         paths[name] = str(path)
+    paths["empty"] = str(tmp_path / "empty.tgf")
+    Path(paths["empty"]).write_text("v 0\n")
     return paths
 
 
 CAP = "error: marking scan capped at v = 28\n"
+EMPTY = "error: line 1: vertex count must be positive, got 0\n"
 
 
 # Exact stderr and exit code of each refusal.  The marking scan checks its
 # cap before connectivity, so a disconnected graph over the cap gets the
-# cap message.
+# cap message.  The empty graph is refused as it is read, by every command.
 @pytest.mark.parametrize("argv, code, err", [
     (("poly", "{disconnected}"), 2, "error: graph is not connected\n"),
     (("map", "{disconnected}"), 2, "error: graph is not connected\n"),
@@ -234,10 +240,18 @@ CAP = "error: marking scan capped at v = 28\n"
      "error: [Errno 2] No such file or directory: {missing!r}\n"),
     (("poly", "{v30_disconnected}"), 2, CAP),
     (("map", "{v30_disconnected}"), 2, CAP),
+    (("colorings", "{v514}"), 2, "error: coloring search capped at v = 512\n"),
+    (("validate", "{empty}"), 2, EMPTY),
+    (("poly", "{empty}"), 2, EMPTY),
+    (("eval", "{empty}", "--algebra", "so3"), 2, EMPTY),
+    (("colorings", "{empty}"), 2, EMPTY),
+    (("map", "{empty}"), 2, EMPTY),
 ], ids=["poly-disconnected", "map-disconnected", "poly-v30", "map-v30",
         "map-k33", "eval-unknown-algebra", "eval-gl7", "survey-dedup-v12",
         "survey-labeled-v6", "survey-jobs-0", "unreadable-file",
-        "poly-v30-disconnected", "map-v30-disconnected"])
+        "poly-v30-disconnected", "map-v30-disconnected", "colorings-v514",
+        "validate-empty", "poly-empty", "eval-empty", "colorings-empty",
+        "map-empty"])
 def test_refusal_messages_are_pinned(capsys, refusal_graphs, argv, code,
                                     err):
     argv = [a.format(**refusal_graphs) for a in argv]
@@ -331,21 +345,13 @@ def test_validate_disconnected_has_no_genus(capsys, disconnected):
     assert "genus n/a" in out.splitlines()
 
 
-def test_validate_empty_graph_has_no_genus(capsys, tmp_path):
+def test_validate_refuses_the_empty_graph(capsys, tmp_path):
+    # Refused as it is read, in either format, before any fact is printed.
     path = tmp_path / "empty.tgf"
     path.write_text("v 0\n")
-    code, out, _ = run(capsys, "validate", str(path))
-    assert code == 0
-    assert out.splitlines() == [
-        "ok", "v 0", "e 0",
-        "connected true", "two_connected true", "has_loop false",
-        "genus n/a",
-    ]
-    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {
-        "schema_version": 1, "ok": True, "v": 0, "e": 0, "connected": True,
-        "two_connected": True, "has_loop": False, "genus": None}
+    for fmt in ("text", "json"):
+        assert run(capsys, "validate", str(path), "--format", fmt) == (
+            2, "", EMPTY)
 
 
 def test_validate_bad_algebra(capsys):
@@ -378,14 +384,39 @@ def test_survey_json_dedup(capsys):
     assert all(all(r["identities"].values()) for r in payload["reports"])
 
 
+SURVEY_DIGESTS = {
+    8: "fe09ccb036e1973c7fc6024ede6add77a2de815705a2a68e69358c2ee5007745",
+    10: "58079650c724e9d1e5717b8601f9bfafec3168e17f6475aab8455030d17a0e98",
+}
+
+
+def survey_digest(capsys, max_v):
+    code, out, _ = run(capsys, "survey", "--max-v", str(max_v), "--dedup",
+                       "--format", "json")
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_survey_json_matches_golden_digest(capsys):
     # Every coloring, Penrose, 4-coloring and Tait field of the 95 v <= 8
     # classes, byte for byte.
-    code, out, _ = run(capsys, "survey", "--max-v", "8", "--dedup",
-                       "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fe09ccb036e1973c7fc6024ede6add77a2de815705a2a68e69358c2ee5007745")
+    assert survey_digest(capsys, 8) == SURVEY_DIGESTS[8]
+
+
+# The live backend at v <= 8 is the test above.
+@pytest.mark.parametrize("backend, max_v", [
+    ("live", 10), ("compiled", 8), ("compiled", 10)])
+def test_survey_digests_hold_on_both_backends(capsys, request, monkeypatch,
+                                              backend, max_v):
+    scans = []
+    if backend == "compiled":
+        compiled = request.getfixturevalue("compiled_kernels")
+        monkeypatch.setattr(kernels, "face_count", compiled.face_count)
+        monkeypatch.setattr(kernels, "marking_scan", lambda alpha, v: (
+            scans.append(v) or compiled.marking_scan(alpha, v)))
+    assert survey_digest(capsys, max_v) == SURVEY_DIGESTS[max_v]
+    # Every survey graph is scanned, so the swap shows in the scan count.
+    assert bool(scans) == (backend == "compiled")
 
 
 def test_survey_no_loops(capsys):

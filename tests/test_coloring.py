@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from weightsys import coloring
 from weightsys.catalog import generate_graphs
-from weightsys.coloring import (coloring_sign, enumerate_edge_3_colorings,
+from weightsys.coloring import (MAX_SEARCH_V, enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
@@ -56,18 +57,25 @@ def test_colorings_are_sorted_and_distinct():
     assert enumerate_edge_3_colorings(THETA)[0] == (1, 2, 3)
 
 
+def test_search_at_the_cap_fits_the_recursion_limit():
+    # One frame per edge of a v = MAX_SEARCH_V graph: a chain in which each
+    # position conflicts with the two before it has just the 6 colorings
+    # fixed by the first two positions, so the search is deep but cheap.
+    n = 3 * MAX_SEARCH_V // 2
+    earlier = [list(range(max(0, k - 2), k)) for k in range(n)]
+    assert len(coloring._proper_colorings(earlier, (1, 2, 3))) == 6
+
+
 def test_coloring_sign_theta():
     # Vertex 0 reads colors (1,2,3), vertex 1 reads (2,1,3): one odd
     # permutation, so the sign is -1; reversing a vertex flips it.
-    assert coloring_sign(THETA, (1, 2, 3)) == -1
-    assert coloring_sign(THETA_TWISTED, (1, 2, 3)) == 1
+    assert penrose_sum(THETA, [(1, 2, 3)]) == -1
+    assert penrose_sum(THETA_TWISTED, [(1, 2, 3)]) == 1
 
 
 def test_coloring_sign_rejects_bad_input():
-    with pytest.raises(ValueError):
-        coloring_sign(THETA, (1, 2))
-    with pytest.raises(ValueError):
-        coloring_sign(THETA, (1, 1, 2))
+    with pytest.raises(ValueError, match="improper coloring at vertex 0"):
+        penrose_sum(THETA, [(1, 1, 2)])
 
 
 @pytest.mark.parametrize("name,value", [
@@ -144,7 +152,7 @@ def test_tait_images_are_proper():
     pm = planar_map("k4")
     for fc in enumerate_four_colorings(pm):
         ec = tait_edge_coloring(pm, fc)
-        coloring_sign(pm.graph, ec)  # raises if improper
+        penrose_sum(pm.graph, [ec])  # raises if improper
 
 
 @pytest.mark.parametrize("name", ["theta", "k4", "cube"])

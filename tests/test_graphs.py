@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from weightsys.graphs import (GraphParseError, TrivalentGraph, face_orbits,
-                              flip_vertex, flip_vertices, genus, is_connected,
+                              flip_vertices, genus, is_connected,
                               is_two_connected, parse_graph, serialize_graph)
 from oracles import face_count_by_lists, two_connected_by_deletion
 
@@ -29,8 +29,6 @@ def load(name):
 def test_counts():
     assert THETA.dart_count == 6
     assert THETA.edge_count == 3
-    assert THETA.euler_characteristic == -1
-    assert THETA.vertex_of(5) == 1
 
 
 def test_sigma_cycles_within_vertex():
@@ -53,6 +51,7 @@ def test_has_loop():
     (2, (9, 0, 3, 2, 5, 4), "out of range"),
     (2, (0, 1, 3, 2, 5, 4), "fixes"),
     (2, (1, 0, 3, 2, 5, 3), "involution"),
+    (0, (), "positive"),
 ])
 def test_rejects_malformed_alpha(v, alpha, message):
     with pytest.raises(ValueError, match=message):
@@ -94,6 +93,7 @@ def test_serialize_exact_bytes():
     ("v 2\ne 0 9\ne 1 3\ne 2 5\n", "syntax", 2),         # dart out of range
     ("v 2\ne 0 0\ne 2 3\ne 4 5\n", "self-paired-dart", 2),
     ("v 2\ne 0 1\ne 1 2\ne 3 4\n", "duplicate-dart", 3),
+    ("# empty\nv 0\n", "bad-count", 2),
 ])
 def test_parse_errors(text, kind, line):
     with pytest.raises(GraphParseError) as info:
@@ -112,7 +112,8 @@ def test_connectivity():
     assert is_connected(BRIDGED)
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
     assert not is_connected(two_thetas)
-    assert is_connected(TrivalentGraph(0, ()))
+    with pytest.raises(ValueError, match="positive"):  # no empty graph
+        TrivalentGraph(0, ())
 
 
 def test_two_connected():
@@ -167,30 +168,31 @@ def test_two_connected_matches_deletion_oracle_on_random_pairings():
 def test_flip_vertex_is_an_involution():
     for g in (THETA, DUMBBELL, load("k4.tgf")):
         for i in range(g.vertex_count):
-            assert flip_vertex(flip_vertex(g, i), i) == g
+            assert flip_vertices(flip_vertices(g, (i,)), (i,)) == g
 
 
 def test_flip_vertex_changes_rotation():
-    assert flip_vertex(THETA, 0) == TrivalentGraph(2, (4, 5, 3, 2, 0, 1))
-    assert flip_vertex(THETA, 0) != THETA
+    assert flip_vertices(THETA, (0,)) == TrivalentGraph(2, (4, 5, 3, 2, 0, 1))
+    assert flip_vertices(THETA, (0,)) != THETA
 
 
 def test_flip_vertices_composes():
     g = load("k4.tgf")
-    assert flip_vertices(g, (0, 2)) == flip_vertex(flip_vertex(g, 0), 2)
+    assert flip_vertices(g, (0, 2)) == \
+        flip_vertices(flip_vertices(g, (0,)), (2,))
     assert flip_vertices(g, ()) == g
 
 
 def test_flip_vertices_flips_once_per_listing():
     g = load("k4.tgf")
     assert flip_vertices(g, (0, 0)) == g
-    assert flip_vertices(g, (1, 0, 1)) == flip_vertex(g, 0)
-    assert flip_vertices(g, (2, 2, 2)) == flip_vertex(g, 2)
+    assert flip_vertices(g, (1, 0, 1)) == flip_vertices(g, (0,))
+    assert flip_vertices(g, (2, 2, 2)) == flip_vertices(g, (2,))
 
 
 def test_flip_vertex_range_check():
     with pytest.raises(IndexError):
-        flip_vertex(THETA, 2)
+        flip_vertices(THETA, (2,))
 
 
 @pytest.mark.parametrize("i", [-1, 4, 7])
@@ -238,6 +240,10 @@ def test_genus_requires_connected():
 
 
 def test_genus_refuses_the_empty_graph():
-    # No faces, so no surface: chi = 0 would otherwise read as genus 1.
-    with pytest.raises(ValueError, match="nonempty"):
-        genus(TrivalentGraph(0, ()))
+    # No faces, so no surface: chi = 0 would read as genus 1.  No empty
+    # graph can be made, from a pairing or from text.
+    with pytest.raises(ValueError, match="positive"):
+        TrivalentGraph(0, ())
+    with pytest.raises(GraphParseError, match="positive") as info:
+        parse_graph("v 0\n")
+    assert info.value.kind == "bad-count"

@@ -1,6 +1,8 @@
-"""The package's layout: what each layer loads and which kernels it calls."""
+"""The package's layout: what each layer loads, which kernels it calls and
+that each public name has a caller."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +64,50 @@ def test_every_kernel_has_a_package_caller():
                     and node.func.value.id == "kernels"):
                 called.add(node.func.attr)
     assert exported <= called, exported - called
+
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "weightsys"
+
+
+def public_definitions(tree):
+    """(name, node) for each public top-level name of a module and each
+    public method of its top-level classes; dunder methods are private
+    here, as every name with a leading underscore is."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((n, node) for n in names if not n.startswith("_"))
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller():
+    # A public name only the tests use is surface to keep for nothing.  A
+    # name counts as used when it appears as a word in the package (its
+    # own definition aside), the README or the benchmark; a method shares
+    # that with every other attribute of its name.
+    texts = {path: path.read_text() for path in
+             [*PACKAGE.glob("*.py"), ROOT / "README.md",
+              *(ROOT / "perfbench").glob("*.py")]}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = texts[path].splitlines()
+        for name, node in public_definitions(ast.parse(texts[path])):
+            word = re.compile(rf"\b{name}\b")
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            if not any(word.search(rest if other == path else text)
+                       for other, text in texts.items()):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

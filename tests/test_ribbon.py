@@ -6,7 +6,7 @@ import pytest
 
 from weightsys import kernels
 from weightsys.algebra import make_gl
-from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertex, genus,
+from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertices, genus,
                               parse_graph)
 from weightsys.poly import IntPolynomial
 from weightsys.ribbon import MarkingProfile, marking_profile, rotation_of_marking
@@ -25,10 +25,10 @@ def load(name):
 
 def test_rotation_of_marking_is_selective_flipping():
     assert rotation_of_marking(THETA, (1, 1)) == THETA
-    assert rotation_of_marking(THETA, (-1, 1)) == flip_vertex(THETA, 0)
+    assert rotation_of_marking(THETA, (-1, 1)) == flip_vertices(THETA, (0,))
     k4 = load("k4.tgf")
     assert rotation_of_marking(k4, (-1, 1, -1, 1)) == \
-        flip_vertex(flip_vertex(k4, 0), 2)
+        flip_vertices(flip_vertices(k4, (0,)), (2,))
 
 
 def test_rotation_of_marking_length_check():
@@ -77,11 +77,16 @@ def test_wgl_polynomial_goldens(name, coeffs):
     assert marking_profile(load(name + ".tgf")).wgl == IntPolynomial(coeffs)
 
 
+def negated(p):
+    return IntPolynomial((e, -c) for e, c in p.terms)
+
+
 def test_wgl_negates_under_a_single_flip():
-    assert marking_profile(THETA_TWISTED).wgl == -marking_profile(THETA).wgl
+    assert marking_profile(THETA_TWISTED).wgl == \
+        negated(marking_profile(THETA).wgl)
     k4 = load("k4.tgf")
-    assert marking_profile(flip_vertex(k4, 2)).wgl == \
-        -marking_profile(k4).wgl
+    assert marking_profile(flip_vertices(k4, (2,))).wgl == \
+        negated(marking_profile(k4).wgl)
 
 
 @pytest.mark.parametrize("name,top,spherical,planar", [
@@ -142,8 +147,10 @@ def test_marking_profile_fields():
 
 
 def test_marking_profile_of_the_empty_graph():
-    assert marking_profile(TrivalentGraph(0, ())) == \
-        (IntPolynomial({0: 1}), 0, 0, None)
+    # Refused before any scan; the kernels' answer for raw v = 0 arrays
+    # (one marking, no faces) is no graph's profile.
+    with pytest.raises(ValueError, match="positive"):
+        marking_profile(TrivalentGraph(0, ()))
 
 
 def test_requires_connected():
@@ -157,7 +164,7 @@ def test_exponent_parity():
     # b = v/2 + 2 - 2g, so every exponent has the parity of v/2.
     for name in ("theta", "k4", "cube"):
         g = load(name + ".tgf")
-        for e, c in marking_profile(g).wgl.items():
+        for e, c in marking_profile(g).wgl.terms:
             assert c != 0
             assert e % 2 == (g.vertex_count // 2) % 2
 
@@ -171,7 +178,7 @@ def test_polynomial_interpolates_the_tensor_route(name, points):
     # the tensor values at v/2 + 2 points must reproduce the polynomial.
     g = load(name + ".tgf")
     samples = [(n, evaluate_weight(g, make_gl(n))) for n in points]
-    assert lagrange_int_poly(samples) == dict(marking_profile(g).wgl.items())
+    assert lagrange_int_poly(samples) == dict(marking_profile(g).wgl.terms)
 
 
 def test_face_orbits_of_marking():

@@ -10,7 +10,7 @@ from weightsys.algebra import (algebra_by_name, make_abelian, make_gl,
                                make_sl2, make_so3, scale_metric)
 from weightsys.catalog import generate_graphs
 from weightsys.coloring import w_sl2
-from weightsys.graphs import (TrivalentGraph, flip_vertex, is_connected,
+from weightsys.graphs import (TrivalentGraph, flip_vertices, is_connected,
                               parse_graph)
 from weightsys.ribbon import marking_profile
 from weightsys.statesum import contraction_plan, evaluate_weight
@@ -86,8 +86,10 @@ def test_abelian_vanishes_on_any_vertex():
     assert evaluate_weight(THETA, make_abelian(3)) == 0
 
 
-def test_empty_graph_contracts_to_one():
-    assert evaluate_weight(TrivalentGraph(0, ()), make_so3()) == 1
+def test_empty_graph_is_refused_before_contraction():
+    # Its network would have no tensors and contract to 1.
+    with pytest.raises(ValueError, match="positive"):
+        evaluate_weight(TrivalentGraph(0, ()), make_so3())
 
 
 def test_flip_negates_the_weight():
@@ -95,8 +97,8 @@ def test_flip_negates_the_weight():
     for alg in (make_so3(), make_gl(2)):
         base = evaluate_weight(k4, alg)
         for i in range(4):
-            assert evaluate_weight(flip_vertex(k4, i), alg) == -base
-    assert evaluate_weight(flip_vertex(THETA, 1), make_sl2()) == 12
+            assert evaluate_weight(flip_vertices(k4, (i,)), alg) == -base
+    assert evaluate_weight(flip_vertices(THETA, (1,)), make_sl2()) == 12
 
 
 def test_disconnected_graph_multiplies_components():
@@ -201,7 +203,7 @@ def merge_order_cases():
     rng = random.Random(11)
     cases += [(f"random v={v}", random_connected_graph(v, rng))
               for v in range(2, 17, 2) for _ in range(3)]
-    cases += [("two thetas", TWO_THETAS), ("empty", TrivalentGraph(0, ()))]
+    cases.append(("two thetas", TWO_THETAS))
     return cases
 
 
