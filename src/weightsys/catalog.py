@@ -64,8 +64,7 @@ from .algebra import make_gl, make_sl2, make_so3
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
-from .poly import IntPolynomial
-from .ribbon import marking_profile
+from .ribbon import IntPolynomial, marking_profile, rotation_of_marking
 from .statesum import contraction_plan, evaluate_weight
 
 MAX_V_DEFAULT = 10
@@ -497,7 +496,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     four = None
     tait_ok = True
     if planar and two_connected:
-        pm = extract_map(g, profile.first)
+        pm = extract_map(rotation_of_marking(g, profile.first))
         fours = enumerate_four_colorings(pm)
         four = len(fours)
         tait_ok = verify_tait_bijection(pm, fours) is None

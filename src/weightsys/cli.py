@@ -27,9 +27,9 @@ from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
-from .graphs import (GraphParseError, TrivalentGraph, genus, is_connected,
+from .graphs import (GraphParseError, TrivalentGraph, is_connected,
                      is_two_connected, parse_graph)
-from .ribbon import marking_profile
+from .ribbon import genus, marking_profile, rotation_of_marking
 from .statesum import evaluate_weight
 
 
@@ -114,7 +114,7 @@ def cmd_map(args) -> int:
         return _fail(2, f"error: {exc}")
     if marking is None:
         return _fail(2, "error: graph has no spherical embedding")
-    pm = extract_map(g, marking)
+    pm = extract_map(rotation_of_marking(g, marking))
     fours = enumerate_four_colorings(pm)
     four = len(fours)
     tait = verify_tait_bijection(pm, fours)

@@ -9,10 +9,10 @@ normalization with identity metric, and 2^{v/2} times it is the sl(2)
 weight — both facts are cross-checked against the tensor route in tests
 rather than assumed here.
 
-The map side: a spherical marking turns the graph into a planar map whose
-faces can be 4-colored by the Klein group H = Z/2 x Z/2 (encoded 0..3
-with XOR as addition); coloring each edge by the XOR of its two face
-colors is the classical Tait correspondence, verified exhaustively.
+The map side: a spherical rotation system, which the caller finds, is a
+planar map whose faces can be 4-colored by the Klein group H = Z/2 x Z/2
+(encoded 0..3 with XOR as addition); coloring each edge by the XOR of its
+two face colors is the classical Tait correspondence, verified exhaustively.
 
 Both enumerations are one search, ``_proper_colorings``, over a conflict
 graph: the line graph for edge colorings (two edges conflict when they
@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graphs import TrivalentGraph, face_orbits
-from .ribbon import Marking, rotation_of_marking
+from .graphs import TrivalentGraph, face_orbits, is_connected
 
 EdgeColoring = tuple[int, ...]
 FaceColoring = tuple[int, ...]
@@ -106,6 +105,9 @@ def _signer(g: TrivalentGraph):
     rotations = [edge_of[3 * i:3 * i + 3] for i in range(g.vertex_count)]
 
     def sign(c: EdgeColoring) -> int:
+        if len(c) != g.edge_count:
+            raise ValueError(f"coloring has {len(c)} entries, "
+                             f"not one per edge ({g.edge_count})")
         s = 1
         for i, (x, y, z) in enumerate(rotations):
             perm = (c[x], c[y], c[z])
@@ -123,7 +125,8 @@ def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
     ``enumerate_edge_3_colorings(g)``, so that a caller who also wants
     the count enumerates them once.  A coloring's sign is the product
     over vertices of the sign of its color permutation read
-    counterclockwise; raises ValueError on an improper coloring."""
+    counterclockwise; raises ValueError on an improper coloring or one
+    without exactly one entry per edge."""
     return sum(map(_signer(g), colorings))
 
 
@@ -152,12 +155,13 @@ class PlanarMap:
         return any(a == b for a, b in self.edge_faces)
 
 
-def extract_map(g: TrivalentGraph, m: Marking) -> PlanarMap:
-    """Build the map of the spherical rotation chosen by ``m``."""
-    rot = rotation_of_marking(g, m)
+def extract_map(rot: TrivalentGraph) -> PlanarMap:
+    """The map whose faces are those of the rotation system ``rot``.
+    Raises ValueError unless ``rot`` is spherical: connected, with
+    v/2 + 2 faces (Euler's formula for the sphere)."""
     faces = tuple(face_orbits(rot))
-    if len(faces) != g.vertex_count // 2 + 2:
-        raise ValueError("marking is not spherical")
+    if len(faces) != rot.vertex_count // 2 + 2 or not is_connected(rot):
+        raise ValueError("rotation system is not spherical")
     face_of = [0] * rot.dart_count
     for idx, cyc in enumerate(faces):
         for d in cyc:

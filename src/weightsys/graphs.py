@@ -16,13 +16,14 @@ The companion text format is line oriented::
     e 2 5
 
 with exactly ``3v/2`` edge lines, each naming the two darts of one edge.
+
+This is the base layer under all three routes; it loads no other module
+of the package (the genus of a rotation system is ``ribbon.genus``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from . import kernels
 
 
 class GraphParseError(ValueError):
@@ -265,14 +266,3 @@ def face_orbits(g: TrivalentGraph) -> list[tuple[int, ...]]:
             d = g.sigma(g.alpha[d])
         orbits.append(tuple(cycle))
     return orbits
-
-
-def genus(g: TrivalentGraph) -> int:
-    """Genus of the closed surface of the rotation system."""
-    if not is_connected(g):
-        raise ValueError("genus requires a connected graph")
-    chi = g.vertex_count - g.edge_count + kernels.face_count(g.alpha)
-    gg, rem = divmod(2 - chi, 2)
-    if rem or gg < 0:
-        raise AssertionError(f"impossible Euler characteristic {chi}")
-    return gg

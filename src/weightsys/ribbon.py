@@ -10,18 +10,81 @@ rotation system, so the whole expansion
 reduces to face tracing.  The top coefficient w_top (b = v/2 + 2,
 genus 0) signs-counts the spherical markings, and the graph is planar
 exactly when there is one.  ``marking_profile`` reads all of that off a
-single scan.
+single scan into an ``IntPolynomial``.  ``genus`` reads the surface of
+one rotation system off the kernels' face count.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kernels
-from .graphs import TrivalentGraph, flip_vertices
-from .poly import IntPolynomial
+from .graphs import TrivalentGraph, flip_vertices, is_connected
 
 Marking = tuple[int, ...]
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class IntPolynomial:
+    """Immutable polynomial in N with arbitrary-precision integer coefficients.
+
+    Stored as ``terms``, the (exponent, coefficient) pairs in descending
+    exponent order with no zero coefficients, built once by ``__init__``;
+    so two equal polynomials always compare and hash equal.  ``__init__``
+    takes a dict or an iterable of pairs; duplicate exponents add up.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+
+    def __init__(self, coeffs=None):
+        clean: dict[int, int] = {}
+        for exp, c in (coeffs.items() if hasattr(coeffs, "items")
+                       else coeffs or ()):
+            if exp < 0:
+                raise ValueError(f"negative exponent {exp}")
+            clean[exp] = clean.get(exp, 0) + c
+        object.__setattr__(self, "terms", tuple(sorted(
+            ((e, c) for e, c in clean.items() if c), reverse=True)))
+
+    def coefficient(self, exp: int) -> int:
+        return next((c for e, c in self.terms if e == exp), 0)
+
+    @property
+    def degree(self) -> int:
+        """Largest exponent with nonzero coefficient; -1 for the zero
+        polynomial (so degree bounds read as plain <=)."""
+        return self.terms[0][0] if self.terms else -1
+
+    def __call__(self, n):
+        return sum(c * n ** e for e, c in self.terms)
+
+    def __repr__(self):
+        return f"IntPolynomial({dict(self.terms)!r})"
+
+    def __str__(self):
+        """Descending exponents with explicit signs, e.g. "2*N^3 - 2*N"."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self.terms:
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            elif e == 1:
+                body = "N" if mag == 1 else f"{mag}*N"
+            else:
+                body = f"N^{e}" if mag == 1 else f"{mag}*N^{e}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def to_json(self) -> dict[str, str]:
+        """{"exponent": "coefficient"} with both sides as decimal strings
+        (coefficients can outgrow fixed-width integer consumers)."""
+        return {str(e): str(c) for e, c in self.terms}
 
 
 class MarkingProfile(NamedTuple):
@@ -62,3 +125,14 @@ def marking_profile(g: TrivalentGraph) -> MarkingProfile:
     wgl = IntPolynomial(enumerate(signed_by_b))
     first = None if first_mask < 0 else _marking_of_mask(first_mask, v)
     return MarkingProfile(wgl, spherical, wgl.coefficient(v // 2 + 2), first)
+
+
+def genus(g: TrivalentGraph) -> int:
+    """Genus of the closed surface of the rotation system."""
+    if not is_connected(g):
+        raise ValueError("genus requires a connected graph")
+    chi = g.vertex_count - g.edge_count + kernels.face_count(g.alpha)
+    gg, rem = divmod(2 - chi, 2)
+    if rem or gg < 0:
+        raise AssertionError(f"impossible Euler characteristic {chi}")
+    return gg

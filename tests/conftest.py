@@ -37,12 +37,15 @@ def catalog_v8():
 @pytest.fixture(scope="session")
 def compiled_kernels(tmp_path_factory):
     """_kernels.c built with setuptools into a temporary directory and
-    loaded from there, whether or not an in-place build exists."""
+    loaded from there, whether or not an in-place build exists.  Warnings
+    fail the build here; setup.py keeps the default flags for compilers
+    that do not take these."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build _kernels.c")
     out = tmp_path_factory.mktemp("kernels")
-    ext = Extension("weightsys._kernels", [str(KERNELS_C)])
+    ext = Extension("weightsys._kernels", [str(KERNELS_C)], extra_compile_args=[
+        "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"])
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     build.build_lib = str(out)
     build.build_temp = str(out / "tmp")

@@ -20,8 +20,8 @@ from weightsys.coloring import (enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, w_sl2)
 from weightsys.graphs import flip_vertices, parse_graph
-from weightsys.poly import IntPolynomial
-from weightsys.ribbon import marking_profile
+from weightsys.ribbon import (IntPolynomial, marking_profile,
+                              rotation_of_marking)
 from weightsys.statesum import evaluate_weight
 
 DATA = Path(__file__).parent / "data"
@@ -52,7 +52,8 @@ def test_criterion_1_theta_goldens():
         failures.append(("w_sl2", w_sl2(g)))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = len(enumerate_four_colorings(extract_map(g, profile.first)))
+    four = len(enumerate_four_colorings(
+        extract_map(rotation_of_marking(g, profile.first))))
     if four != 24:
         failures.append(("four", four))
     if not (abs(profile.top) == 2 == profile.spherical):
@@ -68,7 +69,8 @@ def test_criterion_2_k4_goldens():
         failures.append(("top/spherical", profile.top))
     if len(enumerate_edge_3_colorings(g)) != 6:
         failures.append("edge colorings")
-    four = len(enumerate_four_colorings(extract_map(g, profile.first)))
+    four = len(enumerate_four_colorings(
+        extract_map(rotation_of_marking(g, profile.first))))
     if four != 24:
         failures.append(("four", four))
     if not (abs(w_sl2(g)) == 24 == 2 ** (4 // 2 - 2) * four):

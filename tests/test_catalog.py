@@ -20,7 +20,7 @@ from weightsys.catalog import (IDENTITY_NAMES, _canonical_form, check_graph,
 from weightsys.cli import main
 from weightsys.graphs import (TrivalentGraph, is_connected,
                               is_two_connected, parse_graph, serialize_graph)
-from weightsys.poly import IntPolynomial
+from weightsys.ribbon import IntPolynomial
 
 DATA = Path(__file__).parent / "data"
 THETA = TrivalentGraph(2, (4, 3, 5, 1, 0, 2))

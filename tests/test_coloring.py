@@ -12,7 +12,7 @@ from weightsys.coloring import (MAX_SEARCH_V, enumerate_edge_3_colorings,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
 from weightsys.graphs import TrivalentGraph, parse_graph
-from weightsys.ribbon import marking_profile
+from weightsys.ribbon import marking_profile, rotation_of_marking
 from oracles import (brute_edge_3_coloring_count, brute_four_coloring_count,
                      brute_signed_coloring_sum, edge_3_colorings_by_bitmasks,
                      four_colorings_by_neighbours)
@@ -34,7 +34,7 @@ def penrose(g):
 
 def planar_map(name):
     g = load(name + ".tgf")
-    return extract_map(g, marking_profile(g).first)
+    return extract_map(rotation_of_marking(g, marking_profile(g).first))
 
 
 @pytest.mark.parametrize("name,count", [
@@ -78,6 +78,13 @@ def test_coloring_sign_rejects_bad_input():
         penrose_sum(THETA, [(1, 1, 2)])
 
 
+@pytest.mark.parametrize("c", [(1, 2, 3, 1, 2), (1, 2)],
+                         ids=["too-long", "too-short"])
+def test_coloring_sign_rejects_a_coloring_of_the_wrong_length(c):
+    with pytest.raises(ValueError, match="not one per edge"):
+        penrose_sum(THETA, [c])
+
+
 @pytest.mark.parametrize("name,value", [
     ("theta", -6), ("dumbbell", 0), ("k4", 6), ("cube", 24), ("k33", 0),
 ])
@@ -99,7 +106,7 @@ def test_w_sl2_goldens(name, value):
 
 
 def test_extract_map_theta():
-    pm = extract_map(THETA, (1, 1))
+    pm = extract_map(THETA)
     assert pm.graph == THETA
     assert pm.faces == ((0, 5), (1, 4), (2, 3))
     assert pm.edge_faces == ((0, 1), (1, 2), (2, 0))
@@ -109,7 +116,14 @@ def test_extract_map_theta():
 
 def test_extract_map_rejects_non_spherical_marking():
     with pytest.raises(ValueError, match="not spherical"):
-        extract_map(THETA, (-1, 1))
+        extract_map(rotation_of_marking(THETA, (-1, 1)))
+
+
+def test_extract_map_rejects_a_disconnected_rotation_system():
+    # A theta beside a twisted theta has 3 + 1 = v/2 + 2 faces, but its
+    # surface is a sphere and a torus.
+    with pytest.raises(ValueError, match="not spherical"):
+        extract_map(TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 9, 10, 11, 6, 7, 8)))
 
 
 def test_dumbbell_map_is_self_bordering():
@@ -139,7 +153,7 @@ def test_pinning_the_outer_face_quarters_the_count():
 
 
 def test_tait_edge_coloring_by_hand():
-    pm = extract_map(THETA, (1, 1))
+    pm = extract_map(THETA)
     # Faces colored 0,1,3: edges see 0^1=1, 1^3=2, 3^0=3.
     assert tait_edge_coloring(pm, (0, 1, 3)) == (1, 2, 3)
     with pytest.raises(ValueError):
@@ -220,7 +234,7 @@ def test_enumerations_list_what_the_references_list_in_order():
         first = marking_profile(g).first
         if first is None:
             continue
-        pm = extract_map(g, first)
+        pm = extract_map(rotation_of_marking(g, first))
         self_bordering += pm.is_self_bordering()
         assert enumerate_four_colorings(pm) == \
             four_colorings_by_neighbours(pm), name

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from weightsys.graphs import (GraphParseError, TrivalentGraph, face_orbits,
-                              flip_vertices, genus, is_connected,
-                              is_two_connected, parse_graph, serialize_graph)
+                              flip_vertices, is_connected, is_two_connected,
+                              parse_graph, serialize_graph)
+from weightsys.ribbon import genus
 from oracles import face_count_by_lists, two_connected_by_deletion
 
 DATA = Path(__file__).parent / "data"

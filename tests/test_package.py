@@ -14,21 +14,19 @@ from weightsys import kernels
 
 
 # The weightsys.* modules each import loads, the kernel backend aside.
-# The routes stay independent: statesum loads neither ribbon nor coloring,
-# and ribbon none of statesum, coloring and algebra.  coloring loads ribbon
-# only to turn a spherical marking into a map (extract_map); catalog and
-# cli bring in every layer.
-LAYERS = ("poly", "algebra", "kernels", "graphs", "ribbon", "coloring",
-          "statesum", "catalog")
+# The routes stay independent: no route loads another, and of the routes
+# only ribbon, which calls the kernels, loads them; catalog and cli bring
+# in every layer.
+LAYERS = ("algebra", "kernels", "graphs", "ribbon", "coloring", "statesum",
+          "catalog")
 LOADS = {
     "weightsys": set(),
-    "weightsys.poly": {"poly"},
     "weightsys.algebra": {"algebra"},
     "weightsys.kernels": {"kernels"},
-    "weightsys.graphs": {"graphs", "kernels"},
-    "weightsys.ribbon": {"ribbon", "graphs", "kernels", "poly"},
-    "weightsys.coloring": {"coloring", "ribbon", "graphs", "kernels", "poly"},
-    "weightsys.statesum": {"statesum", "algebra", "graphs", "kernels"},
+    "weightsys.graphs": {"graphs"},
+    "weightsys.ribbon": {"ribbon", "graphs", "kernels"},
+    "weightsys.coloring": {"coloring", "graphs"},
+    "weightsys.statesum": {"statesum", "algebra", "graphs"},
     "weightsys.catalog": set(LAYERS),
     "weightsys.cli": {*LAYERS, "cli"},
 }

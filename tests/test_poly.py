@@ -2,7 +2,7 @@
 
 import pytest
 
-from weightsys.poly import IntPolynomial
+from weightsys.ribbon import IntPolynomial
 
 
 def test_zero_coefficients_are_dropped():

@@ -6,10 +6,10 @@ import pytest
 
 from weightsys import kernels
 from weightsys.algebra import make_gl
-from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertices, genus,
+from weightsys.graphs import (TrivalentGraph, face_orbits, flip_vertices,
                               parse_graph)
-from weightsys.poly import IntPolynomial
-from weightsys.ribbon import MarkingProfile, marking_profile, rotation_of_marking
+from weightsys.ribbon import (IntPolynomial, MarkingProfile, genus,
+                              marking_profile, rotation_of_marking)
 from weightsys.statesum import evaluate_weight
 from oracles import first_spherical_by_flips, lagrange_int_poly
 
