@@ -215,8 +215,7 @@ def validate_algebra(alg: MetrizedLieAlgebra) -> str | None:
     return None
 
 
-def change_basis(alg: MetrizedLieAlgebra, p,
-                 name: str | None = None) -> MetrizedLieAlgebra:
+def change_basis(alg: MetrizedLieAlgebra, p) -> MetrizedLieAlgebra:
     """Rewrite the tensors in the new basis ``y_a = Σ_i p[a][i] x_i``.
 
     Both lowered tensors transform covariantly (two resp. three factors
@@ -251,12 +250,12 @@ def change_basis(alg: MetrizedLieAlgebra, p,
                         for e in range(d):
                             if b[e][k]:
                                 f_new[a][c][e] += w * b[e][k]
-    return MetrizedLieAlgebra(name or f"{alg.name}'", d, _freeze2(t_new),
+    return MetrizedLieAlgebra(f"{alg.name}'", d, _freeze2(t_new),
                               _freeze2(t_inv_new), _freeze3(f_new))
 
 
-def scale_metric(alg: MetrizedLieAlgebra, factor: Scalar,
-                 name: str | None = None) -> MetrizedLieAlgebra:
+def scale_metric(alg: MetrizedLieAlgebra,
+                 factor: Scalar) -> MetrizedLieAlgebra:
     """The same underlying Lie algebra with metric multiplied by ``factor``.
 
     t picks up the factor, t_inv divides by it, and the lowered bracket
@@ -268,5 +267,5 @@ def scale_metric(alg: MetrizedLieAlgebra, factor: Scalar,
     t = [[x * lam for x in row] for row in alg.t]
     ti = [[x / lam for x in row] for row in alg.t_inv]
     f = [[[x * lam for x in row] for row in plane] for plane in alg.f]
-    return MetrizedLieAlgebra(name or f"{alg.name}*{factor}", alg.dim,
+    return MetrizedLieAlgebra(f"{alg.name}*{factor}", alg.dim,
                               _freeze2(t), _freeze2(ti), _freeze3(f))

@@ -117,7 +117,8 @@ def cmd_map(args) -> int:
     pm = extract_map(rotation_of_marking(g, marking))
     fours = enumerate_four_colorings(pm)
     four = len(fours)
-    tait = verify_tait_bijection(pm, fours)
+    tait = verify_tait_bijection(pm, fours,
+                                 len(enumerate_edge_3_colorings(g)))
     if args.format == "json":
         _emit_json({
             "marking": list(marking),

@@ -25,10 +25,8 @@ colorings: both enumerations return [] before the search.
 
 Each enumeration is made once per graph by the caller and handed on:
 ``penrose_sum`` signs the edge colorings it is given, and
-``verify_tait_bijection`` checks the face colorings it is given.  It
-still enumerates the edge colorings of the map's graph itself: that
-graph is re-oriented, so its edges are indexed differently from the
-input graph's.
+``verify_tait_bijection`` checks the face colorings it is given against
+the edge colorings' count.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ FaceColoring = tuple[int, ...]
 
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
+_H = frozenset(range(4))
 
 # The search recurses once per position, and an edge search has 3v/2 of
 # them: at this cap 768 frames, well under Python's default limit of 1000.
@@ -186,11 +185,14 @@ def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
     """Color each edge by the XOR of its two face colors.
 
     The nonzero elements of H are identified with the edge colors as
-    1 -> 1, 2 -> 2, 3 -> 3.  Raises ValueError if ``fc`` is improper
-    (equal colors across some edge, including self-bordering faces).
+    1 -> 1, 2 -> 2, 3 -> 3.  Raises ValueError if ``fc`` has a color
+    outside H or is improper (equal colors across some edge, including
+    self-bordering faces).
     """
     if len(fc) != len(pm.faces):
         raise ValueError("face coloring length does not match face count")
+    if not _H.issuperset(fc):
+        raise ValueError(f"face coloring has colors outside H: {fc}")
     result = []
     for k, (a, b) in enumerate(pm.edge_faces):
         h = fc[a] ^ fc[b]
@@ -200,23 +202,25 @@ def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
     return tuple(result)
 
 
-def verify_tait_bijection(pm: PlanarMap,
-                          colorings: list[FaceColoring]) -> str | None:
+def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
+                          edge_colorings: int) -> str | None:
     """Check the Tait correspondence on ``colorings``, the proper face
     colorings of ``pm`` as ``enumerate_four_colorings(pm)`` gives them:
-    those with the outer face colored 0 map one-to-one onto the proper
-    edge-3-colorings, and there are four times as many colorings as edge
-    colorings.  None if so, else a description of the discrepancy.
+    those with the outer face colored 0 map one-to-one onto the
+    ``edge_colorings`` proper edge-3-colorings, and there are four times
+    as many colorings.  None if so, else a description of the discrepancy.
 
-    The edge colorings are enumerated proper and distinct, so equal
-    sorted lists mean every image is proper, no two pinned colorings
-    share an image, and none is missed.  ``tait_edge_coloring`` raises on
-    an edge with one color on both sides."""
-    three = sorted(enumerate_edge_3_colorings(pm.graph))
-    images = sorted(tait_edge_coloring(pm, fc) for fc in colorings
-                    if fc[pm.outer_face] == 0)
-    if images != three:
+    Distinct images proper at every vertex, as many as the edge colorings,
+    are all of them, so a count is enough; and the input graph's count
+    serves, as the map's graph differs from it only by vertex reversals."""
+    images = [tait_edge_coloring(pm, fc) for fc in colorings
+              if fc[pm.outer_face] == 0]
+    try:
+        penrose_sum(pm.graph, images)  # raises at an improper vertex
+    except ValueError as exc:
+        return f"pinned image: {exc}"
+    if len(images) != edge_colorings or len(set(images)) != len(images):
         return "pinned colorings do not map one-to-one onto edge colorings"
-    if len(colorings) != 4 * len(three):
-        return f"count mismatch: {len(colorings)} != 4 * {len(three)}"
+    if len(colorings) != 4 * edge_colorings:
+        return f"count mismatch: {len(colorings)} != 4 * {edge_colorings}"
     return None

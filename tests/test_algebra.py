@@ -188,6 +188,7 @@ def test_change_basis_scaling_axis():
     alg = make_so3()
     p = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
     scaled = change_basis(alg, p)
+    assert scaled.name == "so3'"
     assert scaled.t[0][0] == 4
     assert scaled.t_inv[0][0] == Fraction(1, 4)
     assert scaled.f[0][1][2] == 2
@@ -209,6 +210,7 @@ def test_change_basis_rejects_bad_matrices():
 
 def test_scale_metric():
     alg = scale_metric(make_so3(), 3)
+    assert alg.name == "so3*3"
     assert alg.t[1][1] == 3
     assert alg.t_inv[1][1] == Fraction(1, 3)
     assert alg.f[0][1][2] == 3

@@ -299,7 +299,7 @@ def test_map_json(capsys):
 
 
 def test_map_enumerates_the_face_colorings_once(capsys, enumerations):
-    # The edge enumeration is the Tait check's, of the re-oriented graph.
+    # The edge enumeration is of the input graph, counted for the Tait check.
     code, _, _ = run(capsys, "map", K4)
     assert code == 0
     assert enumerations == {"enumerate_four_colorings": 1,

@@ -7,7 +7,8 @@ import pytest
 
 from weightsys import coloring
 from weightsys.catalog import generate_graphs
-from weightsys.coloring import (MAX_SEARCH_V, enumerate_edge_3_colorings,
+from weightsys.coloring import (MAX_SEARCH_V, PlanarMap,
+                                enumerate_edge_3_colorings,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
@@ -162,6 +163,14 @@ def test_tait_edge_coloring_by_hand():
         tait_edge_coloring(pm, (0, 1))
 
 
+@pytest.mark.parametrize("fc", [(0, 1, 5), (0, 1, -1), (4, 1, 2)])
+def test_tait_edge_coloring_rejects_colors_outside_h(fc):
+    # XOR of distinct colors is nonzero whatever they are, so only the
+    # range check turns these away.
+    with pytest.raises(ValueError, match="outside H"):
+        tait_edge_coloring(extract_map(THETA), fc)
+
+
 def test_tait_images_are_proper():
     pm = planar_map("k4")
     for fc in enumerate_four_colorings(pm):
@@ -169,10 +178,15 @@ def test_tait_images_are_proper():
         penrose_sum(pm.graph, [ec])  # raises if improper
 
 
+def edge_count(name):
+    return len(enumerate_edge_3_colorings(load(name + ".tgf")))
+
+
 @pytest.mark.parametrize("name", ["theta", "k4", "cube"])
 def test_tait_bijection_verifies(name):
     pm = planar_map(name)
-    assert verify_tait_bijection(pm, enumerate_four_colorings(pm)) is None
+    assert verify_tait_bijection(pm, enumerate_four_colorings(pm),
+                                 edge_count(name)) is None
 
 
 @pytest.mark.parametrize("name", ["k4", "cube"])
@@ -180,7 +194,8 @@ def test_tait_bijection_rejects_a_dropped_pinned_coloring(name):
     pm = planar_map(name)
     full = enumerate_four_colorings(pm)
     k = next(i for i, fc in enumerate(full) if fc[pm.outer_face] == 0)
-    assert verify_tait_bijection(pm, full[:k] + full[k + 1:]) is not None
+    assert verify_tait_bijection(pm, full[:k] + full[k + 1:],
+                                 edge_count(name)) is not None
 
 
 @pytest.mark.parametrize("name", ["k4", "cube"])
@@ -189,7 +204,8 @@ def test_tait_bijection_rejects_a_duplicated_coloring(name, outer):
     pm = planar_map(name)
     full = enumerate_four_colorings(pm)
     fc = next(fc for fc in full if fc[pm.outer_face] == outer)
-    assert verify_tait_bijection(pm, full + [fc]) is not None
+    assert verify_tait_bijection(pm, full + [fc],
+                                 edge_count(name)) is not None
 
 
 @pytest.mark.parametrize("name", ["k4", "cube"])
@@ -199,8 +215,33 @@ def test_tait_bijection_rejects_a_dropped_unpinned_coloring(name):
     pm = planar_map(name)
     full = enumerate_four_colorings(pm)
     k = next(i for i, fc in enumerate(full) if fc[pm.outer_face] != 0)
-    assert verify_tait_bijection(pm, full[:k] + full[k + 1:]) == (
+    assert verify_tait_bijection(pm, full[:k] + full[k + 1:],
+                                 edge_count(name)) == (
         f"count mismatch: {len(full) - 1} != 4 * {len(full) // 4}")
+
+
+@pytest.mark.parametrize("name", ["theta", "k4", "cube"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_tait_bijection_rejects_a_wrong_count(name, delta):
+    pm = planar_map(name)
+    assert verify_tait_bijection(pm, enumerate_four_colorings(pm),
+                                 edge_count(name) + delta) == (
+        "pinned colorings do not map one-to-one onto edge colorings")
+
+
+def test_tait_bijection_rejects_an_image_improper_at_a_vertex():
+    # On the theta every two faces meet, so its 24 face colorings stay
+    # proper across these wrong edge sides, and their pinned images stay
+    # six and distinct: (a, a, a ^ b) for the pinned (0, a, b).  Only the
+    # check at the vertices can notice.
+    pm = extract_map(THETA)
+    fours = enumerate_four_colorings(pm)
+    wrong = PlanarMap(pm.graph, pm.faces, ((0, 1), (0, 1), (1, 2)),
+                      pm.outer_face)
+    assert pm.outer_face == 0 and pm.edge_faces != wrong.edge_faces
+    assert verify_tait_bijection(pm, fours, 6) is None
+    assert verify_tait_bijection(wrong, fours, 6).startswith(
+        "pinned image: improper coloring at vertex 0: (1, 1, 3)")
 
 
 def test_loops_kill_colorings():
