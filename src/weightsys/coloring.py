@@ -207,14 +207,18 @@ def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
     """Check the Tait correspondence on ``colorings``, the proper face
     colorings of ``pm`` as ``enumerate_four_colorings(pm)`` gives them:
     those with the outer face colored 0 map one-to-one onto the
-    ``edge_colorings`` proper edge-3-colorings, and there are four times
-    as many colorings.  None if so, else a description of the discrepancy.
+    ``edge_colorings`` proper edge-3-colorings, and the colorings are
+    exactly the pinned ones with every color moved by each element of H,
+    four times as many.  None if so, else a description of the
+    discrepancy.
 
     Distinct images proper at every vertex, as many as the edge colorings,
     are all of them, so a count is enough; and the input graph's count
-    serves, as the map's graph differs from it only by vertex reversals."""
-    images = [tait_edge_coloring(pm, fc) for fc in colorings
-              if fc[pm.outer_face] == 0]
+    serves, as the map's graph differs from it only by vertex reversals.
+    Moving by H keeps a coloring proper and distinct ones distinct, so
+    the list equals that set, at its size, only when it has no repeat."""
+    pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
+    images = [tait_edge_coloring(pm, fc) for fc in pinned]
     try:
         penrose_sum(pm.graph, images)  # raises at an improper vertex
     except ValueError as exc:
@@ -223,4 +227,7 @@ def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
         return "pinned colorings do not map one-to-one onto edge colorings"
     if len(colorings) != 4 * edge_colorings:
         return f"count mismatch: {len(colorings)} != 4 * {edge_colorings}"
+    if set(colorings) != {tuple(x ^ h for x in fc)
+                          for fc in pinned for h in _H}:
+        return "colorings are not the pinned ones moved by H"
     return None

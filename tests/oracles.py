@@ -1,16 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes package results by a different, dumber route:
-the state sum by explicit summation over index assignments and by a
-greedy pairwise contraction that rescans every pair after each merge, face
-counts by walking per-vertex successor lists, the first spherical marking by
-flipping vertices one marking at a time, the marking scan by counting
-every marking's faces in counter order, coloring counts by raw 3^e / 4^f
-enumeration, coloring lists by per-vertex color bitmasks and by per-face
-neighbour scans, polynomial recovery by exact Lagrange interpolation, the
-canonical form of a count matrix by trying every vertex relabeling, the
-class catalog by growing every child and keeping the set of canonical
-forms, and 2-connectivity by deleting every vertex in turn.
+the state sum by explicit summation over index assignments and by a greedy
+pairwise contraction that rescans every pair after each merge, over the
+edge-tensor network and over the network with the metric folded into the
+vertices, face counts by walking per-vertex successor lists, the first
+spherical marking by flipping vertices one marking at a time, the marking
+scan by counting every marking's faces in counter order, coloring counts by
+raw 3^e / 4^f enumeration, coloring lists by per-vertex color bitmasks and
+by per-face neighbour scans, polynomial recovery by exact Lagrange
+interpolation, the canonical form of a count matrix by trying every vertex
+relabeling, the class catalog by growing every child and keeping the set of
+canonical forms, and 2-connectivity by deleting every vertex in turn.
 Slow on purpose; cross-checks, not tools.
 """
 
@@ -102,11 +103,57 @@ def _contract_pair(a, b):
     return keep_a + keep_b, {idx: x for idx, x in out.items() if x}
 
 
+def _rescanning_greedy(tensors, newest_first):
+    """Contract (id, legs, entries) tensors pairwise, rescanning every
+    pair after each merge: rebuild the owners of every leg, group the legs
+    by owner pair, and merge the pair of least (result rank, lowest shared
+    label), or of least (result rank, newest id first, lowest shared
+    label); the merged tensor takes the next id and goes to the end of the
+    list.  Returns (merges, (widest rank, work), value): the (legs_a,
+    legs_b) of every merge in order, the widest result and the sum of
+    16^(legs touched) over the merges, and the product of the scalars left
+    as statesum.evaluate_weight normalises it."""
+    next_id = len(tensors)
+    merges = []
+    widest = work = 0
+    while True:
+        owners = {}
+        for k, (_, legs, _) in enumerate(tensors):
+            for l in legs:
+                owners.setdefault(l, []).append(k)
+        shared = {}
+        for l, pair in owners.items():
+            shared.setdefault(tuple(pair), []).append(l)
+        if not shared:
+            break
+
+        def key(p):
+            rank = (len(tensors[p[0]][1]) + len(tensors[p[1]][1])
+                    - 2 * len(shared[p]))
+            newest = -max(tensors[p[0]][0], tensors[p[1]][0])
+            return (rank, newest if newest_first else 0, min(shared[p]))
+
+        i, j = min(shared, key=key)
+        a, b = tensors[i][1:], tensors[j][1:]
+        merges.append((a[0], b[0]))
+        legs, entries = _contract_pair(a, b)
+        widest = max(widest, len(legs))
+        work += 16 ** len(set(a[0]) | set(b[0]))
+        tensors = [t for k, t in enumerate(tensors) if k != i and k != j]
+        tensors.append((next_id, legs, entries))
+        next_id += 1
+    prod = 1
+    for _, _, entries in tensors:
+        prod *= entries.get((), 0)
+    if isinstance(prod, Fraction) and prod.denominator == 1:
+        prod = int(prod)
+    return merges, (widest, work), prod
+
+
 def greedy_contraction(g, alg):
-    """The state sum by greedy pairwise contraction, rescanning every pair
-    after each merge: rebuild the owners of every leg, group the legs by
-    owner pair, and merge the pair of least (result rank, lowest shared
-    dart); the merged tensor goes to the end of the list.
+    """The state sum over the edge-tensor network (f on each vertex's
+    darts, t_inv on each edge's dart pair), contracted by
+    _rescanning_greedy under its first key.
 
     Returns ``(merges, value)``: the ``(legs_a, legs_b)`` of every merge
     in order, and the weight as statesum.evaluate_weight normalises it.
@@ -115,33 +162,59 @@ def greedy_contraction(g, alg):
          for b, row in enumerate(plane) for c, x in enumerate(row) if x}
     t_inv = {(a, b): x for a, row in enumerate(alg.t_inv)
              for b, x in enumerate(row) if x}
-    tensors = [((3 * i, 3 * i + 1, 3 * i + 2), f)
-               for i in range(g.vertex_count)]
-    tensors.extend(((d, dd), t_inv) for d, dd in g.edges())
-    merges = []
-    while True:
-        owners = {}
-        for k, (legs, _) in enumerate(tensors):
-            for l in legs:
-                owners.setdefault(l, []).append(k)
-        shared = {}
-        for l, pair in owners.items():
-            shared.setdefault(tuple(pair), []).append(l)
-        if not shared:
-            break
-        i, j = min(shared, key=lambda p: (
-            len(tensors[p[0]][0]) + len(tensors[p[1]][0]) - 2 * len(shared[p]),
-            min(shared[p])))
-        merges.append((tensors[i][0], tensors[j][0]))
-        merged = _contract_pair(tensors[i], tensors[j])
-        tensors = [t for k, t in enumerate(tensors) if k != i and k != j]
-        tensors.append(merged)
-    prod = 1
-    for _, entries in tensors:
-        prod *= entries.get((), 0)
-    if isinstance(prod, Fraction) and prod.denominator == 1:
-        prod = int(prod)
-    return merges, prod
+    v = g.vertex_count
+    tensors = [(i, (3 * i, 3 * i + 1, 3 * i + 2), f) for i in range(v)]
+    tensors += [(v + k, edge, t_inv) for k, edge in enumerate(g.edges())]
+    merges, _, value = _rescanning_greedy(tensors, False)
+    return merges, value
+
+
+def _folded_vertex(g, alg, i):
+    """Vertex i's tensor in the folded network: per nonzero f entry, each
+    dart's leg takes the entry's own index (plain), or every index the
+    inverse metric reaches from it (the lower dart of an edge), and a loop
+    multiplies in t_inv on its two indices.  Returns (labels, entries)."""
+    darts = range(3 * i, 3 * i + 3)
+    loop = [d - 3 * i for d in darts if g.alpha[d] // 3 == i]
+    labels = tuple(min(d, g.alpha[d]) for d in darts if g.alpha[d] // 3 != i)
+    entries = {}
+    for x in product(range(alg.dim), repeat=3):
+        val = alg.f[x[0]][x[1]][x[2]]
+        if loop:
+            val *= alg.t_inv[x[loop[0]]][x[loop[1]]]
+        if not val:
+            continue
+        choices = []
+        for k, d in enumerate(darts):
+            if g.alpha[d] // 3 == i:
+                continue
+            if d < g.alpha[d]:
+                choices.append([(y, t) for y, t in enumerate(alg.t_inv[x[k]])
+                                if t])
+            else:
+                choices.append([(x[k], 1)])
+        for combo in product(*choices):
+            idx = tuple(y for y, _ in combo)
+            term = val
+            for _, t in combo:
+                term *= t
+            entries[idx] = entries.get(idx, 0) + term
+    return labels, {idx: x for idx, x in entries.items() if x}
+
+
+def folded_greedy_contraction(g, alg):
+    """The state sum over the folded network of statesum (one tensor per
+    vertex, see _folded_vertex), contracted by _rescanning_greedy under
+    each of its two keys; the run of least (widest rank, work) is kept,
+    the first key on a tie.
+
+    Returns ``(merges, value)`` of the kept run as greedy_contraction
+    does.  Each vertex sums over dim^3 entries of f: meant for small dim.
+    """
+    tensors = [(i, *_folded_vertex(g, alg, i)) for i in range(g.vertex_count)]
+    runs = [_rescanning_greedy(tensors, newest) for newest in (False, True)]
+    merges, _, value = min(runs, key=lambda run: run[1])
+    return merges, value
 
 
 def face_count_by_lists(alpha):

@@ -220,6 +220,27 @@ def test_tait_bijection_rejects_a_dropped_unpinned_coloring(name):
         f"count mismatch: {len(full) - 1} != 4 * {len(full) // 4}")
 
 
+def test_tait_bijection_rejects_a_repeated_unpinned_coloring():
+    # The count holds and the pinned ones are untouched, so only the
+    # comparison with the pinned colorings moved by H can notice.
+    pm = planar_map("k4")
+    full = enumerate_four_colorings(pm)
+    unpinned = [k for k, fc in enumerate(full) if fc[pm.outer_face] != 0]
+    repeated = list(full)
+    repeated[unpinned[0]] = full[unpinned[1]]
+    assert verify_tait_bijection(pm, repeated, edge_count("k4")) == (
+        "colorings are not the pinned ones moved by H")
+
+
+def test_tait_bijection_rejects_a_coloring_outside_h():
+    pm = planar_map("k4")
+    full = enumerate_four_colorings(pm)
+    k = next(i for i, fc in enumerate(full) if fc[pm.outer_face] != 0)
+    assert verify_tait_bijection(
+        pm, full[:k] + [(9, 9, 9, 9)] + full[k + 1:], edge_count("k4")) == (
+        "colorings are not the pinned ones moved by H")
+
+
 @pytest.mark.parametrize("name", ["theta", "k4", "cube"])
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_tait_bijection_rejects_a_wrong_count(name, delta):
