@@ -12,8 +12,18 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define BLOCK 3 /* vertices in marking_scan's inner block, v - 1 if fewer */
+#define MAX_BLOCK 8 /* a key holds the jumps of at most 24 block darts */
+#define PER_WORD 12 /* jumps in each word of a key, 5 bits each */
 #define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
+#define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
+#define SEARCH_V 10 /* the least v whose block is searched for, as in the
+                     * pure twin's _SEARCH_V; below it the block is 0..k-1 */
+
+/* Vertices in marking_scan's inner block by v / 2, v - 1 if fewer: the
+ * sizes that timed fastest on this backend (BENCH_marking_scan.json). */
+static const int block_by_v[MAX_V / 2 + 1] = {
+    0, 1, 3, 3, 3, 3, 4, 4, 5, 5, 6, 7, 7, 7, 7,
+};
 
 static PyObject *value_error(const char *message)
 {
@@ -106,46 +116,102 @@ static int connected(const Py_ssize_t *a, int v)
     return count == v;
 }
 
-/* The outer states of marking_scan tallied under one key (closed, jump):
- * their sign sum, their number and their lowest mask.  key packs jump[t]
- * into bits 4t up and closed above them; bit 63 marks a used slot. */
+/* The block of marking_scan, as in the pure twin's _block: k vertices,
+ * never v - 1, with many edges inside the set.  A greedy run from each
+ * start vertex adds k - 1 times the vertex that adds the most edges to
+ * the block (its loops included), the lowest label on a tie; the run with
+ * the most edges inside wins, the lowest start on a tie, and a run that
+ * reaches (3k - 1) / 2 edges, more than any such set of a connected graph
+ * has, ends the search.  Writes the block into best in label order. */
+static void choose_block(const Py_ssize_t *a, int v, int k, int *best)
+{
+    int base[MAX_V], bound = (3 * k - 1) / 2, most = -1;
+    for (int i = 0; i < v; i++) { /* the loops at i */
+        int ends = 0;
+        for (int d = 3 * i; d < 3 * i + 3; d++)
+            ends += a[d] / 3 == i;
+        base[i] = ends / 2;
+    }
+    base[v - 1] = SHUT;
+    for (int s = 0; s < v - 1 && most < bound; s++) {
+        int gain[MAX_V], block[MAX_BLOCK], inside = base[s];
+        for (int i = 0; i < v; i++)
+            gain[i] = base[i];
+        gain[s] = SHUT;
+        block[0] = s;
+        for (int d = 3 * s; d < 3 * s + 3; d++)
+            gain[a[d] / 3]++;
+        for (int j = 1; j < k; j++) {
+            int u = 0;
+            for (int w = 1; w < v; w++)
+                if (gain[w] > gain[u])
+                    u = w;
+            inside += gain[u];
+            gain[u] = SHUT;
+            block[j] = u;
+            for (int d = 3 * u; d < 3 * u + 3; d++)
+                gain[a[d] / 3]++;
+        }
+        if (inside > most) {
+            most = inside;
+            for (int j = 0; j < k; j++)
+                best[j] = block[j];
+        }
+    }
+    for (int j = 1; j < k; j++) /* insertion sort */
+        for (int i = j; i > 0 && best[i - 1] > best[i]; i--) {
+            int x = best[i];
+            best[i] = best[i - 1];
+            best[i - 1] = x;
+        }
+}
+
+/* The outer states of marking_scan tallied under one key (closed, jump at
+ * the block darts that leave the block): their sign sum, their number and
+ * their lowest mask.  The j-th jump takes bits 5(j mod 12) up of key word
+ * j / 12, and closed (at most v/2 + 1 < 16) the top 4 bits of word 1; a
+ * slot with count 0 is free. */
 struct outer_key {
-    unsigned long long key;
+    unsigned long long key[2];
     long long sign, count;
     unsigned long outer;
 };
 
 /* Walk the block in Gray order once for each key in the slots of tally,
  * adding the faces of each inner state to by_b, spherical and first_mask,
- * and empty the slots. */
+ * and empty the slots.  Block vertex i flips the mask bit bit[i]; jump
+ * holds jump at the block darts that stay in it, and the key fills in
+ * the e darts of exits, those that leave it. */
 static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
-                       long long *by_b, long long *spherical,
+                       const unsigned long *bit, int *jump, const int *exits,
+                       int e, long long *by_b, long long *spherical,
                        long long *first_mask)
 {
-    int nb = 3 * k, jump[3 * BLOCK], r[3 * BLOCK];
-    unsigned int mark[3 * BLOCK] = {0}, stamp = 0;
-    for (struct outer_key *e = tally; e < tally + slots; e++) {
-        if (!e->key)
+    int nb = 3 * k, r[3 * MAX_BLOCK];
+    unsigned int mark[3 * MAX_BLOCK] = {0}, stamp = 0;
+    for (struct outer_key *entry = tally; entry < tally + slots; entry++) {
+        if (!entry->count)
             continue;
-        for (int t = 0; t < nb; t++)
-            jump[t] = e->key >> 4 * t & 15;
-        int closed = e->key >> 4 * nb & 0xff;
+        for (int j = 0; j < e; j++)
+            jump[exits[j]] = entry->key[j / PER_WORD] >>
+                             5 * (j % PER_WORD) & 31;
+        int closed = entry->key[1] >> 60;
         for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
             r[o] = jump[o + 1];
             r[o + 1] = jump[o + 2];
             r[o + 2] = jump[o];
         }
-        long long sign = e->sign;
+        long long sign = entry->sign;
         unsigned long inner = 0;
         for (unsigned long j = 0; j < 1UL << k; j++) {
             if (j) {
                 int i = 0;
                 while (!(j >> i & 1))
                     i++;
-                inner ^= 1UL << i;
+                inner ^= bit[i];
                 sign = -sign;
                 int o = 3 * i, x = r[o];
-                if (inner >> i & 1) { /* forward to reversed */
+                if (inner & bit[i]) { /* forward to reversed */
                     r[o] = r[o + 1];
                     r[o + 1] = r[o + 2];
                     r[o + 2] = x;
@@ -166,13 +232,13 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
             }
             by_b[faces] += sign;
             if (faces == b_top) {
-                long long mask = (long long)(e->outer | inner);
+                long long mask = (long long)(entry->outer | inner);
                 if (*first_mask < 0 || mask < *first_mask)
                     *first_mask = mask;
-                *spherical += e->count;
+                *spherical += entry->count;
             }
         }
-        e->key = 0;
+        entry->count = 0;
     }
 }
 
@@ -184,28 +250,36 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * vertex i rewrites p at alpha(3i..3i+2) only.
  *
  * The half is walked block by block, both levels in Gray order, step j of
- * a walk flipping its vertex ctz(j) and alternating the sign.  The outer
- * walk runs over vertices k..v-2, the inner walk over the block of low
- * vertices 0..k-1, k = min(v - 1, BLOCK).  Let V = alpha(darts 0..3k-1).
- * p(d) is a block dart exactly when d is in V, so p(V) is the block's
- * darts and p off V is fixed by the outer state.  For each outer state
- * one pass over p follows each block dart t to the first dart of V,
- * jump[t]; p(V) being the block's darts, jump is a bijection from them
- * onto V, and it cuts every face through the block into segments.  The
- * darts no segment reaches make the faces that avoid V, which the inner
- * walk leaves alone: they are counted once, as closed.  Every face
- * through the block is a cycle of r = jump . p on V, 3k entries, of which
- * a flip in the block rewrites three, so faces = closed + cycles(r).
- * r is kept by block dart: r[t] is alpha(jump(sigma_M(t))), standing for
- * r at alpha(t).
+ * a walk flipping its vertex ctz(j) and alternating the sign.  The inner
+ * walk runs over a block of k = min(v - 1, block_by_v[v / 2]) vertices
+ * that choose_block picks for its many inside edges (from v = SEARCH_V;
+ * below it the block is 0..k-1), the outer walk over the rest but v - 1.
+ * The darts are relabeled into b so the block is vertices 0..k-1 and the
+ * outer vertices keep their order, and each walk flips the original bit of
+ * the vertex it reverses (bit[i] for new vertex i), so every mask is in
+ * the original labels.  In the new labels let V = b(darts 0..3k-1).  p(d)
+ * is a block dart exactly when d is in V, so p(V) is the block's darts and
+ * p off V is fixed by the outer state.  For each outer state one pass over
+ * p follows each block dart t to the first dart of V, jump[t]; p(V) being
+ * the block's darts, jump is a bijection from them onto V, and it cuts
+ * every face through the block into segments.  A block dart that b keeps
+ * in the block is in V, so its jump is b(t) in every state, and only the e
+ * darts that leave the block (exits) are followed.  The darts no segment
+ * reaches make the faces that avoid V, which the inner walk leaves alone:
+ * they are counted once, as closed.  Every face through the block is a
+ * cycle of r = jump . p on V, 3k entries, of which a flip in the block
+ * rewrites three, so faces = closed + cycles(r).  r is kept by block dart:
+ * r[t] is b(jump(sigma_M(t))), standing for r at b(t).
  *
  * As in the pure twin, the outer states are tallied by the key (closed,
- * jump), with their sign sum, number and lowest mask, and the block is
- * walked once per key.  The tally is an open-addressed table with twice
- * as many slots as the keys it may hold, the fewer of the outer states
- * and 2^TALLY_BITS; when it is full its keys are walked and it starts
- * again empty.  first_mask is the minimum spherical mask met.  Returns
- * (by_b, spherical, first_mask); the signed spherical count is
+ * jump at exits), with their sign sum, number and lowest mask, and the
+ * block is walked once per key.  Outer and inner bits are disjoint, so
+ * the lowest spherical mask of a key is its lowest outer mask plus its
+ * lowest spherical inner mask.  The tally is an open-addressed table with
+ * twice as many slots as the keys it may hold, the fewer of the outer
+ * states and 2^TALLY_BITS; when it is full its keys are walked and it
+ * starts again empty.  first_mask is the minimum spherical mask met.
+ * Returns (by_b, spherical, first_mask); the signed spherical count is
  * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
  * ValueError in the twin's order, connectivity last ("graph is not
  * connected"): the cap on v comes before it because connected() uses
@@ -220,8 +294,8 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     if (seq == NULL)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq);
-    Py_ssize_t a[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
-    unsigned char in_v[MAX_N], seen[MAX_N];
+    Py_ssize_t a[MAX_N], b[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
+    unsigned char in_v[MAX_N], inside[MAX_N], seen[MAX_N];
     int fail = 1;
     if (n != 3 * (Py_ssize_t)v)
         value_error("alpha length does not match vertex count");
@@ -243,16 +317,43 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     else if (!connected(a, v))
         return value_error("graph is not connected");
     else {
-        int k = v - 1 < BLOCK ? v - 1 : BLOCK, nb = 3 * k;
+        int k = v - 1 < block_by_v[v / 2] ? v - 1 : block_by_v[v / 2];
+        int nb = 3 * k, order[MAX_V], new[MAX_V], e = 0;
+        int jump[3 * MAX_BLOCK], exits[3 * MAX_BLOCK];
+        unsigned long bit[MAX_V];
+        if (v >= SEARCH_V)
+            choose_block(a, v, k, order);
+        else
+            for (int j = 0; j < k; j++)
+                order[j] = j;
+        for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
+            int in_block = 0;
+            for (int t = 0; t < k; t++)
+                in_block |= order[t] == i;
+            if (!in_block)
+                order[j++] = i;
+        }
+        for (int j = 0; j < v; j++) {
+            new[order[j]] = j;
+            bit[j] = 1UL << order[j];
+        }
+        for (Py_ssize_t d = 0; d < n; d++)
+            b[3 * new[d / 3] + d % 3] = 3 * new[a[d] / 3] + a[d] % 3;
         int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
         int slots = 1 << bits, used = 0;
         struct outer_key *tally = PyMem_RawCalloc(slots, sizeof *tally);
         if (tally == NULL)
             return PyErr_NoMemory();
         for (Py_ssize_t d = 0; d < n; d++) {
-            fwd[d] = p[d] = sigma(a[d]);
-            bwd[d] = sigma_inv(a[d]);
-            in_v[d] = a[d] < nb;
+            fwd[d] = p[d] = sigma(b[d]);
+            bwd[d] = sigma_inv(b[d]);
+            in_v[d] = b[d] < nb;
+            inside[d] = d < nb && in_v[d];
+        }
+        for (int t = 0; t < nb; t++) {
+            jump[t] = (int)b[t];
+            if (!in_v[t])
+                exits[e++] = t;
         }
         Py_BEGIN_ALLOW_THREADS
         unsigned long outer = 0;
@@ -262,60 +363,65 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
                 int i = k;
                 while (!(h >> (i - k) & 1))
                     i++;
-                outer ^= 1UL << i;
+                outer ^= bit[i];
                 sign = -sign;
-                const Py_ssize_t *table = outer >> i & 1 ? bwd : fwd;
+                const Py_ssize_t *table = outer & bit[i] ? bwd : fwd;
                 for (int t = 3 * i; t < 3 * i + 3; t++)
-                    p[a[t]] = table[a[t]];
+                    p[b[t]] = table[b[t]];
             }
             for (Py_ssize_t d = 0; d < n; d++)
-                seen[d] = 0;
-            unsigned long long key = 1ULL << 63;
-            for (int t = 0; t < nb; t++) {
-                Py_ssize_t d = t;
+                seen[d] = inside[d];
+            unsigned long long key[2] = {0, 0};
+            for (int j = 0; j < e; j++) {
+                Py_ssize_t d = exits[j];
                 for (; !in_v[d]; d = p[d])
                     seen[d] = 1;
                 seen[d] = 1;
-                key |= (unsigned long long)a[d] << 4 * t;
+                key[j / PER_WORD] |= (unsigned long long)b[d]
+                                      << 5 * (j % PER_WORD);
             }
-            key |= (unsigned long long)count_cycles(p, seen, n) << 4 * nb;
-            unsigned long e = (key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
-            while (tally[e].key && tally[e].key != key)
-                e = (e + 1) & (slots - 1);
-            if (tally[e].key) {
-                tally[e].sign += sign;
-                tally[e].count++;
-                if (outer < tally[e].outer)
-                    tally[e].outer = outer;
+            key[1] |= (unsigned long long)count_cycles(p, seen, n) << 60;
+            unsigned long slot = ((key[0] ^ key[1] * 0xC2B2AE3D27D4EB4FULL) *
+                                  0x9E3779B97F4A7C15ULL) >> (64 - bits);
+            while (tally[slot].count && (tally[slot].key[0] != key[0] ||
+                                         tally[slot].key[1] != key[1]))
+                slot = (slot + 1) & (slots - 1);
+            if (tally[slot].count) {
+                tally[slot].sign += sign;
+                tally[slot].count++;
+                if (outer < tally[slot].outer)
+                    tally[slot].outer = outer;
             } else {
-                tally[e] = (struct outer_key){key, sign, 1, outer};
+                tally[slot] = (struct outer_key){{key[0], key[1]}, sign, 1,
+                                                 outer};
                 if (++used == slots / 2) {
-                    walk_block(tally, slots, k, b_top, by_b, &spherical,
-                               &first_mask);
+                    walk_block(tally, slots, k, b_top, bit, jump, exits, e,
+                               by_b, &spherical, &first_mask);
                     used = 0;
                 }
             }
         }
-        walk_block(tally, slots, k, b_top, by_b, &spherical, &first_mask);
+        walk_block(tally, slots, k, b_top, bit, jump, exits, e, by_b,
+                   &spherical, &first_mask);
         Py_END_ALLOW_THREADS
         PyMem_RawFree(tally);
-        for (int b = 0; b <= b_top; b++)
-            by_b[b] *= 2;
+        for (int f = 0; f <= b_top; f++)
+            by_b[f] *= 2;
         spherical *= 2;
     }
 
-    PyObject *out = PyList_New(b_top + 1);
-    if (out == NULL)
+    PyObject *counts = PyList_New(b_top + 1);
+    if (counts == NULL)
         return NULL;
-    for (int b = 0; b <= b_top; b++) {
-        PyObject *c = PyLong_FromLongLong(by_b[b]);
+    for (int f = 0; f <= b_top; f++) {
+        PyObject *c = PyLong_FromLongLong(by_b[f]);
         if (c == NULL) {
-            Py_DECREF(out);
+            Py_DECREF(counts);
             return NULL;
         }
-        PyList_SET_ITEM(out, b, c);
+        PyList_SET_ITEM(counts, f, c);
     }
-    return Py_BuildValue("(NLL)", out, spherical, first_mask);
+    return Py_BuildValue("(NLL)", counts, spherical, first_mask);
 }
 
 static PyMethodDef methods[] = {

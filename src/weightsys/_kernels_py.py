@@ -15,8 +15,17 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 from __future__ import annotations
 
 MAX_SCAN_V = 28
-_BLOCK = 3  # vertices in the block of marking_scan's inner walk, v - 1 if fewer
+# Vertices in the block of marking_scan's inner walk by v // 2, v - 1 if
+# fewer: the sizes that timed fastest on this backend (BENCH_marking_scan).
+_BLOCK = (0, 1, 3, 3, 3, 3, 4, 4, 5, 5, 6, 7, 7, 7, 7)
 _TALLY = 1 << 14  # keys it tallies before walking the block for them
+# The least v whose block marking_scan searches for.  Below it the outer
+# walk has at most 16 states and the block stays 0..k-1: on the v <= 8
+# catalog, whose canonical labels put a well-connected set lowest, the
+# search picked another block for 1 of the 88 graphs at v = 6 and 8 and
+# slowed the survey.
+_SEARCH_V = 10
+_BITS = tuple(1 << i for i in range(MAX_SCAN_V))
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -101,16 +110,25 @@ def marking_scan(alpha, v: int):
 
     The half is walked in two levels, each in Gray order: step j of a
     walk flips its vertex ctz(j), and the sign alternates.  The inner walk
-    runs over the block of low vertices 0..k-1, the outer walk over
-    vertices k..v-2.  Let V = alpha(darts 0..3k-1), the darts that alpha
-    sends into the block.  p[d] is a block dart exactly when d is in V,
-    so p(V) is the block's darts, and p off V is fixed by the outer
-    state.  For each outer state one pass over p
+    runs over a block of k vertices, the outer walk over the rest but
+    v - 1.  _block picks the block for its many inside edges: the fewer
+    darts leave it, the fewer outer states the inner walk can tell apart
+    (see the keys below).  Below v = _SEARCH_V the block is 0..k-1.  The
+    darts are relabeled so the block is
+    vertices 0..k-1 and the outer vertices keep their order, and each
+    walk flips the original bit of the vertex it reverses, so every mask
+    below is in the original labels.  In the new labels let V =
+    alpha(darts 0..3k-1), the darts that alpha sends into the block.
+    p[d] is a block dart exactly when d is in V, so p(V) is the block's
+    darts, and p off V is fixed by the outer state.  For each outer state
+    one pass over p
 
     - follows each block dart t to the first dart of V it reaches,
       jump[t].  As p(V) is the block's darts, jump is a bijection from
       them onto V, and it cuts every face through the block into
-      segments;
+      segments.  A block dart that alpha keeps in the block is in V, so
+      its jump is alpha[t] in every state: only the darts that leave the
+      block, exits, are followed;
     - counts the faces that no segment reaches.  They avoid V, so every
       inner state keeps them: they are the closed faces.
 
@@ -121,14 +139,16 @@ def marking_scan(alpha, v: int):
 
     The inner walk sees an outer state only through closed and jump, and
     many outer states share both.  So the outer states are tallied by the
-    key (closed, jump), with their sign sum, their number and their
-    lowest mask, and the inner walk runs once per key.  Outer bits lie
-    above inner ones, so a key's lowest spherical mask is its lowest
-    outer mask joined with its lowest spherical inner state, and
-    first_mask is the least of these.  The block has k = _BLOCK vertices,
-    v - 1 if fewer.  The tally holds at most _TALLY keys: when it is
-    full, their inner walks run and it starts again empty, so a key met
-    again later is walked again, and the sums are the same.
+    key (closed, jump at exits), with their sign sum, their number and
+    their lowest mask, and the inner walk runs once per key.  jump maps
+    exits onto the alpha-images of the darts of V outside the block,
+    which are exits again, so with e exits there are at most e! keys per
+    closed count.  Outer and inner bits are disjoint, so a key's lowest
+    spherical mask is its lowest outer mask plus its lowest spherical
+    inner mask, and first_mask is the least of these.  k is
+    _BLOCK[v // 2], v - 1 if fewer.  The tally holds at most _TALLY keys:
+    when it is full, their inner walks run and it starts again empty, so
+    a key met again later is walked again, and the sums are the same.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -145,73 +165,131 @@ def marking_scan(alpha, v: int):
         return signed_by_b, 0, -1
     if not _connected(alpha, v):
         raise ValueError("graph is not connected")
-    k = min(v - 1, _BLOCK)
+    k = min(v - 1, _BLOCK[v // 2])
     nb = 3 * k
+    block = _block(alpha, v, k) if v >= _SEARCH_V else list(range(k))
+    bit = _BITS  # the original mask bit of each vertex in the new labels
+    if block != list(range(k)):
+        order = block + [i for i in range(v) if i not in block]
+        bit = [1 << i for i in order]
+        new = [0] * v
+        for j, i in enumerate(order):
+            new[i] = j
+        relabeled = [0] * n
+        for d, x in enumerate(alpha):
+            relabeled[3 * new[d // 3] + d % 3] = 3 * new[x // 3] + x % 3
+        alpha = relabeled
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
     bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
     into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i
     in_v = [x < nb for x in alpha]
     p = fwd[:]
-    jump = [0] * nb  # as block darts: alpha of the first V dart reached
-    tally = {}  # (closed, *jump) -> [signed, count, lowest outer mask]
+    exits = [t for t in range(nb) if not in_v[t]]  # block darts leaving it
+    inside = bytearray(in_v[:nb]) + bytes(n - nb)  # and those staying in
+    tally = {}  # (closed, *jump at exits) -> [signed, count, lowest mask]
     found = [0, -1]  # spherical masks traced, lowest spherical mask
     outer = 0
     sign = 1
     for h in range(1 << (v - 1 - k)):
         if h:
             i = (h & -h).bit_length() - 1 + k
-            outer ^= 1 << i
+            outer ^= bit[i]
             sign = -sign
-            table = bwd if outer >> i & 1 else fwd
+            table = bwd if outer & bit[i] else fwd
             x, y, z = into[i]
             p[x] = table[x]
             p[y] = table[y]
             p[z] = table[z]
-        seen = bytearray(n)
-        for t in range(nb):
+        seen = inside[:]
+        jump = []
+        for t in exits:
             d = t
             while not in_v[d]:
                 seen[d] = 1
                 d = p[d]
             seen[d] = 1
-            jump[t] = alpha[d]
+            jump.append(alpha[d])
         key = (_count_cycles(p, seen), *jump)
         entry = tally.get(key)
         if entry is None:
             tally[key] = [sign, 1, outer]
             if len(tally) == _TALLY:
-                _walk_block(tally, k, signed_by_b, found)
+                _walk_block(tally, bit[:k], alpha, exits, signed_by_b, found)
         else:
             entry[0] += sign
             entry[1] += 1
             if outer < entry[2]:
                 entry[2] = outer
-    _walk_block(tally, k, signed_by_b, found)
+    _walk_block(tally, bit[:k], alpha, exits, signed_by_b, found)
     spherical, first_mask = found
     return [2 * c for c in signed_by_b], 2 * spherical, first_mask
 
 
-def _walk_block(tally, k: int, signed_by_b, found) -> None:
+def _block(alpha, v: int, k: int) -> list:
+    """The block of marking_scan, in label order: k vertices, never
+    v - 1, with many edges inside the set.  A greedy run from each start
+    vertex adds k - 1 times the vertex that adds the most edges to the
+    block (its loops included), the lowest label on a tie; the run with
+    the most edges inside wins, the lowest start on a tie.  A connected
+    graph has an edge leaving any set that leaves out v - 1, so no set
+    has more than (3k - 1) // 2 edges inside, and a run that reaches that
+    bound ends the search."""
+    far = [x // 3 for x in alpha]
+    ends = list(zip(far[0::3], far[1::3], far[2::3]))  # far ends of vertex i
+    bound = (3 * k - 1) // 2
+    shut = -64  # a gain no run of increments lifts to 0
+    base = [e.count(i) // 2 for i, e in enumerate(ends)]  # loops at i
+    base[v - 1] = shut
+    best, most = [], -1
+    for s in range(v - 1):
+        gain = base[:]  # the edges each vertex would add to the block
+        block = [s]
+        inside = gain[s]
+        gain[s] = shut
+        for w in ends[s]:
+            gain[w] += 1
+        for _ in range(k - 1):
+            top = max(gain)
+            u = gain.index(top)
+            inside += top
+            gain[u] = shut
+            block.append(u)
+            for w in ends[u]:
+                gain[w] += 1
+        if inside > most:
+            best, most = block, inside
+            if most == bound:
+                break
+    return sorted(best)
+
+
+def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:
     """Walk the block of marking_scan in Gray order once for each key of
-    tally, and empty it.  The faces of each inner state go into
+    tally, and empty it.  Block vertex i flips the mask bit bit[i].  A
+    key holds jump at the block darts in exits; at the other block darts
+    jump is alpha, relabeled.  The faces of each inner state go into
     signed_by_b; found holds the spherical count and the lowest spherical
     mask so far, and is updated."""
+    k = len(bit)
     nb = 3 * k
+    jump = list(alpha[:nb])
     b_top = len(signed_by_b) - 1
     spherical, first_mask = found
     flips = [(j & -j).bit_length() - 1 for j in range(1, 1 << k)]
     r = [0] * nb
-    for (closed, *jump), (sign, count, outer) in tally.items():
+    for (closed, *far), (sign, count, outer) in tally.items():
+        for t, x in zip(exits, far):
+            jump[t] = x
         for o in range(0, nb, 3):  # every block vertex unreversed
             r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
         inner = 0
         for j in range(1 << k):
             if j:
                 i = flips[j - 1]
-                inner ^= 1 << i
+                inner ^= bit[i]
                 sign = -sign
                 o = 3 * i
-                if inner >> i & 1:
+                if inner & bit[i]:
                     r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
                 else:
                     r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]

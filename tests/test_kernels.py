@@ -249,9 +249,34 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
-# The block walk of marking_scan: an inner walk over the low vertices
-# 0..k-1 for each state of an outer walk over the rest, k = min(v - 1, 3)
-# on both backends.
+# The block walk of marking_scan: an inner walk over a block of k vertices
+# for each state of an outer walk over the rest but v - 1, with
+# k = min(v - 1, _BLOCK[v // 2]).  From v = _SEARCH_V the kernel picks the
+# block for its many inside edges (_kernels_py._block); below, it is
+# 0..k-1.  The compiled kernel picks its block by the same rule and, for
+# v <= 12, with the same k, so kernel_block names its block too in the
+# cases below.
+
+
+def kernel_block(alpha, v):
+    """The vertices of marking_scan's inner block, in label order."""
+    k = min(v - 1, _kernels_py._BLOCK[v // 2])
+    if v < _kernels_py._SEARCH_V:
+        return list(range(k))
+    return _kernels_py._block(alpha, v, k)
+
+
+def test_block_search_follows_its_tie_rules():
+    # The prism on 6 vertices relabeled so its triangles are {1, 3, 4} and
+    # {0, 2, 5}.  Runs from 0, 1 and 2 take the lowest of their tied
+    # neighbours and end on paths of two edges; the run from 3 closes the
+    # triangle {1, 3, 4}, and the other triangle holds v - 1.
+    alpha = relabeled(prism_alpha(6), [1, 3, 4, 0, 2, 5])
+    assert _kernels_py._block(alpha, 6, 3) == [1, 3, 4]
+    assert _kernels_py._block(alpha, 6, 2) == [0, 1]
+    # The theta's two vertices share three edges; the block leaves out
+    # v - 1, so it is vertex 0 alone.
+    assert _kernels_py._block(THETA, 2, 1) == [0]
 
 
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
@@ -266,11 +291,13 @@ def test_block_walk_with_one_outer_step_matches_oracle(backend):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
-def face_avoids_low_vertices(alpha, v, mask, low=3):
-    """Some face of the marking avoids vertices 0..low-1, so it avoids
-    the block and is counted among the closed faces."""
+def face_avoids_block(alpha, v, mask):
+    """Some face of the marking avoids the kernel's block, so it is
+    counted among the closed faces."""
+    block = kernel_block(alpha, v)
     g = TrivalentGraph(v, tuple(marked_alpha(alpha, mask)))
-    return any(all(d // 3 >= low for d in face) for face in face_orbits(g))
+    return any(all(d // 3 not in block for d in face)
+               for face in face_orbits(g))
 
 
 @pytest.fixture(scope="module")
@@ -281,12 +308,14 @@ def relabeled_scans(catalog_v8):
     cases += [(relabeled(random_connected_alpha(v, rng),
                          shuffled_labels(v, rng)), v)
               for v, count in ((10, 3), (12, 2)) for _ in range(count)]
-    # Reversing the prism's labels puts the low vertices on one rim; the
-    # other rim bounds a face of the planar drawing that avoids them.
+    # The kernel's block on the prism with its labels reversed is a
+    # square face, {0, 1, 6, 7}; three square faces of the planar drawing
+    # avoid it and are counted as closed.
     prism = relabeled(prism_alpha(12), list(range(11, -1, -1)))
     cases.append((prism, 12))
     scans = with_oracle(cases)
-    assert face_avoids_low_vertices(prism, 12, scans[-1][2][2])
+    assert kernel_block(prism, 12) == [0, 1, 6, 7]
+    assert face_avoids_block(prism, 12, scans[-1][2][2])
     return scans
 
 
@@ -294,6 +323,64 @@ def test_marking_scan_matches_oracle_on_relabeled_graphs(backend,
                                                          relabeled_scans):
     for alpha, v, expected in relabeled_scans:
         assert backend.marking_scan(alpha, v) == expected, alpha
+
+
+@pytest.fixture(scope="module")
+def split_first_scans():
+    """Prisms relabeled so that the kernel's block is not 0..k-1 and the
+    lowest spherical mask sets bits both inside and outside it: the inner
+    walk must flip the block's bits in the original labels."""
+    rng = random.Random(31)
+    cases = []
+    for v, count in ((10, 5), (12, 3)):
+        found = 0
+        while found < count:
+            alpha = relabeled(prism_alpha(v), shuffled_labels(v, rng))
+            block = kernel_block(alpha, v)
+            if block == list(range(len(block))):
+                continue
+            expected = marking_scan_by_faces(alpha, v)
+            inner = sum(1 << i for i in block)
+            if expected[2] & inner and expected[2] & ~inner:
+                cases.append((alpha, v, expected))
+                found += 1
+    return cases
+
+
+def test_marking_scan_matches_oracle_when_the_first_mask_spans_the_block(
+        backend, split_first_scans):
+    for alpha, v, expected in split_first_scans:
+        assert backend.marking_scan(alpha, v) == expected, alpha
+
+
+def test_block_choice_pins_the_keys_walked(monkeypatch):
+    # The work of the pure scan, counted as the keys _walk_block receives,
+    # on a seeded random pairing at v = 14 and the prism with its labels
+    # reversed at v = 12: with the block the kernel picks, and with the
+    # lowest labels 0..k-1 in its place.
+    keys = []
+    walk = _kernels_py._walk_block
+
+    def counting_walk(tally, *args):
+        keys.append(len(tally))
+        walk(tally, *args)
+
+    monkeypatch.setattr(_kernels_py, "_walk_block", counting_walk)
+    cases = [(random_connected_alpha(14, random.Random(41)), 14),
+             (relabeled(prism_alpha(12), list(range(11, -1, -1))), 12)]
+
+    def walked():
+        counts = []
+        for alpha, v in cases:
+            keys.clear()
+            _kernels_py.marking_scan(alpha, v)
+            counts.append(sum(keys))
+        return counts
+
+    assert walked() == [14, 28]
+    monkeypatch.setattr(_kernels_py, "_block",
+                        lambda alpha, v, k: list(range(k)))
+    assert walked() == [112, 103]
 
 
 @pytest.mark.parametrize("v", [10, 12, 14, 16])
