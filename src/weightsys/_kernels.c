@@ -282,8 +282,8 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * Returns (by_b, spherical, first_mask); the signed spherical count is
  * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
  * ValueError in the twin's order, connectivity last ("graph is not
- * connected"): the cap on v comes before it because connected() uses
- * arrays sized by MAX_V. */
+ * connected"): v = 0 comes before it because connected() starts from
+ * vertex 0, and the cap on v because it uses arrays sized by MAX_V. */
 static PyObject *marking_scan(PyObject *self, PyObject *args)
 {
     PyObject *alpha;
@@ -299,6 +299,8 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     int fail = 1;
     if (n != 3 * (Py_ssize_t)v)
         value_error("alpha length does not match vertex count");
+    else if (v == 0)
+        value_error("vertex count must be positive");
     else if (v > MAX_V)
         value_error("marking scan capped at v = 28");
     else if (read_alpha(seq, n, a) == 0)
@@ -309,106 +311,102 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     for (Py_ssize_t d = 0; d < n; d++)
         if (a[d] == d || a[a[d]] != d)
             return value_error("alpha is not a fixed-point-free pairing");
+    if (!connected(a, v))
+        return value_error("graph is not connected");
     int b_top = v / 2 + 2;
     long long by_b[MAX_V / 2 + 3] = {0};
     long long spherical = 0, first_mask = -1;
-    if (v == 0)
-        by_b[0] = 1; /* the empty graph: one marking, no faces */
-    else if (!connected(a, v))
-        return value_error("graph is not connected");
-    else {
-        int k = v - 1 < block_by_v[v / 2] ? v - 1 : block_by_v[v / 2];
-        int nb = 3 * k, order[MAX_V], new[MAX_V], e = 0;
-        int jump[3 * MAX_BLOCK], exits[3 * MAX_BLOCK];
-        unsigned long bit[MAX_V];
-        if (v >= SEARCH_V)
-            choose_block(a, v, k, order);
-        else
-            for (int j = 0; j < k; j++)
-                order[j] = j;
-        for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
-            int in_block = 0;
-            for (int t = 0; t < k; t++)
-                in_block |= order[t] == i;
-            if (!in_block)
-                order[j++] = i;
-        }
-        for (int j = 0; j < v; j++) {
-            new[order[j]] = j;
-            bit[j] = 1UL << order[j];
+    int k = v - 1 < block_by_v[v / 2] ? v - 1 : block_by_v[v / 2];
+    int nb = 3 * k, order[MAX_V], new[MAX_V], e = 0;
+    int jump[3 * MAX_BLOCK], exits[3 * MAX_BLOCK];
+    unsigned long bit[MAX_V];
+    if (v >= SEARCH_V)
+        choose_block(a, v, k, order);
+    else
+        for (int j = 0; j < k; j++)
+            order[j] = j;
+    for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
+        int in_block = 0;
+        for (int t = 0; t < k; t++)
+            in_block |= order[t] == i;
+        if (!in_block)
+            order[j++] = i;
+    }
+    for (int j = 0; j < v; j++) {
+        new[order[j]] = j;
+        bit[j] = 1UL << order[j];
+    }
+    for (Py_ssize_t d = 0; d < n; d++)
+        b[3 * new[d / 3] + d % 3] = 3 * new[a[d] / 3] + a[d] % 3;
+    int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
+    int slots = 1 << bits, used = 0;
+    struct outer_key *tally = PyMem_RawCalloc(slots, sizeof *tally);
+    if (tally == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t d = 0; d < n; d++) {
+        fwd[d] = p[d] = sigma(b[d]);
+        bwd[d] = sigma_inv(b[d]);
+        in_v[d] = b[d] < nb;
+        inside[d] = d < nb && in_v[d];
+    }
+    for (int t = 0; t < nb; t++) {
+        jump[t] = (int)b[t];
+        if (!in_v[t])
+            exits[e++] = t;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    unsigned long outer = 0;
+    int sign = 1;
+    for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
+        if (h) {
+            int i = k;
+            while (!(h >> (i - k) & 1))
+                i++;
+            outer ^= bit[i];
+            sign = -sign;
+            const Py_ssize_t *table = outer & bit[i] ? bwd : fwd;
+            for (int t = 3 * i; t < 3 * i + 3; t++)
+                p[b[t]] = table[b[t]];
         }
         for (Py_ssize_t d = 0; d < n; d++)
-            b[3 * new[d / 3] + d % 3] = 3 * new[a[d] / 3] + a[d] % 3;
-        int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
-        int slots = 1 << bits, used = 0;
-        struct outer_key *tally = PyMem_RawCalloc(slots, sizeof *tally);
-        if (tally == NULL)
-            return PyErr_NoMemory();
-        for (Py_ssize_t d = 0; d < n; d++) {
-            fwd[d] = p[d] = sigma(b[d]);
-            bwd[d] = sigma_inv(b[d]);
-            in_v[d] = b[d] < nb;
-            inside[d] = d < nb && in_v[d];
-        }
-        for (int t = 0; t < nb; t++) {
-            jump[t] = (int)b[t];
-            if (!in_v[t])
-                exits[e++] = t;
-        }
-        Py_BEGIN_ALLOW_THREADS
-        unsigned long outer = 0;
-        int sign = 1;
-        for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
-            if (h) {
-                int i = k;
-                while (!(h >> (i - k) & 1))
-                    i++;
-                outer ^= bit[i];
-                sign = -sign;
-                const Py_ssize_t *table = outer & bit[i] ? bwd : fwd;
-                for (int t = 3 * i; t < 3 * i + 3; t++)
-                    p[b[t]] = table[b[t]];
-            }
-            for (Py_ssize_t d = 0; d < n; d++)
-                seen[d] = inside[d];
-            unsigned long long key[2] = {0, 0};
-            for (int j = 0; j < e; j++) {
-                Py_ssize_t d = exits[j];
-                for (; !in_v[d]; d = p[d])
-                    seen[d] = 1;
+            seen[d] = inside[d];
+        unsigned long long key[2] = {0, 0};
+        for (int j = 0; j < e; j++) {
+            Py_ssize_t d = exits[j];
+            for (; !in_v[d]; d = p[d])
                 seen[d] = 1;
-                key[j / PER_WORD] |= (unsigned long long)b[d]
-                                      << 5 * (j % PER_WORD);
-            }
-            key[1] |= (unsigned long long)count_cycles(p, seen, n) << 60;
-            unsigned long slot = ((key[0] ^ key[1] * 0xC2B2AE3D27D4EB4FULL) *
-                                  0x9E3779B97F4A7C15ULL) >> (64 - bits);
-            while (tally[slot].count && (tally[slot].key[0] != key[0] ||
-                                         tally[slot].key[1] != key[1]))
-                slot = (slot + 1) & (slots - 1);
-            if (tally[slot].count) {
-                tally[slot].sign += sign;
-                tally[slot].count++;
-                if (outer < tally[slot].outer)
-                    tally[slot].outer = outer;
-            } else {
-                tally[slot] = (struct outer_key){{key[0], key[1]}, sign, 1,
-                                                 outer};
-                if (++used == slots / 2) {
-                    walk_block(tally, slots, k, b_top, bit, jump, exits, e,
-                               by_b, &spherical, &first_mask);
-                    used = 0;
-                }
+            seen[d] = 1;
+            key[j / PER_WORD] |= (unsigned long long)b[d]
+                                  << 5 * (j % PER_WORD);
+        }
+        key[1] |= (unsigned long long)count_cycles(p, seen, n) << 60;
+        unsigned long slot = ((key[0] ^ key[1] * 0xC2B2AE3D27D4EB4FULL) *
+                              0x9E3779B97F4A7C15ULL) >> (64 - bits);
+        while (tally[slot].count && (tally[slot].key[0] != key[0] ||
+                                     tally[slot].key[1] != key[1]))
+            slot = (slot + 1) & (slots - 1);
+        if (tally[slot].count) {
+            tally[slot].sign += sign;
+            tally[slot].count++;
+            if (outer < tally[slot].outer)
+                tally[slot].outer = outer;
+        } else {
+            tally[slot] = (struct outer_key){{key[0], key[1]}, sign, 1,
+                                             outer};
+            if (++used == slots / 2) {
+                walk_block(tally, slots, k, b_top, bit, jump, exits, e,
+                           by_b, &spherical, &first_mask);
+                used = 0;
             }
         }
-        walk_block(tally, slots, k, b_top, bit, jump, exits, e, by_b,
-                   &spherical, &first_mask);
-        Py_END_ALLOW_THREADS
-        PyMem_RawFree(tally);
-        for (int f = 0; f <= b_top; f++)
-            by_b[f] *= 2;
-        spherical *= 2;
     }
+    walk_block(tally, slots, k, b_top, bit, jump, exits, e, by_b,
+               &spherical, &first_mask);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(tally);
+    for (int f = 0; f <= b_top; f++)
+        by_b[f] *= 2;
+    spherical *= 2;
 
     PyObject *counts = PyList_New(b_top + 1);
     if (counts == NULL)

@@ -91,10 +91,11 @@ def marking_scan(alpha, v: int):
     whose signed subtotal is signed_by_b[v/2 + 2], and first_mask is the
     lowest spherical mask (-1 when there is none).  signed_by_b is sized
     by the connected-graph Euler bound b <= v/2 + 2, so the input must be
-    a connected fixed-point-free pairing of 3v darts with v <= 28;
+    a connected fixed-point-free pairing of 3v darts with 0 < v <= 28;
     anything else raises ValueError, checked in this order: the length,
-    the cap on v, the entries, the pairing, and last connectivity, with
-    the message "graph is not connected" that the CLI prints as it is.
+    v = 0, the cap on v, the entries, the pairing, and last connectivity,
+    with the message "graph is not connected" that the CLI prints as it
+    is.
 
     Only the 2^(v-1) masks with bit v-1 clear are traced.  A mask and its
     complement reverse every cyclic order, so they give mirror-image
@@ -153,6 +154,8 @@ def marking_scan(alpha, v: int):
     n = 3 * v
     if len(alpha) != n:
         raise ValueError("alpha length does not match vertex count")
+    if not v:
+        raise ValueError("vertex count must be positive")
     if v > MAX_SCAN_V:
         raise ValueError(f"marking scan capped at v = {MAX_SCAN_V}")
     _check_entries(alpha, n)
@@ -160,9 +163,6 @@ def marking_scan(alpha, v: int):
         raise ValueError("alpha is not a fixed-point-free pairing")
     b_top = v // 2 + 2
     signed_by_b = [0] * (b_top + 1)
-    if not v:
-        signed_by_b[0] = 1  # the empty graph: one marking, no faces
-        return signed_by_b, 0, -1
     if not _connected(alpha, v):
         raise ValueError("graph is not connected")
     k = min(v - 1, _BLOCK[v // 2])

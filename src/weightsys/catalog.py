@@ -36,7 +36,7 @@ descending order of its classes' largest matrices.  Loop-free mode grows
 the with-loops levels and filters what it yields, because a loopless
 graph can reduce to one with a loop.  Pure Python on a 2-core box, all
 levels through v = 8 take about 0.02 s, v = 10 about 0.18 s, v = 12
-about 1.5 s and v = 14 about 16 s, in either loop mode, with 1.50
+about 1.2 s and v = 14 about 12 s, in either loop mode, with 1.50
 canonical searches per class at v = 12 and 1.66 at v = 14.
 
 Every identity checked here is invariant under dart relabeling and

@@ -1,5 +1,6 @@
-"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and
-counters of marking scans and coloring enumerations."""
+"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels, each
+kernel backend in turn and counters of marking scans and coloring
+enumerations."""
 
 import importlib.util
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from setuptools import Distribution, Extension
 
-from weightsys import catalog, cli, coloring, kernels
+from weightsys import _kernels_py, catalog, cli, coloring, kernels
 from weightsys.catalog import generate_graphs
 
 SRC = Path(__file__).parent.parent / "src"
@@ -56,6 +57,14 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    """The pure kernels, then the compiled ones."""
+    if request.param == "pure":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")
 
 
 @pytest.fixture

@@ -13,12 +13,86 @@ interpolation, the canonical form of a count matrix by trying every vertex
 relabeling, the class catalog by growing every child and keeping the set of
 canonical forms, and 2-connectivity by deleting every vertex in turn.
 Slow on purpose; cross-checks, not tools.
+
+It also holds the one family of test graphs the other modules draw from:
+a uniform random dart pairing (random_pairing), the same redrawn until
+connected (random_connected_graph), a vertex relabeling (relabeled), a
+turn of one vertex's darts round its cyclic order (rotated), and the
+prism and Moebius ladders (ladder).
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
+from weightsys.graphs import TrivalentGraph, is_connected
 from weightsys.ribbon import rotation_of_marking
+
+
+def random_pairing(v, rng):
+    """A uniform random dart pairing on v vertices: loops, parallel edges
+    and several components all come up."""
+    darts = list(range(3 * v))
+    rng.shuffle(darts)
+    alpha = [0] * (3 * v)
+    for k in range(0, 3 * v, 2):
+        alpha[darts[k]], alpha[darts[k + 1]] = darts[k + 1], darts[k]
+    return TrivalentGraph(v, tuple(alpha))
+
+
+def random_connected_graph(v, rng):
+    """random_pairing redrawn until connected."""
+    while True:
+        g = random_pairing(v, rng)
+        if is_connected(g):
+            return g
+
+
+def _renamed(g, name):
+    """g with every dart d renamed name[d]."""
+    alpha = [0] * g.dart_count
+    for d, x in enumerate(g.alpha):
+        alpha[name[d]] = name[x]
+    return TrivalentGraph(g.vertex_count, tuple(alpha))
+
+
+def relabeled(g, new):
+    """g with vertex i renamed new[i], every cyclic order kept.  new may
+    be a random.Random instead, which shuffles 0..v-1 once to draw it."""
+    if isinstance(new, random.Random):
+        rng, new = new, list(range(g.vertex_count))
+        rng.shuffle(new)
+    return _renamed(g, [3 * new[d // 3] + d % 3 for d in range(g.dart_count)])
+
+
+def rotated(g, i):
+    """g with vertex i's darts renamed one step round their cyclic order,
+    3i + k as 3i + (k + 1) % 3: the same ribbon graph."""
+    return _renamed(g, [3 * (d // 3) + (d + (d // 3 == i)) % 3
+                        for d in range(g.dart_count)])
+
+
+def ladder(v, mobius=False, relabel=False):
+    """The prism C_{v/2} x K2 (3-connected and planar from v = 6 on), with
+    rims 0..v/2-1 and v/2..v-1, or the Moebius ladder, one rim cycle
+    0..v-1; rungs i -- v/2 + i.  Each vertex's darts are taken in the
+    order its edges are listed.  relabel renames the vertices by one
+    relabeling drawn from random.Random(1)."""
+    n = v // 2
+    if mobius:
+        edges = [(i, (i + 1) % v) for i in range(v)]
+    else:
+        edges = [(s + i, s + (i + 1) % n) for s in (0, n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    slot = [0] * v
+    alpha = [0] * (3 * v)
+    for a, b in edges:
+        da, db = 3 * a + slot[a], 3 * b + slot[b]
+        slot[a] += 1
+        slot[b] += 1
+        alpha[da], alpha[db] = db, da
+    g = TrivalentGraph(v, tuple(alpha))
+    return relabeled(g, random.Random(1)) if relabel else g
 
 
 def naive_weight(g, alg):

@@ -5,6 +5,7 @@ import json
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -12,13 +13,14 @@ from pathlib import Path
 import pytest
 
 from oracles import (canonical_matrix, levels_by_dedup_set,
+                     random_connected_graph, relabeled, rotated,
                      two_connected_by_deletion)
-from weightsys import catalog, statesum
+from weightsys import catalog, kernels, statesum
 from weightsys.algebra import make_gl, make_sl2, make_so3
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_search, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
-from weightsys.graphs import (TrivalentGraph, is_connected,
+from weightsys.graphs import (TrivalentGraph, flip_vertices, is_connected,
                               is_two_connected, parse_graph, serialize_graph)
 from weightsys.ribbon import IntPolynomial
 
@@ -127,7 +129,7 @@ def test_dedup_reps_are_largest_of_class_in_descending_order(v, allow_loops):
     assert all(x > y for x, y in zip(mats, mats[1:]))
 
 
-def relabeled(a, rng):
+def shuffled_matrix(a, rng):
     p = list(range(len(a)))
     rng.shuffle(p)
     return [[a[i][j] for j in p] for i in p]
@@ -141,7 +143,7 @@ def test_canonical_form_matches_oracle(v):
         form = canonical_matrix(a)
         assert _canonical_search(a)[0] == form
         for _ in range(5):
-            assert _canonical_search(relabeled(a, rng))[0] == form
+            assert _canonical_search(shuffled_matrix(a, rng))[0] == form
 
 
 def test_grown_levels_are_canonical_in_descending_order(catalog_v8,
@@ -150,7 +152,7 @@ def test_grown_levels_are_canonical_in_descending_order(catalog_v8,
     for level in ([g for g in catalog_v8 if g.vertex_count == 8],
                   catalog_v10[True]):
         mats = [tuple(map(tuple, count_matrix(g))) for g in level]
-        assert all(_canonical_search(relabeled(m, rng))[0] == m
+        assert all(_canonical_search(shuffled_matrix(m, rng))[0] == m
                    for m in mats)
         assert all(x > y for x, y in zip(mats, mats[1:]))
 
@@ -209,7 +211,7 @@ def test_automorphisms_match_every_permutation(v):
     rng = random.Random(v)
     for g in generate_graphs(v, dedup=True):
         a = count_matrix(g)
-        shuffled = relabeled(a, rng)
+        shuffled = shuffled_matrix(a, rng)
         form, leaves = catalog._canonical_search(shuffled)
         assert all(shuffled[p[r]][p[c]] == form[r][c]
                    for p in leaves for r in range(v) for c in range(v))
@@ -420,6 +422,46 @@ def test_check_graph_bridged():
     assert not r.two_connected
     assert r.w_top == 0
     assert r.all_passed()
+
+
+STATE_SUMS = (make_gl(2), make_so3(), make_sl2())
+
+
+def invariants(g):
+    """check_graph's report of g with its graph text blanked, and the
+    state sums it compares with the other routes."""
+    plan = statesum.contraction_plan(g)
+    return (replace(check_graph(g), graph=""),
+            [statesum.evaluate_weight(g, alg, plan) for alg in STATE_SUMS])
+
+
+def negated(report, sums):
+    return (replace(report, wgl_poly=IntPolynomial(
+        (e, -c) for e, c in report.wgl_poly.terms), w_top=-report.w_top,
+        penrose=-report.penrose, w_sl2=-report.w_sl2), [-x for x in sums])
+
+
+def test_relabeling_turning_and_flipping_act_on_every_route(monkeypatch,
+                                                            backend):
+    # Relabeling the vertices or turning one vertex's darts round gives
+    # the same ribbon graph, so no invariant moves; reversing one vertex
+    # negates the signed ones and keeps the rest, identities included.
+    # One draw plans a rank-6 intermediate, the widest of the v = 14
+    # level.
+    monkeypatch.setattr(kernels, "marking_scan", backend.marking_scan)
+    rng = random.Random(3)
+    widest = 0
+    for v in range(2, 17, 2):
+        for _ in range(6):
+            g = random_connected_graph(v, rng)
+            i = rng.randrange(v)
+            base = invariants(g)
+            assert invariants(relabeled(g, rng)) == base, g
+            assert invariants(rotated(g, i)) == base, (g, i)
+            assert invariants(flip_vertices(g, (i,))) == negated(*base), (g, i)
+            widest = max(widest, *(len(ka) + len(kb) for *_, ka, _, kb
+                                   in statesum.contraction_plan(g).steps))
+    assert widest == 6
 
 
 def test_survey_labeled_v2():

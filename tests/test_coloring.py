@@ -16,8 +16,8 @@ from weightsys.graphs import TrivalentGraph, parse_graph
 from weightsys.ribbon import marking_profile, rotation_of_marking
 from oracles import (brute_edge_3_coloring_count, brute_four_coloring_count,
                      brute_signed_coloring_sum, edge_3_colorings_by_bitmasks,
-                     four_colorings_by_neighbours)
-from test_statesum import ladder, random_connected_graph
+                     four_colorings_by_neighbours, ladder,
+                     random_connected_graph)
 
 DATA = Path(__file__).parent / "data"
 

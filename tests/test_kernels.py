@@ -10,77 +10,16 @@ import sys
 import pytest
 
 from weightsys import _kernels_py, kernels
-from weightsys.graphs import TrivalentGraph, face_orbits, is_connected
-from oracles import face_count_by_lists, marked_alpha, marking_scan_by_faces
+from weightsys.catalog import generate_graphs
+from weightsys.graphs import TrivalentGraph, face_orbits
+from oracles import (face_count_by_lists, ladder, marked_alpha,
+                     marking_scan_by_faces, random_connected_graph,
+                     random_pairing, relabeled)
 
 THETA = (4, 3, 5, 1, 0, 2)
 THETA_TWISTED = (3, 4, 5, 0, 1, 2)
 DUMBBELL = (1, 0, 5, 4, 3, 2)
 TWO_THETAS = (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8)
-
-
-def random_alpha(v, rng):
-    darts = list(range(3 * v))
-    rng.shuffle(darts)
-    alpha = [0] * (3 * v)
-    for k in range(0, 3 * v, 2):
-        a, b = darts[k], darts[k + 1]
-        alpha[a] = b
-        alpha[b] = a
-    return tuple(alpha)
-
-
-def random_connected_alpha(v, rng):
-    while True:
-        alpha = random_alpha(v, rng)
-        if is_connected(TrivalentGraph(v, alpha)):
-            return alpha
-
-
-def all_pairings(n):
-    """Every fixed-point-free pairing of the darts 0..n-1."""
-    def extend(alpha):
-        if -1 not in alpha:
-            yield tuple(alpha)
-            return
-        a = alpha.index(-1)
-        for b in range(a + 1, n):
-            if alpha[b] == -1:
-                alpha[a], alpha[b] = b, a
-                yield from extend(alpha)
-                alpha[a] = alpha[b] = -1
-    return extend([-1] * n)
-
-
-def relabeled(alpha, new):
-    """alpha with vertex i renamed new[i], every cyclic order kept."""
-    out = [0] * len(alpha)
-    for d, x in enumerate(alpha):
-        out[3 * new[d // 3] + d % 3] = 3 * new[x // 3] + x % 3
-    return tuple(out)
-
-
-def shuffled_labels(v, rng):
-    new = list(range(v))
-    rng.shuffle(new)
-    return new
-
-
-def prism_alpha(v):
-    """The prism C_{v/2} x K2 (3-connected and planar from v = 6 on): rims
-    0..k-1 and k..v-1, rungs i -- k+i, each vertex's darts taken in the
-    order its edges are listed."""
-    k = v // 2
-    edges = [(s + i, s + (i + 1) % k) for s in (0, k) for i in range(k)]
-    edges += [(i, k + i) for i in range(k)]
-    slot = [0] * v
-    alpha = [0] * (3 * v)
-    for a, b in edges:
-        da, db = 3 * a + slot[a], 3 * b + slot[b]
-        slot[a] += 1
-        slot[b] += 1
-        alpha[da], alpha[db] = db, da
-    return tuple(alpha)
 
 
 def test_backend_is_declared():
@@ -97,7 +36,7 @@ def test_face_count_against_oracle():
     rng = random.Random(7)
     for v in (2, 4, 6, 10):
         for _ in range(20):
-            alpha = random_alpha(v, rng)
+            alpha = random_pairing(v, rng).alpha
             assert kernels.face_count(alpha) == face_count_by_lists(alpha)
 
 
@@ -124,7 +63,7 @@ def test_marking_scan_totals():
     for v in (2, 4, 6):
         for _ in range(10):
             signed_by_b, spherical, first_mask = kernels.marking_scan(
-                random_connected_alpha(v, rng), v)
+                random_connected_graph(v, rng).alpha, v)
             assert len(signed_by_b) == v // 2 + 3
             assert sum(signed_by_b) == 0
             assert abs(signed_by_b[v // 2 + 2]) <= spherical
@@ -138,13 +77,6 @@ def test_marking_scan_rejects_disconnected():
         _kernels_py.marking_scan(TWO_THETAS, 4)
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request):
-    if request.param == "pure":
-        return _kernels_py
-    return request.getfixturevalue("compiled_kernels")
-
-
 OUTSIDE = "alpha entry outside 0..3v-1"
 NOT_PAIRING = "alpha is not a fixed-point-free pairing"
 
@@ -153,6 +85,7 @@ NOT_PAIRING = "alpha is not a fixed-point-free pairing"
     (THETA, 3, "alpha length does not match vertex count"),
     (THETA, -2, "alpha length does not match vertex count"),
     (THETA[:5], 2, "alpha length does not match vertex count"),
+    ((), 0, "vertex count must be positive"),
     (tuple(range(90)), 30, "marking scan capped at v = 28"),
     ((4, 3, 5, 1, 0, -1), 2, OUTSIDE),
     ((-6, 3, 5, 1, 0, 2), 2, OUTSIDE),
@@ -161,9 +94,9 @@ NOT_PAIRING = "alpha is not a fixed-point-free pairing"
     ((0, 3, 5, 1, 4, 2), 2, NOT_PAIRING),
     ((4, 3, 5, 1, 2, 0), 2, NOT_PAIRING),
     (TWO_THETAS, 4, "graph is not connected"),
-], ids=["v-too-big", "v-negative", "short", "v-over-cap", "last-negative",
-        "first-negative", "too-large", "huge", "fixed-point", "not-involution",
-        "disconnected"])
+], ids=["v-too-big", "v-negative", "short", "empty", "v-over-cap",
+        "last-negative", "first-negative", "too-large", "huge", "fixed-point",
+        "not-involution", "disconnected"])
 def test_marking_scan_rejects_bad_input(backend, alpha, v, message):
     with pytest.raises(ValueError) as exc:
         backend.marking_scan(alpha, v)
@@ -181,10 +114,6 @@ def test_face_count_rejects_bad_input(backend, alpha, message):
     assert str(exc.value) == message
 
 
-def test_marking_scan_of_the_empty_graph(backend):
-    assert backend.marking_scan((), 0) == ([1, 0, 0], 0, -1)
-
-
 def test_mask_and_complement_have_equal_face_counts():
     # The premise of the half scan: the complement reverses every cyclic
     # order, which mirrors the surface and keeps its faces.
@@ -192,7 +121,7 @@ def test_mask_and_complement_have_equal_face_counts():
     for v in (2, 4, 6, 8):
         full = (1 << v) - 1
         for _ in range(4):
-            alpha = random_connected_alpha(v, rng)
+            alpha = random_connected_graph(v, rng).alpha
             for mask in range(1 << v):
                 assert face_count_by_lists(marked_alpha(alpha, mask)) == \
                     face_count_by_lists(marked_alpha(alpha, full ^ mask))
@@ -210,7 +139,7 @@ def catalog_scans(catalog_v8):
 @pytest.fixture(scope="module")
 def random_scans():
     rng = random.Random(17)
-    return with_oracle((random_connected_alpha(v, rng), v)
+    return with_oracle((random_connected_graph(v, rng).alpha, v)
                        for v, count in ((2, 10), (4, 10), (6, 10), (8, 6),
                                         (10, 4), (12, 2))
                        for _ in range(count))
@@ -229,7 +158,7 @@ PRISM_FIRSTS = {
 def prism_scans():
     cases = []
     for v, firsts in PRISM_FIRSTS.items():
-        alpha = prism_alpha(v)
+        alpha = ladder(v).alpha
         planar = marking_scan_by_faces(alpha, v)[2]
         for first in firsts:
             # The spherical masks of the flipped prism are the planar
@@ -253,9 +182,9 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
 # for each state of an outer walk over the rest but v - 1, with
 # k = min(v - 1, _BLOCK[v // 2]).  From v = _SEARCH_V the kernel picks the
 # block for its many inside edges (_kernels_py._block); below, it is
-# 0..k-1.  The compiled kernel picks its block by the same rule and, for
-# v <= 12, with the same k, so kernel_block names its block too in the
-# cases below.
+# 0..k-1.  The compiled kernel picks its block by the same rule and with
+# the same k at every v (its block_by_v is _BLOCK), so kernel_block names
+# its block too.
 
 
 def kernel_block(alpha, v):
@@ -271,7 +200,7 @@ def test_block_search_follows_its_tie_rules():
     # {0, 2, 5}.  Runs from 0, 1 and 2 take the lowest of their tied
     # neighbours and end on paths of two edges; the run from 3 closes the
     # triangle {1, 3, 4}, and the other triangle holds v - 1.
-    alpha = relabeled(prism_alpha(6), [1, 3, 4, 0, 2, 5])
+    alpha = relabeled(ladder(6), [1, 3, 4, 0, 2, 5]).alpha
     assert _kernels_py._block(alpha, 6, 3) == [1, 3, 4]
     assert _kernels_py._block(alpha, 6, 2) == [0, 1]
     # The theta's two vertices share three edges; the block leaves out
@@ -282,11 +211,10 @@ def test_block_search_follows_its_tie_rules():
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
     # At v = 2 and 4 the block holds every traced vertex: the outer walk
     # takes one step and every face goes through the block.
-    cases = [(alpha, 2) for alpha in all_pairings(6)
-             if is_connected(TrivalentGraph(2, alpha))]
+    cases = [(g.alpha, 2) for g in generate_graphs(2)]
     rng = random.Random(19)
-    cases += [(random_connected_alpha(4, rng), 4) for _ in range(40)]
-    cases += [(prism_alpha(4), 4)]
+    cases += [(random_connected_graph(4, rng).alpha, 4) for _ in range(40)]
+    cases += [(ladder(4).alpha, 4)]
     for alpha, v, expected in with_oracle(cases):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
@@ -303,15 +231,13 @@ def face_avoids_block(alpha, v, mask):
 @pytest.fixture(scope="module")
 def relabeled_scans(catalog_v8):
     rng = random.Random(23)
-    cases = [(relabeled(g.alpha, shuffled_labels(g.vertex_count, rng)),
-              g.vertex_count) for g in catalog_v8]
-    cases += [(relabeled(random_connected_alpha(v, rng),
-                         shuffled_labels(v, rng)), v)
+    cases = [(relabeled(g, rng).alpha, g.vertex_count) for g in catalog_v8]
+    cases += [(relabeled(random_connected_graph(v, rng), rng).alpha, v)
               for v, count in ((10, 3), (12, 2)) for _ in range(count)]
     # The kernel's block on the prism with its labels reversed is a
     # square face, {0, 1, 6, 7}; three square faces of the planar drawing
     # avoid it and are counted as closed.
-    prism = relabeled(prism_alpha(12), list(range(11, -1, -1)))
+    prism = relabeled(ladder(12), list(range(11, -1, -1))).alpha
     cases.append((prism, 12))
     scans = with_oracle(cases)
     assert kernel_block(prism, 12) == [0, 1, 6, 7]
@@ -335,7 +261,7 @@ def split_first_scans():
     for v, count in ((10, 5), (12, 3)):
         found = 0
         while found < count:
-            alpha = relabeled(prism_alpha(v), shuffled_labels(v, rng))
+            alpha = relabeled(ladder(v), rng).alpha
             block = kernel_block(alpha, v)
             if block == list(range(len(block))):
                 continue
@@ -366,8 +292,8 @@ def test_block_choice_pins_the_keys_walked(monkeypatch):
         walk(tally, *args)
 
     monkeypatch.setattr(_kernels_py, "_walk_block", counting_walk)
-    cases = [(random_connected_alpha(14, random.Random(41)), 14),
-             (relabeled(prism_alpha(12), list(range(11, -1, -1))), 12)]
+    cases = [(random_connected_graph(14, random.Random(41)).alpha, 14),
+             (relabeled(ladder(12), list(range(11, -1, -1))).alpha, 12)]
 
     def walked():
         counts = []
@@ -389,10 +315,10 @@ def test_marking_scan_is_invariant_under_relabeling(backend, v):
     # sign, so the histogram and the spherical count, and only moves the
     # lowest spherical mask, which must still be spherical.
     rng = random.Random(29 + v)
-    for alpha in (random_connected_alpha(v, rng), prism_alpha(v)):
-        signed_by_b, spherical, _ = backend.marking_scan(alpha, v)
+    for g in (random_connected_graph(v, rng), ladder(v)):
+        signed_by_b, spherical, _ = backend.marking_scan(g.alpha, v)
         for _ in range(3):
-            copy = relabeled(alpha, shuffled_labels(v, rng))
+            copy = relabeled(g, rng).alpha
             by_b, count, first = backend.marking_scan(copy, v)
             assert (by_b, count) == (signed_by_b, spherical), copy
             if count:
@@ -416,12 +342,12 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
     for v, count in ((2, 10), (4, 10), (6, 10), (8, 10), (10, 6), (12, 3),
                      (14, 2), (16, 1), (18, 1)):
         for _ in range(count):
-            alpha = random_connected_alpha(v, rng)
+            alpha = random_connected_graph(v, rng).alpha
             assert compiled_kernels.marking_scan(alpha, v) == \
                 _kernels_py.marking_scan(alpha, v), alpha
     for v in (2, 4, 8, 14, 400):
         for _ in range(25):
-            alpha = random_alpha(v, rng)
+            alpha = random_pairing(v, rng).alpha
             assert compiled_kernels.face_count(alpha) == \
                 _kernels_py.face_count(alpha), alpha
 

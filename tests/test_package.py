@@ -116,3 +116,20 @@ def test_cli_import_leaves_multiprocessing_unloaded():
          "import sys, weightsys.cli; print('multiprocessing' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_no_test_module_imports_another():
+    # Shared test helpers come from oracles or conftest, so each test
+    # module can be read, run and changed on its own.
+    imports = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0].startswith("test_")]
+    assert imports == []

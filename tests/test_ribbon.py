@@ -147,8 +147,8 @@ def test_marking_profile_fields():
 
 
 def test_marking_profile_of_the_empty_graph():
-    # Refused before any scan; the kernels' answer for raw v = 0 arrays
-    # (one marking, no faces) is no graph's profile.
+    # Refused as the graph is built, before any scan; the kernels refuse
+    # raw v = 0 arrays too.
     with pytest.raises(ValueError, match="positive"):
         marking_profile(TrivalentGraph(0, ()))
 

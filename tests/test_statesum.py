@@ -14,8 +14,9 @@ from weightsys.graphs import (TrivalentGraph, flip_vertices, is_connected,
                               parse_graph)
 from weightsys.ribbon import marking_profile
 from weightsys.statesum import contraction_plan, evaluate_weight
-from oracles import (folded_greedy_contraction, greedy_contraction,
-                     naive_weight, naive_weight_full)
+from oracles import (folded_greedy_contraction, greedy_contraction, ladder,
+                     naive_weight, naive_weight_full, random_connected_graph,
+                     random_pairing)
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,35 +121,6 @@ def test_metric_scaling_law():
         assert evaluate_weight(THETA, scale_metric(alg, 3)) * 3 == base
 
 
-def graph_of_edges(v, edges):
-    """The cubic graph on ``edges``, each vertex's darts taken in the
-    order its edges are listed."""
-    slot = [0] * v
-    alpha = [0] * (3 * v)
-    for a, b in edges:
-        da, db = 3 * a + slot[a], 3 * b + slot[b]
-        slot[a] += 1
-        slot[b] += 1
-        alpha[da], alpha[db] = db, da
-    return TrivalentGraph(v, tuple(alpha))
-
-
-def ladder(v, mobius, relabel):
-    """The prism or Moebius ladder on ``v`` vertices, optionally under one
-    seeded vertex relabeling (which reorders darts and contractions)."""
-    n = v // 2
-    if mobius:
-        edges = [(i, (i + 1) % v) for i in range(v)]
-    else:
-        edges = [(s + i, s + (i + 1) % n) for s in (0, n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    if relabel:
-        p = list(range(v))
-        random.Random(1).shuffle(p)
-        edges = [(p[a], p[b]) for a, b in edges]
-    return graph_of_edges(v, edges)
-
-
 @pytest.mark.parametrize("relabel", [False, True])
 @pytest.mark.parametrize("mobius", [False, True])
 @pytest.mark.parametrize("v", [8, 10, 12, 14])
@@ -158,26 +130,6 @@ def test_matches_other_routes_at_dim_9_and_16(v, mobius, relabel):
     for n in (3, 4):
         assert evaluate_weight(g, make_gl(n)) == wgl(n)
     assert evaluate_weight(g, make_sl2()) == w_sl2(g)
-
-
-def random_pairing(v, rng):
-    """A uniform random dart pairing on v vertices: loops, parallel edges
-    and several components all come up."""
-    darts = list(range(3 * v))
-    rng.shuffle(darts)
-    alpha = [0] * (3 * v)
-    for k in range(0, 3 * v, 2):
-        alpha[darts[k]], alpha[darts[k + 1]] = darts[k + 1], darts[k]
-    return TrivalentGraph(v, tuple(alpha))
-
-
-def random_connected_graph(v, rng):
-    """A uniform random dart pairing on v vertices, redrawn until
-    connected."""
-    while True:
-        g = random_pairing(v, rng)
-        if is_connected(g):
-            return g
 
 
 def folded_legs(g):
