@@ -12,18 +12,12 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define MAX_BLOCK 8 /* a key holds the jumps of at most 24 block darts */
+#define MAX_K 8 /* block vertices at most: a key holds 24 jumps */
 #define PER_WORD 12 /* jumps in each word of a key, 5 bits each */
 #define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
 #define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
 #define SEARCH_V 10 /* the least v whose block is searched for, as in the
                      * pure twin's _SEARCH_V; below it the block is 0..k-1 */
-
-/* Vertices in marking_scan's inner block by v / 2, v - 1 if fewer: the
- * sizes that timed fastest on this backend (BENCH_marking_scan.json). */
-static const int block_by_v[MAX_V / 2 + 1] = {
-    0, 1, 3, 3, 3, 3, 4, 4, 5, 5, 6, 7, 7, 7, 7,
-};
 
 static PyObject *value_error(const char *message)
 {
@@ -116,54 +110,89 @@ static int connected(const Py_ssize_t *a, int v)
     return count == v;
 }
 
-/* The block of marking_scan, as in the pure twin's _block: k vertices,
- * never v - 1, with many edges inside the set.  A greedy run from each
- * start vertex adds k - 1 times the vertex that adds the most edges to
- * the block (its loops included), the lowest label on a tie; the run with
- * the most edges inside wins, the lowest start on a tie, and a run that
- * reaches (3k - 1) / 2 edges, more than any such set of a connected graph
- * has, ends the search.  Writes the block into best in label order. */
-static void choose_block(const Py_ssize_t *a, int v, int k, int *best)
+/* The work marking_scan estimates for a block of j vertices with inside
+ * edges between them, loops included, as in the pure twin's _work: 3v
+ * steps for each of the 2^(v-1-j) outer states, and 3j for each of the 2^j
+ * inner states of each key, of which there are at most e! for the
+ * e = 3j - 2 inside darts that leave the block, and no more than outer
+ * states.  The estimate stays below 2^34. */
+static unsigned long long work(int v, int j, int inside)
 {
-    int base[MAX_V], bound = (3 * k - 1) / 2, most = -1;
-    for (int i = 0; i < v; i++) { /* the loops at i */
-        int ends = 0;
-        for (int d = 3 * i; d < 3 * i + 3; d++)
-            ends += a[d] / 3 == i;
-        base[i] = ends / 2;
-    }
-    base[v - 1] = SHUT;
-    for (int s = 0; s < v - 1 && most < bound; s++) {
-        int gain[MAX_V], block[MAX_BLOCK], inside = base[s];
-        for (int i = 0; i < v; i++)
-            gain[i] = base[i];
-        gain[s] = SHUT;
-        block[0] = s;
-        for (int d = 3 * s; d < 3 * s + 3; d++)
-            gain[a[d] / 3]++;
-        for (int j = 1; j < k; j++) {
-            int u = 0;
-            for (int w = 1; w < v; w++)
-                if (gain[w] > gain[u])
-                    u = w;
-            inside += gain[u];
-            gain[u] = SHUT;
-            block[j] = u;
-            for (int d = 3 * u; d < 3 * u + 3; d++)
-                gain[a[d] / 3]++;
+    unsigned long long outer = 1ULL << (v - 1 - j), keys = 1;
+    for (int f = 2; f <= 3 * j - 2 * inside && keys < outer; f++)
+        keys *= f;
+    if (keys > outer)
+        keys = outer;
+    return 3ULL * v * outer + (keys * 3 * j << j);
+}
+
+/* The block of marking_scan, as in the pure twin's _block: j vertices,
+ * never v - 1, for the j = 1..min(v - 1, MAX_K) of least work, the least
+ * j on a tie.  From v = SEARCH_V each j scores the set of j vertices with
+ * the most edges inside that a greedy run finds.  A run from each start
+ * vertex adds the vertex that adds the most edges to the block (its loops
+ * included), the lowest label on a tie, so one run scores every size; for
+ * each size the run with the most edges inside wins, the lowest start on
+ * a tie.  Below SEARCH_V each j scores 0..j-1.  Writes the block into
+ * best in label order and returns its size. */
+static int choose_block(const Py_ssize_t *a, int v, int *best)
+{
+    int top = v - 1 < MAX_K ? v - 1 : MAX_K, k = 1;
+    int most[MAX_K + 1], runs[MAX_K + 1][MAX_K];
+    if (v < SEARCH_V) {
+        /* The edges inside 0..j-1 are those of its darts d with a[d] < d. */
+        for (int j = 1, inside = 0; j <= top; j++) {
+            for (int d = 3 * j - 3; d < 3 * j; d++)
+                inside += a[d] < d;
+            most[j] = inside;
+            for (int i = 0; i < j; i++)
+                runs[j][i] = i;
         }
-        if (inside > most) {
-            most = inside;
-            for (int j = 0; j < k; j++)
-                best[j] = block[j];
+    } else {
+        int base[MAX_V];
+        for (int i = 0; i < v; i++) { /* the loops at i */
+            int ends = 0;
+            for (int d = 3 * i; d < 3 * i + 3; d++)
+                ends += a[d] / 3 == i;
+            base[i] = ends / 2;
+        }
+        base[v - 1] = SHUT;
+        for (int j = 1; j <= top; j++)
+            most[j] = -1;
+        for (int s = 0; s < v - 1; s++) {
+            int gain[MAX_V], run[MAX_K], u = s, inside = base[s];
+            for (int i = 0; i < v; i++)
+                gain[i] = base[i];
+            for (int j = 1; j <= top; j++) {
+                if (j > 1) {
+                    u = 0;
+                    for (int w = 1; w < v; w++)
+                        if (gain[w] > gain[u])
+                            u = w;
+                    inside += gain[u];
+                }
+                run[j - 1] = u;
+                gain[u] = SHUT;
+                for (int d = 3 * u; d < 3 * u + 3; d++)
+                    gain[a[d] / 3]++;
+                if (inside > most[j]) {
+                    most[j] = inside;
+                    for (int i = 0; i < j; i++)
+                        runs[j][i] = run[i];
+                }
+            }
         }
     }
-    for (int j = 1; j < k; j++) /* insertion sort */
-        for (int i = j; i > 0 && best[i - 1] > best[i]; i--) {
-            int x = best[i];
+    for (int j = 2; j <= top; j++)
+        if (work(v, j, most[j]) < work(v, k, most[k]))
+            k = j;
+    for (int j = 0; j < k; j++) { /* insertion sort */
+        int x = runs[k][j], i = j;
+        for (; i > 0 && best[i - 1] > x; i--)
             best[i] = best[i - 1];
-            best[i - 1] = x;
-        }
+        best[i] = x;
+    }
+    return k;
 }
 
 /* The outer states of marking_scan tallied under one key (closed, jump at
@@ -187,8 +216,8 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
                        int e, long long *by_b, long long *spherical,
                        long long *first_mask)
 {
-    int nb = 3 * k, r[3 * MAX_BLOCK];
-    unsigned int mark[3 * MAX_BLOCK] = {0}, stamp = 0;
+    int nb = 3 * k, r[3 * MAX_K];
+    unsigned int mark[3 * MAX_K] = {0}, stamp = 0;
     for (struct outer_key *entry = tally; entry < tally + slots; entry++) {
         if (!entry->count)
             continue;
@@ -251,9 +280,11 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  *
  * The half is walked block by block, both levels in Gray order, step j of
  * a walk flipping its vertex ctz(j) and alternating the sign.  The inner
- * walk runs over a block of k = min(v - 1, block_by_v[v / 2]) vertices
- * that choose_block picks for its many inside edges (from v = SEARCH_V;
- * below it the block is 0..k-1), the outer walk over the rest but v - 1.
+ * walk runs over a block of k vertices, the outer walk over the rest but
+ * v - 1.  choose_block picks k and the block from the estimate of the
+ * work, about 2^(v-1-k) outer states of 3v steps plus, for each of at
+ * most min(2^(v-1-k), e!) keys, 2^k inner states of 3k steps, where e
+ * darts leave the block (from v = SEARCH_V; below it the block is 0..k-1).
  * The darts are relabeled into b so the block is vertices 0..k-1 and the
  * outer vertices keep their order, and each walk flips the original bit of
  * the vertex it reverses (bit[i] for new vertex i), so every mask is in
@@ -316,15 +347,10 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     int b_top = v / 2 + 2;
     long long by_b[MAX_V / 2 + 3] = {0};
     long long spherical = 0, first_mask = -1;
-    int k = v - 1 < block_by_v[v / 2] ? v - 1 : block_by_v[v / 2];
-    int nb = 3 * k, order[MAX_V], new[MAX_V], e = 0;
-    int jump[3 * MAX_BLOCK], exits[3 * MAX_BLOCK];
+    int order[MAX_V], new[MAX_V], e = 0;
+    int k = choose_block(a, v, order), nb = 3 * k;
+    int jump[3 * MAX_K], exits[3 * MAX_K];
     unsigned long bit[MAX_V];
-    if (v >= SEARCH_V)
-        choose_block(a, v, k, order);
-    else
-        for (int j = 0; j < k; j++)
-            order[j] = j;
     for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
         int in_block = 0;
         for (int t = 0; t < k; t++)

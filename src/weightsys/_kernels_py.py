@@ -14,18 +14,18 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 
 from __future__ import annotations
 
+from math import factorial
+
 MAX_SCAN_V = 28
-# Vertices in the block of marking_scan's inner walk by v // 2, v - 1 if
-# fewer: the sizes that timed fastest on this backend (BENCH_marking_scan).
-_BLOCK = (0, 1, 3, 3, 3, 3, 4, 4, 5, 5, 6, 7, 7, 7, 7)
+_MAX_K = 8  # block vertices at most: the compiled key holds 24 jumps
 _TALLY = 1 << 14  # keys it tallies before walking the block for them
 # The least v whose block marking_scan searches for.  Below it the outer
-# walk has at most 16 states and the block stays 0..k-1: on the v <= 8
-# catalog, whose canonical labels put a well-connected set lowest, the
-# search picked another block for 1 of the 88 graphs at v = 6 and 8 and
-# slowed the survey.
+# walk has at most 64 states and each block size k scores the block
+# 0..k-1: on the v <= 8 catalog, whose canonical labels put a
+# well-connected set lowest, the search costs more than its blocks save.
 _SEARCH_V = 10
 _BITS = tuple(1 << i for i in range(MAX_SCAN_V))
+_FACTORIAL = tuple(factorial(e) for e in range(3 * _MAX_K + 1))
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -146,10 +146,17 @@ def marking_scan(alpha, v: int):
     which are exits again, so with e exits there are at most e! keys per
     closed count.  Outer and inner bits are disjoint, so a key's lowest
     spherical mask is its lowest outer mask plus its lowest spherical
-    inner mask, and first_mask is the least of these.  k is
-    _BLOCK[v // 2], v - 1 if fewer.  The tally holds at most _TALLY keys:
-    when it is full, their inner walks run and it starts again empty, so
-    a key met again later is walked again, and the sums are the same.
+    inner mask, and first_mask is the least of these.  The tally holds
+    at most _TALLY keys: when it is full, their inner walks run and it
+    starts again empty, so a key met again later is walked again, and the
+    sums are the same.
+
+    The work is thus about 2^(v-1-k) outer states of 3v steps each plus
+    2^k inner states of 3k steps for each key, with at most
+    min(2^(v-1-k), e!) keys.  _block takes the k, 1..min(v - 1, _MAX_K),
+    and the block of k vertices that make this estimate (_work) least, so
+    the block grows with v where few darts leave it and stays small where
+    many do.  The outputs do not depend on the block.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -165,9 +172,9 @@ def marking_scan(alpha, v: int):
     signed_by_b = [0] * (b_top + 1)
     if not _connected(alpha, v):
         raise ValueError("graph is not connected")
-    k = min(v - 1, _BLOCK[v // 2])
+    block = _block(alpha, v)
+    k = len(block)
     nb = 3 * k
-    block = _block(alpha, v, k) if v >= _SEARCH_V else list(range(k))
     bit = _BITS  # the original mask bit of each vertex in the new labels
     if block != list(range(k)):
         order = block + [i for i in range(v) if i not in block]
@@ -225,42 +232,68 @@ def marking_scan(alpha, v: int):
     return [2 * c for c in signed_by_b], 2 * spherical, first_mask
 
 
-def _block(alpha, v: int, k: int) -> list:
-    """The block of marking_scan, in label order: k vertices, never
-    v - 1, with many edges inside the set.  A greedy run from each start
-    vertex adds k - 1 times the vertex that adds the most edges to the
-    block (its loops included), the lowest label on a tie; the run with
-    the most edges inside wins, the lowest start on a tie.  A connected
-    graph has an edge leaving any set that leaves out v - 1, so no set
-    has more than (3k - 1) // 2 edges inside, and a run that reaches that
-    bound ends the search."""
+def _work(v: int, j: int, inside: int) -> int:
+    """The work marking_scan estimates for a block of j vertices with
+    `inside` edges between them, loops included: 3v steps for each of the
+    2^(v-1-j) outer states, and 3j for each of the 2^j inner states of
+    each key.  The e = 3j - 2 inside darts that leave the block make at
+    most e! keys, and there are no more keys than outer states."""
+    outer = 1 << (v - 1 - j)
+    return 3 * v * outer + min(outer, _FACTORIAL[3 * j - 2 * inside]) * (
+        3 * j << j)
+
+
+def _block(alpha, v: int) -> list:
+    """The block of marking_scan, in label order: j vertices, never
+    v - 1, for the j = 1..min(v - 1, _MAX_K) of least _work, the least j
+    on a tie.  From v = _SEARCH_V each j scores the set of j vertices with
+    the most edges inside that _search finds; below, it scores 0..j-1."""
+    top = min(v - 1, _MAX_K)
+    if v < _SEARCH_V:
+        # The edges inside 0..j-1 are those of its darts d with alpha[d] < d.
+        inside = 0
+        costs = []
+        for d in range(0, 3 * top, 3):
+            inside += (alpha[d] < d) + (alpha[d + 1] < d + 1) + (
+                alpha[d + 2] < d + 2)
+            costs.append(_work(v, d // 3 + 1, inside))
+        return list(range(1 + costs.index(min(costs))))
+    most, runs = _search(alpha, v, top)
+    costs = [_work(v, j, most[j]) for j in range(1, top + 1)]
+    j = 1 + costs.index(min(costs))
+    return sorted(runs[j][:j])
+
+
+def _search(alpha, v: int, top: int):
+    """For each j = 1..top, the most edges inside a set of j vertices,
+    never v - 1, that a greedy run finds, and a run whose first j vertices
+    hold them.  A run from each start vertex adds top - 1 times the vertex
+    that adds the most edges to the block (its loops included), the
+    lowest label on a tie, so one run scores every size; for each size
+    the run with the most edges inside wins, the lowest start on a tie."""
     far = [x // 3 for x in alpha]
     ends = list(zip(far[0::3], far[1::3], far[2::3]))  # far ends of vertex i
-    bound = (3 * k - 1) // 2
     shut = -64  # a gain no run of increments lifts to 0
     base = [e.count(i) // 2 for i, e in enumerate(ends)]  # loops at i
     base[v - 1] = shut
-    best, most = [], -1
+    most = [-1] * (top + 1)
+    runs = [None] * (top + 1)
     for s in range(v - 1):
         gain = base[:]  # the edges each vertex would add to the block
-        block = [s]
-        inside = gain[s]
-        gain[s] = shut
-        for w in ends[s]:
-            gain[w] += 1
-        for _ in range(k - 1):
-            top = max(gain)
-            u = gain.index(top)
-            inside += top
+        run = []
+        u, inside = s, gain[s]
+        for j in range(1, top + 1):
+            if j > 1:
+                add = max(gain)
+                u = gain.index(add)
+                inside += add
+            run.append(u)
             gain[u] = shut
-            block.append(u)
             for w in ends[u]:
                 gain[w] += 1
-        if inside > most:
-            best, most = block, inside
-            if most == bound:
-                break
-    return sorted(best)
+            if inside > most[j]:
+                most[j], runs[j] = inside, run
+    return most, runs
 
 
 def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:

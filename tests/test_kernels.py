@@ -171,41 +171,68 @@ def prism_scans():
     return scans
 
 
+# Seeded draws (v, seed) on which the kernel takes the largest block the
+# compiled key holds, k = 8, and the smallest from v = _SEARCH_V, k = 2.
+BLOCK_SIZE_DRAWS = {(14, 31): 8, (16, 5): 8, (10, 8): 2}
+
+
+def block_size_cases(largest_v):
+    """The draws of BLOCK_SIZE_DRAWS up to largest_v, their block sizes
+    checked."""
+    cases = [(random_connected_graph(v, random.Random(seed)).alpha, v)
+             for v, seed in BLOCK_SIZE_DRAWS if v <= largest_v]
+    assert [len(_kernels_py._block(alpha, v)) for alpha, v in cases] == \
+        [k for (v, _), k in BLOCK_SIZE_DRAWS.items() if v <= largest_v]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def block_size_scans():
+    return with_oracle(block_size_cases(14))
+
+
 @pytest.mark.parametrize("inputs", ["catalog_scans", "random_scans",
-                                    "prism_scans"])
+                                    "prism_scans", "block_size_scans"])
 def test_marking_scan_matches_oracle(backend, inputs, request):
     for alpha, v, expected in request.getfixturevalue(inputs):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
 # The block walk of marking_scan: an inner walk over a block of k vertices
-# for each state of an outer walk over the rest but v - 1, with
-# k = min(v - 1, _BLOCK[v // 2]).  From v = _SEARCH_V the kernel picks the
-# block for its many inside edges (_kernels_py._block); below, it is
-# 0..k-1.  The compiled kernel picks its block by the same rule and with
-# the same k at every v (its block_by_v is _BLOCK), so kernel_block names
-# its block too.
+# for each state of an outer walk over the rest but v - 1.  The kernel
+# takes the k and the block that make its estimate of the work least
+# (_kernels_py._work): 2^(v-1-k) outer states of 3v steps, plus 2^k inner
+# states of 3k steps for each of at most min(2^(v-1-k), e!) keys, where
+# e darts leave the block.  From v = _SEARCH_V each k scores the block
+# with the most inside edges that a greedy run finds; below, it scores
+# 0..k-1.  The compiled kernel picks by the same rule, so
+# _kernels_py._block names its block too.
 
 
-def kernel_block(alpha, v):
-    """The vertices of marking_scan's inner block, in label order."""
-    k = min(v - 1, _kernels_py._BLOCK[v // 2])
-    if v < _kernels_py._SEARCH_V:
-        return list(range(k))
-    return _kernels_py._block(alpha, v, k)
-
-
-def test_block_search_follows_its_tie_rules():
-    # The prism on 6 vertices relabeled so its triangles are {1, 3, 4} and
-    # {0, 2, 5}.  Runs from 0, 1 and 2 take the lowest of their tied
+def test_block_search_follows_its_tie_rules(monkeypatch):
+    # The 10-prism's rim edge {0, 1}: four darts leave it, so the 2^7
+    # outer states of 30 steps make at most 4! keys of 2^2 inner states of
+    # 6 steps.  That is the least estimate, so it is the block.
+    assert _kernels_py._work(10, 2, 1) == 2 ** 7 * 30 + 24 * 2 ** 2 * 6
+    assert _kernels_py._block(ladder(10).alpha, 10) == [0, 1]
+    # Below _SEARCH_V each size scores the block 0..k-1.
+    assert _kernels_py._block(THETA, 2) == [0]
+    assert _kernels_py._block(ladder(8).alpha, 8) == [0, 1]
+    # Sizes that tie on the estimate go to the least; with the estimate
+    # forced, the search shows the block it finds for each size.  The
+    # prism on 6 vertices relabeled so its triangles are {1, 3, 4} and
+    # {0, 2, 5}: runs from 0, 1 and 2 take the lowest of their tied
     # neighbours and end on paths of two edges; the run from 3 closes the
     # triangle {1, 3, 4}, and the other triangle holds v - 1.
+    monkeypatch.setattr(_kernels_py, "_SEARCH_V", 2)
     alpha = relabeled(ladder(6), [1, 3, 4, 0, 2, 5]).alpha
-    assert _kernels_py._block(alpha, 6, 3) == [1, 3, 4]
-    assert _kernels_py._block(alpha, 6, 2) == [0, 1]
+    for size, block in ((1, [0]), (2, [0, 1]), (3, [1, 3, 4])):
+        monkeypatch.setattr(_kernels_py, "_work",
+                            lambda v, j, inside: -min(j, size))
+        assert _kernels_py._block(alpha, 6) == block
     # The theta's two vertices share three edges; the block leaves out
     # v - 1, so it is vertex 0 alone.
-    assert _kernels_py._block(THETA, 2, 1) == [0]
+    assert _kernels_py._block(THETA, 2) == [0]
 
 
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
@@ -222,7 +249,7 @@ def test_block_walk_with_one_outer_step_matches_oracle(backend):
 def face_avoids_block(alpha, v, mask):
     """Some face of the marking avoids the kernel's block, so it is
     counted among the closed faces."""
-    block = kernel_block(alpha, v)
+    block = _kernels_py._block(alpha, v)
     g = TrivalentGraph(v, tuple(marked_alpha(alpha, mask)))
     return any(all(d // 3 not in block for d in face)
                for face in face_orbits(g))
@@ -240,7 +267,7 @@ def relabeled_scans(catalog_v8):
     prism = relabeled(ladder(12), list(range(11, -1, -1))).alpha
     cases.append((prism, 12))
     scans = with_oracle(cases)
-    assert kernel_block(prism, 12) == [0, 1, 6, 7]
+    assert _kernels_py._block(prism, 12) == [0, 1, 6, 7]
     assert face_avoids_block(prism, 12, scans[-1][2][2])
     return scans
 
@@ -262,7 +289,7 @@ def split_first_scans():
         found = 0
         while found < count:
             alpha = relabeled(ladder(v), rng).alpha
-            block = kernel_block(alpha, v)
+            block = _kernels_py._block(alpha, v)
             if block == list(range(len(block))):
                 continue
             expected = marking_scan_by_faces(alpha, v)
@@ -303,10 +330,12 @@ def test_block_choice_pins_the_keys_walked(monkeypatch):
             counts.append(sum(keys))
         return counts
 
+    assert [len(_kernels_py._block(alpha, v)) for alpha, v in cases] == [5, 4]
     assert walked() == [14, 28]
+    block = _kernels_py._block
     monkeypatch.setattr(_kernels_py, "_block",
-                        lambda alpha, v, k: list(range(k)))
-    assert walked() == [112, 103]
+                        lambda alpha, v: list(range(len(block(alpha, v)))))
+    assert walked() == [128, 103]
 
 
 @pytest.mark.parametrize("v", [10, 12, 14, 16])
@@ -345,6 +374,9 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
             alpha = random_connected_graph(v, rng).alpha
             assert compiled_kernels.marking_scan(alpha, v) == \
                 _kernels_py.marking_scan(alpha, v), alpha
+    for alpha, v in block_size_cases(16):
+        assert compiled_kernels.marking_scan(alpha, v) == \
+            _kernels_py.marking_scan(alpha, v), alpha
     for v in (2, 4, 8, 14, 400):
         for _ in range(25):
             alpha = random_pairing(v, rng).alpha
