@@ -12,12 +12,20 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define MAX_K 8 /* block vertices at most: a key holds 24 jumps */
-#define PER_WORD 12 /* jumps in each word of a key, 5 bits each */
+#define MAX_K 8 /* block vertices at most: each of its darts fits 5 bits */
+/* Exits a key holds.  No block the estimate takes has more, so there is
+ * no guard: with e >= 13 exits, e! > 2^27 is at least the outer states
+ * of j vertices, so j - 1 vertices cost less as 2^j > v for j >= 5, and
+ * j <= 4 have at most 12 exits; see
+ * test_kernels.py::test_no_block_taken_has_more_than_12_exits. */
+#define MAX_EXITS 12
 #define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
 #define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
 #define SEARCH_V 10 /* the least v whose block is searched for, as in the
                      * pure twin's _SEARCH_V; below it the block is 0..k-1 */
+
+_Static_assert(MAX_V < 32 && MAX_V / 2 + 1 < 16 && 3 * MAX_K <= 32 &&
+               3 * 4 <= MAX_EXITS && 5 * MAX_EXITS + 4 <= 64, "key widths");
 
 static PyObject *value_error(const char *message)
 {
@@ -75,13 +83,13 @@ static PyObject *face_count(PyObject *self, PyObject *alpha)
     unsigned char *seen = NULL;
     if (n % 3)
         value_error("alpha length must be a multiple of 3");
-    else if ((a = PyMem_New(Py_ssize_t, 2 * n + 1)) == NULL ||
+    else if ((a = PyMem_New(Py_ssize_t, n + 1)) == NULL ||
              (seen = PyMem_Calloc((size_t)n + 1, 1)) == NULL)
         PyErr_NoMemory();
     else if (read_alpha(seq, n, a) == 0) {
         for (Py_ssize_t d = 0; d < n; d++)
-            a[n + d] = sigma(a[d]);
-        result = PyLong_FromLong(count_cycles(a + n, seen, n));
+            a[d] = sigma(a[d]);
+        result = PyLong_FromLong(count_cycles(a, seen, n));
     }
     PyMem_Free(a);
     PyMem_Free(seen);
@@ -197,11 +205,11 @@ static int choose_block(const Py_ssize_t *a, int v, int *best)
 
 /* The outer states of marking_scan tallied under one key (closed, jump at
  * the block darts that leave the block): their sign sum, their number and
- * their lowest mask.  The j-th jump takes bits 5(j mod 12) up of key word
- * j / 12, and closed (at most v/2 + 1 < 16) the top 4 bits of word 1; a
- * slot with count 0 is free. */
+ * their lowest mask.  The j-th of the at most MAX_EXITS jumps (each below
+ * 3 * MAX_K) takes bits 5j up of key, and closed (at most v/2 + 1 < 16)
+ * its top 4 bits; a slot with count 0 is free. */
 struct outer_key {
-    unsigned long long key[2];
+    unsigned long long key;
     long long sign, count;
     unsigned long outer;
 };
@@ -222,9 +230,8 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
         if (!entry->count)
             continue;
         for (int j = 0; j < e; j++)
-            jump[exits[j]] = entry->key[j / PER_WORD] >>
-                             5 * (j % PER_WORD) & 31;
-        int closed = entry->key[1] >> 60;
+            jump[exits[j]] = entry->key >> 5 * j & 31;
+        int closed = entry->key >> 60;
         for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
             r[o] = jump[o + 1];
             r[o + 1] = jump[o + 2];
@@ -303,13 +310,14 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * r[t] is b(jump(sigma_M(t))), standing for r at b(t).
  *
  * As in the pure twin, the outer states are tallied by the key (closed,
- * jump at exits), with their sign sum, number and lowest mask, and the
- * block is walked once per key.  Outer and inner bits are disjoint, so
- * the lowest spherical mask of a key is its lowest outer mask plus its
- * lowest spherical inner mask.  The tally is an open-addressed table with
- * twice as many slots as the keys it may hold, the fewer of the outer
- * states and 2^TALLY_BITS; when it is full its keys are walked and it
- * starts again empty.  first_mask is the minimum spherical mask met.
+ * jump at exits), one word, with their sign sum, number and lowest mask,
+ * and the block is walked once per key.  Outer and inner bits are
+ * disjoint, so the lowest spherical mask of a key is its lowest outer
+ * mask plus its lowest spherical inner mask.  The tally is an
+ * open-addressed table with twice as many slots as the keys it may hold,
+ * the fewer of the outer states and 2^TALLY_BITS; when it is full its
+ * keys are walked and it starts again empty.  first_mask is the minimum
+ * spherical mask met.
  * Returns (by_b, spherical, first_mask); the signed spherical count is
  * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
  * ValueError in the twin's order, connectivity last ("graph is not
@@ -396,20 +404,17 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         }
         for (Py_ssize_t d = 0; d < n; d++)
             seen[d] = inside[d];
-        unsigned long long key[2] = {0, 0};
+        unsigned long long key = 0;
         for (int j = 0; j < e; j++) {
             Py_ssize_t d = exits[j];
             for (; !in_v[d]; d = p[d])
                 seen[d] = 1;
             seen[d] = 1;
-            key[j / PER_WORD] |= (unsigned long long)b[d]
-                                  << 5 * (j % PER_WORD);
+            key |= (unsigned long long)b[d] << 5 * j;
         }
-        key[1] |= (unsigned long long)count_cycles(p, seen, n) << 60;
-        unsigned long slot = ((key[0] ^ key[1] * 0xC2B2AE3D27D4EB4FULL) *
-                              0x9E3779B97F4A7C15ULL) >> (64 - bits);
-        while (tally[slot].count && (tally[slot].key[0] != key[0] ||
-                                     tally[slot].key[1] != key[1]))
+        key |= (unsigned long long)count_cycles(p, seen, n) << 60;
+        unsigned long slot = key * 0x9E3779B97F4A7C15ULL >> (64 - bits);
+        while (tally[slot].count && tally[slot].key != key)
             slot = (slot + 1) & (slots - 1);
         if (tally[slot].count) {
             tally[slot].sign += sign;
@@ -417,8 +422,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
             if (outer < tally[slot].outer)
                 tally[slot].outer = outer;
         } else {
-            tally[slot] = (struct outer_key){{key[0], key[1]}, sign, 1,
-                                             outer};
+            tally[slot] = (struct outer_key){key, sign, 1, outer};
             if (++used == slots / 2) {
                 walk_block(tally, slots, k, b_top, bit, jump, exits, e,
                            by_b, &spherical, &first_mask);

@@ -17,14 +17,13 @@ from __future__ import annotations
 from math import factorial
 
 MAX_SCAN_V = 28
-_MAX_K = 8  # block vertices at most: the compiled key holds 24 jumps
+_MAX_K = 8  # block vertices at most: each of its darts fits 5 bits in C
 _TALLY = 1 << 14  # keys it tallies before walking the block for them
 # The least v whose block marking_scan searches for.  Below it the outer
 # walk has at most 64 states and each block size k scores the block
 # 0..k-1: on the v <= 8 catalog, whose canonical labels put a
 # well-connected set lowest, the search costs more than its blocks save.
 _SEARCH_V = 10
-_BITS = tuple(1 << i for i in range(MAX_SCAN_V))
 _FACTORIAL = tuple(factorial(e) for e in range(3 * _MAX_K + 1))
 
 
@@ -115,14 +114,13 @@ def marking_scan(alpha, v: int):
     v - 1.  _block picks the block for its many inside edges: the fewer
     darts leave it, the fewer outer states the inner walk can tell apart
     (see the keys below).  Below v = _SEARCH_V the block is 0..k-1.  The
-    darts are relabeled so the block is
-    vertices 0..k-1 and the outer vertices keep their order, and each
-    walk flips the original bit of the vertex it reverses, so every mask
-    below is in the original labels.  In the new labels let V =
-    alpha(darts 0..3k-1), the darts that alpha sends into the block.
-    p[d] is a block dart exactly when d is in V, so p(V) is the block's
-    darts, and p off V is fixed by the outer state.  For each outer state
-    one pass over p
+    darts are relabeled on every scan so the block is vertices 0..k-1 and
+    the outer vertices keep their order, and each walk flips the original
+    bit of the vertex it reverses, so every mask below is in the original
+    labels.  In the new labels let V = alpha(darts 0..3k-1), the darts
+    that alpha sends into the block.  p[d] is a block dart exactly when d
+    is in V, so p(V) is the block's darts, and p off V is fixed by the
+    outer state.  For each outer state one pass over p
 
     - follows each block dart t to the first dart of V it reaches,
       jump[t].  As p(V) is the block's darts, jump is a bijection from
@@ -175,17 +173,13 @@ def marking_scan(alpha, v: int):
     block = _block(alpha, v)
     k = len(block)
     nb = 3 * k
-    bit = _BITS  # the original mask bit of each vertex in the new labels
-    if block != list(range(k)):
-        order = block + [i for i in range(v) if i not in block]
-        bit = [1 << i for i in order]
-        new = [0] * v
-        for j, i in enumerate(order):
-            new[i] = j
-        relabeled = [0] * n
-        for d, x in enumerate(alpha):
-            relabeled[3 * new[d // 3] + d % 3] = 3 * new[x // 3] + x % 3
-        alpha = relabeled
+    order = block + [i for i in range(v) if i not in block]
+    bit = [1 << i for i in order]  # the original mask bit of each vertex
+    new = [0] * v  # the first dart of each vertex in the new labels
+    for j, i in enumerate(order):
+        new[i] = 3 * j
+    alpha = [new[x // 3] + x % 3
+             for i in order for x in alpha[3 * i:3 * i + 3]]
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
     bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
     into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i

@@ -1,6 +1,6 @@
-"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels, each
-kernel backend in turn and counters of marking scans and coloring
-enumerations."""
+"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and a
+UBSan build of them, each kernel backend in turn and counters of marking
+scans and coloring enumerations."""
 
 import importlib.util
 import os
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from setuptools import Distribution, Extension
+from setuptools.errors import LinkError
 
 from weightsys import _kernels_py, catalog, cli, coloring, kernels
 from weightsys.catalog import generate_graphs
@@ -35,28 +36,47 @@ def catalog_v8():
     return [g for v in (2, 4, 6, 8) for g in generate_graphs(v, dedup=True)]
 
 
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """_kernels.c built with setuptools into a temporary directory and
-    loaded from there, whether or not an in-place build exists.  Warnings
-    fail the build here; setup.py keeps the default flags for compilers
-    that do not take these."""
+def build_kernels(out, flags=()):
+    """Build _kernels.c with setuptools into the directory out, with the
+    extra flags passed to both compiler and linker, and return the path
+    of the module.  Warnings fail the build here; setup.py keeps the
+    default flags for compilers that do not take these.  Skips when there
+    is no C compiler."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build _kernels.c")
-    out = tmp_path_factory.mktemp("kernels")
     ext = Extension("weightsys._kernels", [str(KERNELS_C)], extra_compile_args=[
-        "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"])
+        "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", *flags],
+        extra_link_args=list(flags))
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     build.build_lib = str(out)
     build.build_temp = str(out / "tmp")
     build.ensure_finalized()
     build.run()
-    spec = importlib.util.spec_from_file_location(
-        ext.name, build.get_ext_fullpath(ext.name))
+    return build.get_ext_fullpath(ext.name)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """_kernels.c built by build_kernels into a temporary directory and
+    loaded from there, whether or not an in-place build exists."""
+    path = build_kernels(tmp_path_factory.mktemp("kernels"))
+    spec = importlib.util.spec_from_file_location("weightsys._kernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def sanitized_kernels(tmp_path_factory):
+    """The path of _kernels.c built by build_kernels under UBSan, which
+    aborts at the first undefined behaviour.  Skips when the toolchain
+    cannot link the sanitizer."""
+    try:
+        return build_kernels(tmp_path_factory.mktemp("ubsan"), [
+            "-fsanitize=undefined", "-fno-sanitize-recover=all"])
+    except LinkError as exc:
+        pytest.skip(f"the C toolchain cannot link UBSan: {exc}")
 
 
 @pytest.fixture(params=["pure", "compiled"])

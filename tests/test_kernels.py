@@ -1,11 +1,15 @@
 """Hot kernels: goldens, bad input, both backends against the
-counter-order marking oracle, and the compiled extension against its pure
-twin (built from _kernels.c by the compiled_kernels fixture)."""
+counter-order marking oracle, and the compiled extension, plain and under
+UBSan, against its pure twin (built from _kernels.c by the compiled_kernels
+and sanitized_kernels fixtures)."""
 
+import json
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,8 +175,8 @@ def prism_scans():
     return scans
 
 
-# Seeded draws (v, seed) on which the kernel takes the largest block the
-# compiled key holds, k = 8, and the smallest from v = _SEARCH_V, k = 2.
+# Seeded draws (v, seed) on which the kernel takes its largest block,
+# k = _MAX_K = 8, and the smallest from v = _SEARCH_V, k = 2.
 BLOCK_SIZE_DRAWS = {(14, 31): 8, (16, 5): 8, (10, 8): 2}
 
 
@@ -233,6 +237,23 @@ def test_block_search_follows_its_tie_rules(monkeypatch):
     # The theta's two vertices share three edges; the block leaves out
     # v - 1, so it is vertex 0 alone.
     assert _kernels_py._block(THETA, 2) == [0]
+
+
+def test_no_block_taken_has_more_than_12_exits():
+    # The compiled tally packs the jumps of at most 12 exits into one
+    # word.  A block of j vertices with `inside` edges has 3j - 2*inside
+    # exits; wherever that is 13 or more, every block of j - 1 vertices
+    # that leaves the graph is cheaper, so _block never takes it.
+    compared = 0
+    for v in range(2, _kernels_py.MAX_SCAN_V + 1, 2):
+        for j in range(2, min(v - 1, _kernels_py._MAX_K) + 1):
+            for inside in range((3 * j - 13) // 2 + 1):
+                work = _kernels_py._work(v, j, inside)
+                for i in range((3 * j - 4) // 2 + 1):
+                    assert work > _kernels_py._work(v, j - 1, i), \
+                        (v, j, inside, i)
+                    compared += 1
+    assert compared == 1563
 
 
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
@@ -382,6 +403,46 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
             alpha = random_pairing(v, rng).alpha
             assert compiled_kernels.face_count(alpha) == \
                 _kernels_py.face_count(alpha), alpha
+
+
+def test_twins_share_their_constants():
+    # The block choice never shows in an output, so only this ties the
+    # constants it reads in _kernels.c to the pure twin's.
+    source = Path(_kernels_py.__file__).with_name("_kernels.c").read_text()
+    defines = dict(re.findall(r"^#define (\w+) (\d+)\b", source, re.MULTILINE))
+    assert int(defines["MAX_V"]) == _kernels_py.MAX_SCAN_V
+    assert int(defines["MAX_K"]) == _kernels_py._MAX_K
+    assert int(defines["SEARCH_V"]) == _kernels_py._SEARCH_V
+    assert 1 << int(defines["TALLY_BITS"]) == _kernels_py._TALLY
+
+
+# Loads the module built at argv[1] and prints, for each (alpha, v) read
+# from stdin, its marking scan and face count.
+SCAN_IN_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("_kernels", sys.argv[1])
+kernels = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernels)
+print(json.dumps([[kernels.marking_scan(alpha, v), kernels.face_count(alpha)]
+                  for alpha, v in json.load(sys.stdin)]))
+"""
+
+
+def test_sanitized_compiled_matches_pure(sanitized_kernels, catalog_v8):
+    # Under UBSan a shift of 64 bits or more in the key packing, or any
+    # other undefined behaviour, aborts the child.
+    rng = random.Random(43)
+    cases = [(g.alpha, g.vertex_count) for g in catalog_v8]
+    cases += block_size_cases(16)
+    cases += [(random_connected_graph(v, rng).alpha, v)
+              for v in range(2, 21, 2) for _ in range(5)]
+    child = subprocess.run(
+        [sys.executable, "-c", SCAN_IN_CHILD, sanitized_kernels],
+        input=json.dumps(cases), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    expected = [[list(_kernels_py.marking_scan(alpha, v)),
+                 _kernels_py.face_count(alpha)] for alpha, v in cases]
+    assert json.loads(child.stdout) == expected
 
 
 @pytest.mark.parametrize("keys", [1, 2, 5])
