@@ -7,8 +7,10 @@ polynomial coefficients as decimal strings so consumers never hit
 fixed-width integer limits).
 
 Exit codes: 0 success, 1 identity failure found by a survey, 2 input
-error (unreadable/malformed graph, bad survey bounds, precondition not
-met), 3 configuration error (unknown algebra name, algebra violation, an
+error: an unreadable graph file, or any ValueError a layer raises under a
+command (a malformed graph, bad survey bounds, a graph over a search cap,
+a precondition not met), printed as ``error: <message>``; 3 an algebra
+lookup or check that fails (unknown algebra name, algebra violation, an
 algebra over 36 dimensions: gl:<n> takes n <= 6, abelian:<n> n <= 36).
 
 ``weightsys --version`` prints the package version and the live kernel
@@ -27,8 +29,8 @@ from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
 from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
                        extract_map, penrose_sum, verify_tait_bijection)
-from .graphs import (GraphParseError, TrivalentGraph, is_connected,
-                     is_two_connected, parse_graph)
+from .graphs import (TrivalentGraph, is_connected, is_two_connected,
+                     parse_graph)
 from .ribbon import genus, marking_profile, rotation_of_marking
 from .statesum import evaluate_weight
 
@@ -39,28 +41,38 @@ def _fail(code: int, message: str) -> int:
 
 
 def _read_graph(path: str) -> TrivalentGraph:
-    with open(path, "rb") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(exc) from exc
+    return parse_graph(text)
 
 
-def _emit_json(payload: dict):
-    payload = {"schema_version": 1, **payload}
-    print(json.dumps(payload, sort_keys=True))
+def _json_default(obj):
+    """Survey reports as their fields, polynomials as ``to_json()``."""
+    return vars(obj) if isinstance(obj, VerificationReport) else obj.to_json()
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _emit(args, facts: dict):
+    """Print ``facts``: in JSON one object with schema_version 1 and sorted
+    keys, in text one ``key value`` line per fact, booleans as true/false."""
+    if args.format == "json":
+        print(json.dumps({"schema_version": 1, **facts}, sort_keys=True,
+                         default=_json_default))
+        return
+    for key, value in facts.items():
+        print(key, str(value).lower() if isinstance(value, bool) else value)
 
 
 def cmd_eval(args) -> int:
-    g = args.graph
     try:
         alg = algebra_by_name(args.algebra)
     except ValueError as exc:
         return _fail(3, f"error: {exc}")
-    value = evaluate_weight(g, alg)
+    value = evaluate_weight(args.graph, alg)
     if args.format == "json":
-        _emit_json({"algebra": alg.name, "value": str(value)})
+        _emit(args, {"algebra": alg.name, "value": str(value)})
     else:
         print(value)
     return 0
@@ -68,78 +80,46 @@ def cmd_eval(args) -> int:
 
 def cmd_poly(args) -> int:
     g = args.graph
-    try:
-        profile = marking_profile(g)
-    except ValueError as exc:
-        return _fail(2, f"error: {exc}")
-    two_conn = is_two_connected(g)
-    poly, spherical, top = profile.wgl, profile.spherical, profile.top
-    planar = spherical > 0
-    if args.format == "json":
-        _emit_json({"wgl": poly.to_json(), "w_top": top,
-                    "spherical_embeddings": spherical, "planar": planar,
-                    "two_connected": two_conn})
-    else:
-        print(f"wgl {poly}")
-        print(f"w_top {top}")
-        print(f"spherical_embeddings {spherical}")
-        print(f"planar {_bool(planar)}")
-        print(f"two_connected {_bool(two_conn)}")
+    profile = marking_profile(g)
+    _emit(args, {"wgl": profile.wgl, "w_top": profile.top,
+                 "spherical_embeddings": profile.spherical,
+                 "planar": profile.spherical > 0,
+                 "two_connected": is_two_connected(g)})
     return 0
 
 
 def cmd_colorings(args) -> int:
     g = args.graph
-    try:
-        three = enumerate_edge_3_colorings(g)
-    except ValueError as exc:
-        return _fail(2, f"error: {exc}")
-    n3 = len(three)
+    three = enumerate_edge_3_colorings(g)
     pen = penrose_sum(g, three)
-    sl2 = 2 ** (g.vertex_count // 2) * pen
-    if args.format == "json":
-        _emit_json({"edge_3_colorings": n3, "penrose": pen, "w_sl2": sl2})
-    else:
-        print(f"edge_3_colorings {n3}")
-        print(f"penrose {pen}")
-        print(f"w_sl2 {sl2}")
+    _emit(args, {"edge_3_colorings": len(three), "penrose": pen,
+                 "w_sl2": 2 ** (g.vertex_count // 2) * pen})
     return 0
 
 
 def cmd_map(args) -> int:
     g = args.graph
-    try:
-        marking = marking_profile(g).first
-    except ValueError as exc:
-        return _fail(2, f"error: {exc}")
+    marking = marking_profile(g).first
     if marking is None:
-        return _fail(2, "error: graph has no spherical embedding")
+        raise ValueError("graph has no spherical embedding")
     pm = extract_map(rotation_of_marking(g, marking))
     fours = enumerate_four_colorings(pm)
-    four = len(fours)
     tait = verify_tait_bijection(pm, fours,
                                  len(enumerate_edge_3_colorings(g)))
-    if args.format == "json":
-        _emit_json({
-            "marking": list(marking),
-            "faces": [list(c) for c in pm.faces],
-            "edge_faces": [list(p) for p in pm.edge_faces],
-            "outer_face": pm.outer_face,
+    tail = {"outer_face": pm.outer_face,
             "self_bordering": pm.is_self_bordering(),
-            "four_colorings": four,
-            "tait": tait if tait else "ok",
-        })
-    else:
-        print(f"marking {' '.join('+' if s > 0 else '-' for s in marking)}")
-        for idx, cyc in enumerate(pm.faces):
-            print(f"face {idx} : {' '.join(map(str, cyc))}")
-        for k, ((d, dd), (a, b)) in enumerate(zip(pm.graph.edges(),
-                                                  pm.edge_faces)):
-            print(f"edge {k} ({d} {dd}) faces {a} {b}")
-        print(f"outer_face {pm.outer_face}")
-        print(f"self_bordering {_bool(pm.is_self_bordering())}")
-        print(f"four_colorings {four}")
-        print(f"tait {tait if tait else 'ok'}")
+            "four_colorings": len(fours), "tait": tait or "ok"}
+    if args.format == "json":
+        _emit(args, {"marking": marking, "faces": pm.faces,
+                     "edge_faces": pm.edge_faces, **tail})
+        return 0
+    print(f"marking {' '.join('+' if s > 0 else '-' for s in marking)}")
+    for idx, cyc in enumerate(pm.faces):
+        print(f"face {idx} : {' '.join(map(str, cyc))}")
+    for k, ((d, dd), (a, b)) in enumerate(zip(pm.graph.edges(),
+                                              pm.edge_faces)):
+        print(f"edge {k} ({d} {dd}) faces {a} {b}")
+    _emit(args, tail)
     return 0
 
 
@@ -155,48 +135,33 @@ def cmd_validate(args) -> int:
         "has_loop": g.has_loop(),
         "genus": genus(g) if connected else None,
     }
-    code = 0
-    algebra_note = None
+    violation = None
     if args.algebra:
         try:
             alg = algebra_by_name(args.algebra)
         except ValueError as exc:
             return _fail(3, f"error: {exc}")
         violation = validate_algebra(alg)
-        algebra_note = violation or "ok"
-        if violation:
-            code = 3
+    note = violation or "ok"
     if args.format == "json":
-        payload = {"ok": True, **facts}
-        if algebra_note is not None:
-            payload["algebra"] = {"name": args.algebra, "status": algebra_note}
-        _emit_json(payload)
+        if args.algebra:
+            facts["algebra"] = {"name": args.algebra, "status": note}
+        _emit(args, {"ok": True, **facts})
     else:
         print("ok")
-        for key in ("v", "e"):
-            print(f"{key} {facts[key]}")
-        for key in ("connected", "two_connected", "has_loop"):
-            print(f"{key} {_bool(facts[key])}")
-        print(f"genus {'n/a' if facts['genus'] is None else facts['genus']}")
-        if algebra_note is not None:
-            print(f"algebra {args.algebra} {algebra_note}")
-    return code
-
-
-def _report_dict(r: VerificationReport) -> dict:
-    return {**vars(r), "wgl_poly": r.wgl_poly.to_json()}
+        _emit(args, {**facts, "genus": "n/a" if facts["genus"] is None
+                     else facts["genus"]})
+        if args.algebra:
+            print(f"algebra {args.algebra} {note}")
+    return 3 if violation else 0
 
 
 def cmd_survey(args) -> int:
-    try:
-        result = run_survey(args.max_v, allow_loops=not args.no_loops,
-                            dedup=args.dedup, jobs=args.jobs)
-    except ValueError as exc:
-        return _fail(2, f"error: {exc}")
+    result = run_survey(args.max_v, allow_loops=not args.no_loops,
+                        dedup=args.dedup, jobs=args.jobs)
     summary = result["summary"]
     if args.format == "json":
-        _emit_json({"reports": [_report_dict(r) for r in result["reports"]],
-                    "summary": summary})
+        _emit(args, result)
     else:
         print(f"graphs {summary['graphs_checked']}")
         for v, count in summary["graph_counts"].items():
@@ -267,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "graph"):
-        try:
+    try:
+        if hasattr(args, "graph"):
             args.graph = _read_graph(args.graph)
-        except (OSError, GraphParseError) as exc:
-            return _fail(2, f"error: {exc}")
-    return args.func(args)
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(2, f"error: {exc}")
 
 
 if __name__ == "__main__":

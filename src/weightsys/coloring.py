@@ -43,9 +43,13 @@ _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
 _H = frozenset(range(4))
 
-# The search recurses once per position, and an edge search has 3v/2 of
-# them: at this cap 768 frames, well under Python's default limit of 1000.
-MAX_SEARCH_V = 512
+# The marking scan's cap.  The search's time and its list grow long before
+# its depth (one frame per position) nears the recursion limit.  Pure, the
+# worst of 10 seeded loop-free connected draws takes about 0.8 s at v = 28,
+# 1.2 s at v = 32 and 31 s at v = 36, and the first v = 50 draw 261 s.  The
+# prism lists 16,392 colorings at v = 28 and 1,048,584 at v = 40 (in 12 s,
+# 551 MB), doubling every two vertices (BENCH_coloring.json).
+MAX_SEARCH_V = 28
 
 
 def _proper_colorings(earlier: list[list[int]],
@@ -172,7 +176,9 @@ def extract_map(rot: TrivalentGraph) -> PlanarMap:
 def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
     """All proper face colorings of ``pm`` by H = {0,1,2,3}, sorted: faces
     are colored in index order, colors tried ascending.  Empty if a face
-    borders itself."""
+    borders itself.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
+    if pm.graph.vertex_count > MAX_SEARCH_V:
+        raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if pm.is_self_bordering():
         return []
     earlier: list[set[int]] = [set() for _ in pm.faces]

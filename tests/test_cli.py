@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,14 +196,12 @@ def test_poly_rejects_disconnected(capsys, disconnected):
 @pytest.fixture
 def refusal_graphs(tmp_path, disconnected):
     """Paths by name for the refusal goldens: a disconnected v=4 graph,
-    connected v=30 and v=514 prisms, a disconnected v=30 graph (a v=28
-    prism beside a theta), K33, the empty graph and a file that does not
-    exist."""
+    a connected v=30 prism, a disconnected v=30 graph (a v=28 prism beside
+    a theta), K33, the empty graph and a file that does not exist."""
     beside = TrivalentGraph(30, ladder(28).alpha + (88, 87, 89, 85, 84, 86))
     paths = {"disconnected": disconnected, "k33": K33,
              "missing": str(tmp_path / "missing.tgf")}
-    for name, g in (("v30", ladder(30)), ("v30_disconnected", beside),
-                    ("v514", ladder(514))):
+    for name, g in (("v30", ladder(30)), ("v30_disconnected", beside)):
         path = tmp_path / f"{name}.tgf"
         path.write_bytes(serialize_graph(g))
         paths[name] = str(path)
@@ -218,7 +217,7 @@ EMPTY = "error: line 1: vertex count must be positive, got 0\n"
 # Exact stderr and exit code of each refusal.  The marking scan checks its
 # cap before connectivity, so a disconnected graph over the cap gets the
 # cap message.  The empty graph is refused as it is read, by every command.
-@pytest.mark.parametrize("argv, code, err", [
+REFUSALS = [
     (("poly", "{disconnected}"), 2, "error: graph is not connected\n"),
     (("map", "{disconnected}"), 2, "error: graph is not connected\n"),
     (("poly", "{v30}"), 2, CAP),
@@ -239,22 +238,54 @@ EMPTY = "error: line 1: vertex count must be positive, got 0\n"
      "error: [Errno 2] No such file or directory: {missing!r}\n"),
     (("poly", "{v30_disconnected}"), 2, CAP),
     (("map", "{v30_disconnected}"), 2, CAP),
-    (("colorings", "{v514}"), 2, "error: coloring search capped at v = 512\n"),
+    (("colorings", "{v30}"), 2, "error: coloring search capped at v = 28\n"),
     (("validate", "{empty}"), 2, EMPTY),
     (("poly", "{empty}"), 2, EMPTY),
     (("eval", "{empty}", "--algebra", "so3"), 2, EMPTY),
     (("colorings", "{empty}"), 2, EMPTY),
     (("map", "{empty}"), 2, EMPTY),
-], ids=["poly-disconnected", "map-disconnected", "poly-v30", "map-v30",
+]
+
+
+@pytest.mark.parametrize("argv, code, err", REFUSALS, ids=[
+        "poly-disconnected", "map-disconnected", "poly-v30", "map-v30",
         "map-k33", "eval-unknown-algebra", "eval-gl7", "survey-dedup-v12",
         "survey-labeled-v6", "survey-jobs-0", "unreadable-file",
-        "poly-v30-disconnected", "map-v30-disconnected", "colorings-v514",
+        "poly-v30-disconnected", "map-v30-disconnected", "colorings-v30",
         "validate-empty", "poly-empty", "eval-empty", "colorings-empty",
         "map-empty"])
 def test_refusal_messages_are_pinned(capsys, refusal_graphs, argv, code,
                                     err):
     argv = [a.format(**refusal_graphs) for a in argv]
     assert run(capsys, *argv) == (code, "", err.format(**refusal_graphs))
+
+
+def test_readme_quotes_only_pinned_refusals():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    # Whitespace folded, since a quote may break across lines; an elided
+    # quote such as `error: ...` is a form, not a message.
+    quoted = {" ".join(m.split())
+              for m in re.findall(r"`(error: [^`]*)`", readme)
+              if not m.endswith("...")}
+    assert quoted
+    assert quoted <= {err.strip() for _, _, err in REFUSALS}
+
+
+@pytest.mark.parametrize("argv, route", [
+    (("eval", THETA, "--algebra", "gl:2"), "evaluate_weight"),
+    (("poly", THETA), "marking_profile"),
+    (("colorings", THETA), "enumerate_edge_3_colorings"),
+    (("map", THETA), "extract_map"),
+    (("validate", THETA), "genus"),
+    (("survey", "--max-v", "2"), "run_survey"),
+], ids=["eval", "poly", "colorings", "map", "validate", "survey"])
+def test_any_value_error_under_a_command_exits_2(capsys, monkeypatch, argv,
+                                                 route):
+    def refuse(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, route, refuse)
+    assert run(capsys, *argv) == (2, "", "error: boom\n")
 
 
 def test_colorings_text(capsys):

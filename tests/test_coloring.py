@@ -59,12 +59,30 @@ def test_colorings_are_sorted_and_distinct():
 
 
 def test_search_at_the_cap_fits_the_recursion_limit():
-    # One frame per edge of a v = MAX_SEARCH_V graph: a chain in which each
-    # position conflicts with the two before it has just the 6 colorings
-    # fixed by the first two positions, so the search is deep but cheap.
+    # One frame per edge of a v = MAX_SEARCH_V graph, far below the
+    # recursion limit now that time and list size set the cap: a chain in
+    # which each position conflicts with the two before it has just the 6
+    # colorings fixed by the first two positions, so the search is cheap.
     n = 3 * MAX_SEARCH_V // 2
     earlier = [list(range(max(0, k - 2), k)) for k in range(n)]
     assert len(coloring._proper_colorings(earlier, (1, 2, 3))) == 6
+
+
+def prism_map(v):
+    # Reversing vertices 1..v/2 makes the prism spherical: marking_profile
+    # finds that marking first on every prism up to v = 14.
+    marking = tuple(-1 if 1 <= i <= v // 2 else 1 for i in range(v))
+    return extract_map(rotation_of_marking(ladder(v), marking))
+
+
+def test_both_searches_refuse_a_graph_over_the_cap():
+    assert MAX_SEARCH_V == 28
+    assert len(enumerate_four_colorings(prism_map(28))) == 4 * 16392
+    capped = f"coloring search capped at v = {MAX_SEARCH_V}"
+    with pytest.raises(ValueError, match=capped):
+        enumerate_edge_3_colorings(ladder(30))
+    with pytest.raises(ValueError, match=capped):
+        enumerate_four_colorings(prism_map(30))
 
 
 def test_coloring_sign_theta():
