@@ -17,11 +17,14 @@ two face colors is the classical Tait correspondence, verified exhaustively.
 Both enumerations are one search, ``_proper_colorings``, over a conflict
 graph: the line graph for edge colorings (two edges conflict when they
 share a vertex), the dual for face colorings (two faces conflict when a
-map edge lies between them).  It colors positions in index order and
-tries colors in ascending order, so each list comes out sorted and
-distinct.  A loop or a face that borders itself would conflict with
-itself, so a graph with a loop and a map with such a face have no proper
-colorings: both enumerations return [] before the search.
+map edge lies between them).  It colors next the position with the most
+conflicts already colored, the lowest index on a tie, so a dead branch
+fails near where it starts, and tries colors in ascending order.  Each
+coloring is read back in index order and the list is sorted, so it comes
+out as a search in index order would give it, sorted and distinct.  A
+loop or a face that borders itself would conflict with itself, so a graph
+with a loop and a map with such a face have no proper colorings: both
+enumerations return [] before the search.
 
 Each enumeration is made once per graph by the caller and handed on:
 ``penrose_sum`` signs the edge colorings it is given, and
@@ -43,21 +46,47 @@ _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
 _H = frozenset(range(4))
 
-# The marking scan's cap.  The search's time and its list grow long before
-# its depth (one frame per position) nears the recursion limit.  Pure, the
-# worst of 10 seeded loop-free connected draws takes about 0.8 s at v = 28,
-# 1.2 s at v = 32 and 31 s at v = 36, and the first v = 50 draw 261 s.  The
-# prism lists 16,392 colorings at v = 28 and 1,048,584 at v = 40 (in 12 s,
-# 551 MB), doubling every two vertices (BENCH_coloring.json).
+# The marking scan's cap.  The search's list grows long before its depth
+# (one frame per position) nears the recursion limit: the prism lists
+# 16,392 colorings at v = 28 and 1,048,584 at v = 40 (pure, in 5.2 s at
+# 552 MB), doubling every two vertices.  Placed in index order, random
+# loop-free draws took up to 31 s at v = 36 and 261 s at v = 50; in the
+# placement order they take 0.04 and 0.08 s (BENCH_coloring.json).
 MAX_SEARCH_V = 28
 
 
-def _proper_colorings(earlier: list[list[int]],
+def _placement_order(conflicts: list[set[int]]) -> list[int]:
+    """The positions in the order the search places them: each next one
+    has the most conflicts among those placed, the lowest index on a
+    tie, so a dead branch shows early."""
+    placed_conflicts = [0] * len(conflicts)
+    left = list(range(len(conflicts)))
+    order = []
+    while left:
+        # max keeps the first of equal counts, and left is ascending.
+        k = max(left, key=placed_conflicts.__getitem__)
+        left.remove(k)
+        order.append(k)
+        for j in conflicts[k]:
+            placed_conflicts[j] += 1
+    return order
+
+
+def _proper_colorings(conflicts: list[set[int]],
                       colors: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every assignment of ``colors`` to the positions 0..n-1 in which
-    position k differs from each position in ``earlier[k]``, all of them
-    below k.  Positions are assigned in index order and colors tried in
-    the order given, so the list is sorted by that order of the colors."""
+    """Every assignment of ``colors`` to the positions 0..n-1 (n >= 2) in
+    which position k differs from each position in ``conflicts[k]``,
+    sorted with the colors in the order given.  The positions are placed
+    in ``_placement_order`` and each coloring is read back in index
+    order."""
+    order = _placement_order(conflicts)
+    # rank[p]: when position p is placed.
+    rank = [0] * len(order)
+    for k, p in enumerate(order):
+        rank[p] = k
+    # earlier[k]: the placed conflicts of the k-th position placed.
+    earlier = [sorted(rank[j] for j in conflicts[p] if rank[j] < k)
+               for k, p in enumerate(order)]
     n = len(earlier)
     chosen = [0] * n
     out: list[tuple[int, ...]] = []
@@ -66,10 +95,11 @@ def _proper_colorings(earlier: list[list[int]],
     taken = [itemgetter(*js) if len(js) > 1
              else itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
              for js in earlier]
+    in_index_order = itemgetter(*rank)
 
     def place(k: int):
         if k == n:
-            out.append(tuple(chosen))
+            out.append(in_index_order(chosen))
             return
         used = taken[k](chosen)
         for c in colors:
@@ -78,25 +108,25 @@ def _proper_colorings(earlier: list[list[int]],
                 place(k + 1)
 
     place(0)
+    out.sort()
     return out
 
 
 def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
-    """All proper edge colorings of ``g`` by 1, 2, 3, sorted: edges are
-    colored in index order, colors tried ascending.  Empty if ``g`` has a
-    loop.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
+    """All proper edge colorings of ``g`` by 1, 2, 3, in ascending order
+    of their tuples in edge index order.  Empty if ``g`` has a loop.
+    Raises ValueError over ``MAX_SEARCH_V`` vertices."""
     if g.vertex_count > MAX_SEARCH_V:
         raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if g.has_loop():
         return []
     at: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    earlier = []
     for k, (d, dd) in enumerate(g.edges()):
-        a, b = d // 3, dd // 3
-        earlier.append(sorted({*at[a], *at[b]}))
-        at[a].append(k)
-        at[b].append(k)
-    return _proper_colorings(earlier, (1, 2, 3))
+        at[d // 3].append(k)
+        at[dd // 3].append(k)
+    conflicts = [{*at[d // 3], *at[dd // 3]} - {k}
+                 for k, (d, dd) in enumerate(g.edges())]
+    return _proper_colorings(conflicts, (1, 2, 3))
 
 
 def _signer(g: TrivalentGraph):
@@ -174,17 +204,18 @@ def extract_map(rot: TrivalentGraph) -> PlanarMap:
 
 
 def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
-    """All proper face colorings of ``pm`` by H = {0,1,2,3}, sorted: faces
-    are colored in index order, colors tried ascending.  Empty if a face
-    borders itself.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
+    """All proper face colorings of ``pm`` by H = {0,1,2,3}, in ascending
+    order of their tuples in face index order.  Empty if a face borders
+    itself.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
     if pm.graph.vertex_count > MAX_SEARCH_V:
         raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if pm.is_self_bordering():
         return []
-    earlier: list[set[int]] = [set() for _ in pm.faces]
+    conflicts: list[set[int]] = [set() for _ in pm.faces]
     for a, b in pm.edge_faces:
-        earlier[max(a, b)].add(min(a, b))
-    return _proper_colorings([sorted(js) for js in earlier], (0, 1, 2, 3))
+        conflicts[a].add(b)
+        conflicts[b].add(a)
+    return _proper_colorings(conflicts, (0, 1, 2, 3))
 
 
 def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:

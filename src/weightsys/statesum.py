@@ -41,6 +41,21 @@ so it does not depend on the algebra: one plan serves every algebra, and
 ``evaluate_weight`` replays it over one algebra's entries.  Each step
 carries the positions of the shared and kept legs on both sides, so the
 replay reads indices by ``itemgetter`` and never searches a leg list.
+
+A network with a zero factor contracts to 0 by multilinearity, so no
+replay runs where one is known.  ``evaluate_weight`` returns exact ``0``
+as soon as one of the algebra's folded tensors for the graph's vertex
+patterns is empty, before any plan is made: ``f`` traced against the
+metric over a loop vanishes by antisymmetry, so every weight of a graph
+with a loop is 0, and an abelian algebra has no nonzero vertex tensor at
+all.  The patterns come from a ``FoldedNetwork``, which reads them and
+the legs in one pass and makes the plan from the same legs the first
+time a replay needs it, so one network handed to several algebras plans
+the graph at most once, and a graph with a loop never.  The replay also
+stops at the first intermediate tensor that comes out empty.  Otherwise
+the plan's cost at dimension ``d``, the sum over its merges of
+``d ** (legs touched)``, must not exceed ``MAX_PLAN_COST``; a costlier
+contraction is refused before the replay starts.
 """
 
 from __future__ import annotations
@@ -64,6 +79,15 @@ _PLAIN, _METRIC, _LOOP = 0, 1, 2
 _Pattern = tuple[int, int, int]
 
 
+# The largest plan cost, the sum over merges of dim ** (legs touched),
+# that evaluate_weight replays.  Pure, at gl:4 (dim 16), timed one-off on
+# random loop-free graphs of v = 16 to 32: the v = 10 and v = 14 ladders
+# cost 5.6e7 and 9.1e7 and take 11-23 ms; costs of 9e9 to 1.5e11 took
+# 1.0-8.3 s, 1.3e12 took 95 s, and a v = 40 graph costing 3.5e12 ran 39 s
+# into a MemoryError under a 1 GB address-space limit (CHANGES.md).
+MAX_PLAN_COST = 10 ** 11
+
+
 class ContractionPlan(NamedTuple):
     """The merges of one graph's network and the scalars they leave.
 
@@ -73,20 +97,62 @@ class ContractionPlan(NamedTuple):
     ``(a, b, sa, ka, sb, kb)`` merges tensors ``a < b`` over the legs at
     positions ``sa`` of ``a`` and ``sb`` of ``b`` (the shared labels in
     ascending order) into a tensor with the legs at ``ka`` of ``a`` then
-    at ``kb`` of ``b``.  ``scalars`` are the ids left when every leg is
-    contracted, one per connected component, in ascending order.
+    at ``kb`` of ``b``; ``touched`` holds the number of legs each step
+    touches, shared and kept.  ``scalars`` are the ids left when every
+    leg is contracted, one per connected component, in ascending order.
     """
     alpha: tuple[int, ...]
     patterns: tuple[_Pattern, ...]
     steps: list[tuple[int, int, _Positions, _Positions, _Positions,
                       _Positions]]
+    touched: tuple[int, ...]
     scalars: list[int]
+
+    def cost(self, dim: int) -> int:
+        """The estimated work of a replay at dimension ``dim``: the sum
+        over merges of ``dim ** (legs touched)``."""
+        return sum(dim ** t for t in self.touched)
+
+
+class FoldedNetwork:
+    """One graph's folded network: its ``alpha``, each vertex's pattern
+    and legs, and its contraction plan, made by ``contraction_plan`` the
+    first time ``plan()`` is called.  Handed to ``evaluate_weight`` over
+    several algebras, it plans the graph at most once, and not at all
+    when every network has a zero vertex tensor."""
+
+    def __init__(self, g: TrivalentGraph):
+        self.graph = g
+        self.alpha = g.alpha
+        patterns = []
+        legs = []
+        for i in range(g.vertex_count):
+            kinds = []
+            labels = []
+            for d in range(3 * i, 3 * i + 3):
+                e = self.alpha[d]
+                if e // 3 == i:
+                    kinds.append(_LOOP)
+                else:
+                    kinds.append(_METRIC if d < e else _PLAIN)
+                    labels.append(min(d, e))
+            patterns.append(tuple(kinds))
+            legs.append(tuple(labels))
+        self.patterns = tuple(patterns)
+        self.legs = legs
+        self._plan: ContractionPlan | None = None
+
+    def plan(self) -> ContractionPlan:
+        if self._plan is None:
+            self._plan = contraction_plan(self.graph, self)
+        return self._plan
 
 
 def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
     """The heap greedy over tensors with ``legs``; see the module
     docstring.  Returns its merges ``(a, b)``, the legs of every tensor
-    it made, and its cost ``(widest intermediate rank, estimated work)``."""
+    it made, the legs each merge touches, and its cost ``(widest
+    intermediate rank, estimated work)``."""
     legs = list(legs)
     owners: dict[int, list[int]] = {}
     for t, ls in enumerate(legs):
@@ -102,7 +168,8 @@ def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
     heapify(heap)
     alive = [True] * len(legs)
     merges = []
-    widest = work = 0
+    touched = []
+    widest = 0
     while heap:
         rank, _, _, a, b = heappop(heap)
         if not (alive[a] and alive[b]):
@@ -113,7 +180,7 @@ def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
         merges.append((a, b))
         widest = max(widest, rank)
         # The legs touched: the kept ones and the shared ones.
-        work += 16 ** ((len(la) + len(lb) + rank) // 2)
+        touched.append((len(la) + len(lb) + rank) // 2)
         c = len(legs)
         legs.append(merged)
         alive[a] = alive[b] = False
@@ -128,30 +195,20 @@ def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
         for o, ls in with_c.items():
             heappush(heap, (len(legs[o]) + rank - 2 * len(ls),
                             -c if newest_first else 0, min(ls), o, c))
-    return merges, legs, (widest, work)
+    return merges, legs, touched, (widest, sum(16 ** t for t in touched))
 
 
-def contraction_plan(g: TrivalentGraph) -> ContractionPlan:
+def contraction_plan(g: TrivalentGraph,
+                     network: FoldedNetwork | None = None) -> ContractionPlan:
     """The merge order of ``g``'s folded network, the better of two
-    greedy orders; see the module docstring."""
-    alpha = g.alpha
-    patterns = []
-    legs = []
-    for i in range(g.vertex_count):
-        kinds = []
-        labels = []
-        for d in range(3 * i, 3 * i + 3):
-            e = alpha[d]
-            if e // 3 == i:
-                kinds.append(_LOOP)
-            else:
-                kinds.append(_METRIC if d < e else _PLAIN)
-                labels.append(min(d, e))
-        patterns.append(tuple(kinds))
-        legs.append(tuple(labels))
+    greedy orders; see the module docstring.  ``network`` is
+    ``FoldedNetwork(g)``, made here when not given."""
+    if network is None:
+        network = FoldedNetwork(g)
     # min keeps the first of equal costs, so a tie goes to the first key.
-    merges, legs, _ = min((_greedy(legs, newest) for newest in (False, True)),
-                          key=itemgetter(2))
+    merges, legs, touched, _ = min(
+        (_greedy(network.legs, newest) for newest in (False, True)),
+        key=itemgetter(3))
     steps = []
     for a, b in merges:
         la, lb = legs[a], legs[b]
@@ -162,7 +219,8 @@ def contraction_plan(g: TrivalentGraph) -> ContractionPlan:
                       tuple(k for k, l in enumerate(lb) if l not in la)))
     merged = {t for step in merges for t in step}
     scalars = [t for t in range(len(legs)) if t not in merged]
-    return ContractionPlan(alpha, tuple(patterns), steps, scalars)
+    return ContractionPlan(network.alpha, network.patterns, steps,
+                           tuple(touched), scalars)
 
 
 def _fold(f: _Entries, alg: MetrizedLieAlgebra, kinds: _Pattern) -> _Entries:
@@ -240,24 +298,42 @@ def _normalize(x: Scalar) -> Scalar:
 
 
 def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra,
-                    plan: ContractionPlan | None = None) -> Scalar:
+                    plan: ContractionPlan | FoldedNetwork | None = None
+                    ) -> Scalar:
     """Contract the network of ``g`` over ``alg``; exact int or Fraction.
 
-    ``plan`` is ``contraction_plan(g)``, made here when not given; pass it
-    to contract one graph over several algebras with one plan.  Raises
-    ValueError if ``plan`` was made for a different graph.
+    ``plan`` is ``contraction_plan(g)`` or ``FoldedNetwork(g)``, the
+    latter made here when neither is given; pass one to contract one
+    graph over several algebras with one plan.  Returns int 0, with no
+    plan made, when one of ``alg``'s folded vertex tensors for ``g`` is
+    empty, and stops the replay at the first empty intermediate.  Raises
+    ValueError if ``plan`` was made for a different graph, and, once the
+    zero test has passed, if the plan costs more than ``MAX_PLAN_COST``
+    at ``alg``'s dimension.
     """
     if plan is None:
-        plan = contraction_plan(g)
+        plan = FoldedNetwork(g)
     elif plan.alpha != g.alpha:
         raise ValueError("contraction plan was made for a different graph")
     folded = _vertex_tensors(alg)
     tensors = [folded[kinds] for kinds in plan.patterns]
+    if not all(tensors):
+        return 0
+    if isinstance(plan, FoldedNetwork):
+        plan = plan.plan()
+    cost = plan.cost(alg.dim)
+    if cost > MAX_PLAN_COST:
+        raise ValueError(f"contraction plan costs about {cost:.2g} at "
+                         f"dimension {alg.dim}, over the limit "
+                         f"{MAX_PLAN_COST:.0e}")
     for a, b, sa, ka, sb, kb in plan.steps:
-        tensors.append(_merge(tensors[a], tensors[b], sa, ka, sb, kb))
+        merged = _merge(tensors[a], tensors[b], sa, ka, sb, kb)
+        if not merged:
+            return 0
+        tensors.append(merged)
         tensors[a] = tensors[b] = None
-    # only scalars left (one per connected component); an empty one is 0
+    # only scalars left, one per connected component, none of them empty
     prod = 1
     for t in plan.scalars:
-        prod *= tensors[t].get((), 0)
+        prod *= tensors[t][()]
     return _normalize(prod)

@@ -377,17 +377,16 @@ def test_check_graph_plans_the_contraction_once(monkeypatch):
     plans, sums = [], []
     plan_of, evaluate = statesum.contraction_plan, catalog.evaluate_weight
 
-    def counting_plan(g):
+    def counting_plan(g, network=None):
         plans.append(g.vertex_count)
-        return plan_of(g)
+        return plan_of(g, network)
 
     def recording(g, alg, plan=None):
         value = evaluate(g, alg, plan)
         sums.append((alg.name, value))
         return value
 
-    for module in (statesum, catalog):
-        monkeypatch.setattr(module, "contraction_plan", counting_plan)
+    monkeypatch.setattr(statesum, "contraction_plan", counting_plan)
     monkeypatch.setattr(catalog, "evaluate_weight", recording)
     cube = parse_graph((DATA / "cube.tgf").read_bytes())
     r = check_graph(cube)
@@ -396,6 +395,25 @@ def test_check_graph_plans_the_contraction_once(monkeypatch):
     gl2 = r.wgl_poly(2)
     assert sums == [(make_gl(2).name, gl2), (make_so3().name, r.penrose),
                     (make_sl2().name, r.w_sl2)]
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+def test_a_v8_survey_plans_only_the_loop_free_classes(monkeypatch,
+                                                      allow_loops):
+    # Every state sum of a graph with a loop has a zero vertex tensor, so
+    # only the 1 + 2 + 6 + 20 loop-free classes are planned, once each.
+    planned = []
+    plan_of = statesum.contraction_plan
+
+    def counting_plan(g, network=None):
+        planned.append(g)
+        return plan_of(g, network)
+
+    monkeypatch.setattr(statesum, "contraction_plan", counting_plan)
+    out = run_survey(8, allow_loops=allow_loops, dedup=True)
+    assert out["summary"]["graphs_checked"] == (95 if allow_loops else 29)
+    assert len(planned) == len(set(planned)) == 29
+    assert not any(g.has_loop() for g in planned)
 
 
 def test_check_graph_dumbbell():

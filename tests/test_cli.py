@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ladder
-from weightsys import __version__, algebra, cli, graphs, kernels
+from oracles import ladder, random_connected_graph
+from weightsys import __version__, algebra, cli, graphs, kernels, statesum
 from weightsys.cli import main
 from weightsys.graphs import TrivalentGraph, serialize_graph
 
@@ -48,6 +49,17 @@ def test_eval_json(capsys):
     assert code == 0
     assert json.loads(out) == {"schema_version": 1, "algebra": "gl:2",
                                "value": "12"}
+
+
+def test_eval_refuses_a_contraction_over_the_cost_limit(capsys, tmp_path):
+    # The first v = 40 draw plans a rank-8 intermediate: at gl:4 its
+    # replay ran 39 s into a MemoryError before the limit.
+    path = tmp_path / "v40.tgf"
+    path.write_bytes(serialize_graph(random_connected_graph(
+        40, random.Random(7))))
+    code, out, err = run(capsys, "eval", str(path), "--algebra", "gl:4")
+    assert (code, out) == (2, "")
+    assert f"over the limit {statesum.MAX_PLAN_COST:.0e}" in err
 
 
 def test_eval_missing_file(capsys):

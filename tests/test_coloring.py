@@ -300,6 +300,13 @@ def search_order_cases():
     rng = random.Random(13)
     cases += [(f"random v={v}", random_connected_graph(v, rng))
               for v in range(2, 15, 2) for _ in range(4)]
+    # Larger loop-free draws, where the placement order departs furthest
+    # from index order.
+    for v in (16, 20):
+        while sum(name == f"loop-free v={v}" for name, _ in cases) < 3:
+            g = random_connected_graph(v, rng)
+            if not g.has_loop():
+                cases.append((f"loop-free v={v}", g))
     return cases
 
 

@@ -2,11 +2,13 @@
 and brute-force oracles."""
 
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from weightsys import statesum
 from weightsys.algebra import (algebra_by_name, make_abelian, make_gl,
                                make_sl2, make_so3)
 from weightsys.catalog import generate_graphs
@@ -29,6 +31,10 @@ DOMINO = TrivalentGraph(4, (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8))
 # A loop at vertex 3, double edge between 0 and 1.
 LOOPED4 = TrivalentGraph(4, (3, 4, 6, 0, 1, 7, 2, 5, 9, 8, 11, 10))
 TWO_THETAS = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
+# Two copies of a double edge with both ends joined to a third vertex,
+# the two third vertices joined by a bridge.
+BRIDGED = TrivalentGraph(6, (3, 4, 6, 0, 1, 7, 2, 5, 15, 12, 13, 16,
+                             9, 10, 17, 8, 11, 14))
 
 
 def load(name):
@@ -85,8 +91,65 @@ def test_loops_kill_the_weight(algebra):
     assert evaluate_weight(LOOPED4, algebra) == 0
 
 
-def test_abelian_vanishes_on_any_vertex():
+def test_abelian_vanishes_on_any_vertex(monkeypatch):
+    monkeypatch.setattr(statesum, "contraction_plan", refuse_to_plan)
     assert evaluate_weight(THETA, make_abelian(3)) == 0
+
+
+def refuse_to_plan(*args):
+    raise AssertionError("a network with a zero vertex tensor was planned")
+
+
+def random_pairings():
+    rng = random.Random(5)
+    return [random_pairing(v, rng) for v in range(2, 13, 2) for _ in range(6)]
+
+
+@pytest.mark.parametrize("name", [
+    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2"])
+def test_a_zero_vertex_tensor_gives_int_0_before_any_plan(name, monkeypatch):
+    monkeypatch.setattr(statesum, "contraction_plan", refuse_to_plan)
+    alg = algebra_by_name(name)
+    looped = [g for g in random_pairings() if g.has_loop()]
+    assert len(looped) > 10
+    for g in [DUMBBELL, LOOPED4, *looped]:
+        value = evaluate_weight(g, alg)
+        assert type(value) is int and value == 0, (g, name)
+
+
+def test_the_replay_stops_at_the_first_empty_intermediate(monkeypatch):
+    # The side of the bridge that closes first contracts to a vector of
+    # [g, g] that g fixes, and these algebras fix none but 0.
+    merges = []
+    merge = statesum._merge
+
+    def counting(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(statesum, "_merge", counting)
+    plan = contraction_plan(BRIDGED)
+    for name in ("gl:2", "gl:3", "so3", "sl2"):
+        alg = algebra_by_name(name)
+        merges.clear()
+        value = evaluate_weight(BRIDGED, alg, plan)
+        assert 0 < len(merges) < len(plan.steps), name
+        _, expected = greedy_contraction(BRIDGED, alg)
+        assert (repr(value), type(value)) == (repr(expected), type(expected))
+
+
+def test_a_plan_over_the_cost_limit_is_refused_after_the_zero_test():
+    # At gl:4 the first v = 40 draw plans a rank-8 intermediate; without
+    # the limit it ran 39 s into a MemoryError.  The third has a loop.
+    rng = random.Random(7)
+    costly, _, looped = (random_connected_graph(40, rng) for _ in range(3))
+    gl4 = make_gl(4)
+    assert contraction_plan(costly).cost(16) > statesum.MAX_PLAN_COST
+    limit = re.escape(f"limit {statesum.MAX_PLAN_COST:.0e}")
+    with pytest.raises(ValueError, match=limit):
+        evaluate_weight(costly, gl4)
+    assert contraction_plan(looped).cost(16) > statesum.MAX_PLAN_COST
+    assert looped.has_loop() and evaluate_weight(looped, gl4) == 0
 
 
 def test_empty_graph_is_refused_before_contraction():
@@ -201,9 +264,7 @@ def test_values_identical_to_the_rescanning_greedy_without_loops(
 
 
 def test_values_identical_on_random_pairings():
-    rng = random.Random(5)
-    graphs = [random_pairing(v, rng)
-              for v in range(2, 13, 2) for _ in range(6)]
+    graphs = random_pairings()
     assert any(g.has_loop() for g in graphs)
     assert any(len({(d // 3, dd // 3) for d, dd in g.edges()}) < g.edge_count
                for g in graphs)
@@ -251,6 +312,9 @@ def test_a_plan_for_another_graph_is_refused():
     plan = contraction_plan(THETA)
     with pytest.raises(ValueError, match="different graph"):
         evaluate_weight(THETA_TWISTED, make_so3(), plan)
+    # The refusal comes before the zero test of the dumbbell's loops.
+    with pytest.raises(ValueError, match="different graph"):
+        evaluate_weight(DUMBBELL, make_so3(), plan)
     assert evaluate_weight(THETA, make_so3(), plan) == -6
 
 
