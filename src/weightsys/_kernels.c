@@ -9,6 +9,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdlib.h>
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
@@ -21,6 +22,7 @@
 #define MAX_EXITS 12
 #define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
 #define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
+#define JUMPS ((1ULL << 60) - 1) /* the bits of a key that hold its jumps */
 #define SEARCH_V 10 /* the least v whose block is searched for, as in the
                      * pure twin's _SEARCH_V; below it the block is 0..k-1 */
 
@@ -121,7 +123,7 @@ static int connected(const Py_ssize_t *a, int v)
 /* The work marking_scan estimates for a block of j vertices with inside
  * edges between them, loops included, as in the pure twin's _work: 3v
  * steps for each of the 2^(v-1-j) outer states, and 3j for each of the 2^j
- * inner states of each key, of which there are at most e! for the
+ * inner states of each jump, of which there are at most e! for the
  * e = 3j - 2 inside darts that leave the block, and no more than outer
  * states.  The estimate stays below 2^34. */
 static unsigned long long work(int v, int j, int inside)
@@ -139,63 +141,84 @@ static unsigned long long work(int v, int j, int inside)
  * j on a tie.  From v = SEARCH_V each j scores the set of j vertices with
  * the most edges inside that a greedy run finds.  A run from each start
  * vertex adds the vertex that adds the most edges to the block (its loops
- * included), the lowest label on a tie, so one run scores every size; for
- * each size the run with the most edges inside wins, the lowest start on
- * a tie.  Below SEARCH_V each j scores 0..j-1.  Writes the block into
- * best in label order and returns its size. */
+ * included), the lowest label on a tie; for each size the run with the
+ * most edges inside wins, the lowest start on a tie.  All runs grow one
+ * vertex per size, and stop before a size when no size from there on can
+ * beat the best so far: a block leaves v - 1 out of a connected graph,
+ * so at least one dart leaves it, two when j is even, and the work at
+ * that many exits is the least a size can reach.  Below SEARCH_V each j
+ * scores 0..j-1.  Writes the block into best in label order and returns
+ * its size. */
 static int choose_block(const Py_ssize_t *a, int v, int *best)
 {
     int top = v - 1 < MAX_K ? v - 1 : MAX_K, k = 1;
-    int most[MAX_K + 1], runs[MAX_K + 1][MAX_K];
     if (v < SEARCH_V) {
         /* The edges inside 0..j-1 are those of its darts d with a[d] < d. */
+        int most[MAX_K + 1];
         for (int j = 1, inside = 0; j <= top; j++) {
             for (int d = 3 * j - 3; d < 3 * j; d++)
                 inside += a[d] < d;
             most[j] = inside;
-            for (int i = 0; i < j; i++)
-                runs[j][i] = i;
         }
-    } else {
-        int base[MAX_V];
-        for (int i = 0; i < v; i++) { /* the loops at i */
-            int ends = 0;
-            for (int d = 3 * i; d < 3 * i + 3; d++)
-                ends += a[d] / 3 == i;
-            base[i] = ends / 2;
-        }
-        base[v - 1] = SHUT;
-        for (int j = 1; j <= top; j++)
-            most[j] = -1;
+        for (int j = 2; j <= top; j++)
+            if (work(v, j, most[j]) < work(v, k, most[k]))
+                k = j;
+        for (int i = 0; i < k; i++)
+            best[i] = i;
+        return k;
+    }
+    /* bound[j]: the least work of sizes j + 1..top */
+    unsigned long long bound[MAX_K + 1], least = 0;
+    bound[top] = ~0ULL;
+    for (int j = top - 1; j >= 0; j--) {
+        unsigned long long w = work(v, j + 1, (3 * j + 2) / 2);
+        bound[j] = w < bound[j + 1] ? w : bound[j + 1];
+    }
+    int base[MAX_V], gain[MAX_V][MAX_V], run[MAX_V][MAX_K], inside[MAX_V];
+    int block[MAX_K];
+    for (int i = 0; i < v; i++) { /* the loops at i */
+        int ends = 0;
+        for (int d = 3 * i; d < 3 * i + 3; d++)
+            ends += a[d] / 3 == i;
+        base[i] = ends / 2;
+    }
+    base[v - 1] = SHUT;
+    for (int s = 0; s < v - 1; s++)
+        for (int i = 0; i < v; i++)
+            gain[s][i] = base[i];
+    for (int j = 1; j <= top; j++) {
+        int most = -1, won = 0;
         for (int s = 0; s < v - 1; s++) {
-            int gain[MAX_V], run[MAX_K], u = s, inside = base[s];
-            for (int i = 0; i < v; i++)
-                gain[i] = base[i];
-            for (int j = 1; j <= top; j++) {
-                if (j > 1) {
-                    u = 0;
-                    for (int w = 1; w < v; w++)
-                        if (gain[w] > gain[u])
-                            u = w;
-                    inside += gain[u];
-                }
-                run[j - 1] = u;
-                gain[u] = SHUT;
-                for (int d = 3 * u; d < 3 * u + 3; d++)
-                    gain[a[d] / 3]++;
-                if (inside > most[j]) {
-                    most[j] = inside;
-                    for (int i = 0; i < j; i++)
-                        runs[j][i] = run[i];
-                }
+            int u = s;
+            if (j > 1) {
+                u = 0;
+                for (int w = 1; w < v; w++)
+                    if (gain[s][w] > gain[s][u])
+                        u = w;
+                inside[s] += gain[s][u];
+            } else
+                inside[s] = gain[s][s];
+            run[s][j - 1] = u;
+            gain[s][u] = SHUT;
+            for (int d = 3 * u; d < 3 * u + 3; d++)
+                gain[s][a[d] / 3]++;
+            if (inside[s] > most) {
+                most = inside[s];
+                won = s;
             }
         }
-    }
-    for (int j = 2; j <= top; j++)
-        if (work(v, j, most[j]) < work(v, k, most[k]))
+        unsigned long long cost = work(v, j, most);
+        if (j == 1 || cost < least) {
+            least = cost;
             k = j;
+            for (int i = 0; i < j; i++)
+                block[i] = run[won][i];
+        }
+        if (bound[j] > least)
+            break;
+    }
     for (int j = 0; j < k; j++) { /* insertion sort */
-        int x = runs[k][j], i = j;
+        int x = block[j], i = j;
         for (; i > 0 && best[i - 1] > x; i--)
             best[i] = best[i - 1];
         best[i] = x;
@@ -214,30 +237,57 @@ struct outer_key {
     unsigned long outer;
 };
 
-/* Walk the block in Gray order once for each key in the slots of tally,
- * adding the faces of each inner state to by_b, spherical and first_mask,
- * and empty the slots.  Block vertex i flips the mask bit bit[i]; jump
- * holds jump at the block darts that stay in it, and the key fills in
- * the e darts of exits, those that leave it. */
+/* Order tally entries by their jumps, the low 60 bits of the key. */
+static int by_jump(const void *x, const void *y)
+{
+    unsigned long long a = ((const struct outer_key *)x)->key & JUMPS;
+    unsigned long long b = ((const struct outer_key *)y)->key & JUMPS;
+    return (a > b) - (a < b);
+}
+
+/* Walk the block in Gray order once for each jump among the keys in the
+ * slots of tally, adding the faces of each inner state to by_b, spherical
+ * and first_mask, and empty the slots.  Block vertex i flips the mask bit
+ * bit[i]; jump holds jump at the block darts that stay in it, and the key
+ * fills in the e darts of exits, those that leave it.  The occupied slots
+ * are gathered at the front and sorted on their jumps, so the keys of one
+ * jump are a run.  One walk per run fills, by the count c of cycles of r,
+ * the signed sum, the number and the lowest inner mask of the inner
+ * states with c cycles; each key of the run takes closed + c faces from
+ * each of them. */
 static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
                        const unsigned long *bit, int *jump, const int *exits,
                        int e, long long *by_b, long long *spherical,
                        long long *first_mask)
 {
-    int nb = 3 * k, r[3 * MAX_K];
+    int nb = 3 * k, r[3 * MAX_K], used = 0;
     unsigned int mark[3 * MAX_K] = {0}, stamp = 0;
-    for (struct outer_key *entry = tally; entry < tally + slots; entry++) {
-        if (!entry->count)
-            continue;
+    long long signed_by_c[3 * MAX_K + 1], states[3 * MAX_K + 1];
+    unsigned long lowest[3 * MAX_K + 1];
+    for (int s = 0; s < slots; s++)
+        if (tally[s].count) {
+            struct outer_key entry = tally[s];
+            tally[s].count = 0;
+            tally[used++] = entry;
+        }
+    qsort(tally, used, sizeof *tally, by_jump);
+    for (int first = 0, end; first < used; first = end) {
+        unsigned long long far = tally[first].key & JUMPS;
+        for (end = first + 1;
+             end < used && (tally[end].key & JUMPS) == far; end++)
+            ;
         for (int j = 0; j < e; j++)
-            jump[exits[j]] = entry->key >> 5 * j & 31;
-        int closed = entry->key >> 60;
+            jump[exits[j]] = far >> 5 * j & 31;
         for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
             r[o] = jump[o + 1];
             r[o + 1] = jump[o + 2];
             r[o + 2] = jump[o];
         }
-        long long sign = entry->sign;
+        for (int c = 1; c <= nb; c++) {
+            signed_by_c[c] = states[c] = 0;
+            lowest[c] = ~0UL;
+        }
+        int sign = 1;
         unsigned long inner = 0;
         for (unsigned long j = 0; j < 1UL << k; j++) {
             if (j) {
@@ -257,24 +307,37 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
                     r[o + 1] = x;
                 }
             }
-            int faces = closed;
+            int cycles = 0;
             stamp++;
             for (int s = 0; s < nb; s++) {
                 if (mark[s] == stamp)
                     continue;
-                faces++;
+                cycles++;
                 for (int d = s; mark[d] != stamp; d = r[d])
                     mark[d] = stamp;
             }
-            by_b[faces] += sign;
-            if (faces == b_top) {
-                long long mask = (long long)(entry->outer | inner);
-                if (*first_mask < 0 || mask < *first_mask)
-                    *first_mask = mask;
-                *spherical += entry->count;
-            }
+            signed_by_c[cycles] += sign;
+            states[cycles]++;
+            if (inner < lowest[cycles])
+                lowest[cycles] = inner;
         }
-        entry->count = 0;
+        for (struct outer_key *entry = tally + first; entry < tally + end;
+             entry++) {
+            int closed = entry->key >> 60;
+            for (int c = 1; c <= nb; c++) {
+                if (!states[c])
+                    continue;
+                int faces = closed + c;
+                by_b[faces] += entry->sign * signed_by_c[c];
+                if (faces == b_top) {
+                    long long mask = (long long)(entry->outer | lowest[c]);
+                    if (*first_mask < 0 || mask < *first_mask)
+                        *first_mask = mask;
+                    *spherical += entry->count * states[c];
+                }
+            }
+            entry->count = 0;
+        }
     }
 }
 
@@ -290,7 +353,7 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * walk runs over a block of k vertices, the outer walk over the rest but
  * v - 1.  choose_block picks k and the block from the estimate of the
  * work, about 2^(v-1-k) outer states of 3v steps plus, for each of at
- * most min(2^(v-1-k), e!) keys, 2^k inner states of 3k steps, where e
+ * most min(2^(v-1-k), e!) jumps, 2^k inner states of 3k steps, where e
  * darts leave the block (from v = SEARCH_V; below it the block is 0..k-1).
  * The darts are relabeled into b so the block is vertices 0..k-1 and the
  * outer vertices keep their order, and each walk flips the original bit of
@@ -311,9 +374,10 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  *
  * As in the pure twin, the outer states are tallied by the key (closed,
  * jump at exits), one word, with their sign sum, number and lowest mask,
- * and the block is walked once per key.  Outer and inner bits are
- * disjoint, so the lowest spherical mask of a key is its lowest outer
- * mask plus its lowest spherical inner mask.  The tally is an
+ * and the block is walked once per jump among the keys (walk_block).
+ * Outer and inner bits are disjoint, so the lowest spherical mask of a
+ * key is its lowest outer mask plus its lowest spherical inner mask.  The
+ * tally is an
  * open-addressed table with twice as many slots as the keys it may hold,
  * the fewer of the outer states and 2^TALLY_BITS; when it is full its
  * keys are walked and it starts again empty.  first_mask is the minimum

@@ -14,6 +14,7 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial
 
 MAX_SCAN_V = 28
@@ -25,6 +26,8 @@ _TALLY = 1 << 14  # keys it tallies before walking the block for them
 # well-connected set lowest, the search costs more than its blocks save.
 _SEARCH_V = 10
 _FACTORIAL = tuple(factorial(e) for e in range(3 * _MAX_K + 1))
+# The vertex that step j > 0 of a Gray walk flips: ctz(j).
+_FLIPS = tuple((j & -j).bit_length() - 1 for j in range(1 << _MAX_K))
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -139,19 +142,23 @@ def marking_scan(alpha, v: int):
     The inner walk sees an outer state only through closed and jump, and
     many outer states share both.  So the outer states are tallied by the
     key (closed, jump at exits), with their sign sum, their number and
-    their lowest mask, and the inner walk runs once per key.  jump maps
-    exits onto the alpha-images of the darts of V outside the block,
-    which are exits again, so with e exits there are at most e! keys per
-    closed count.  Outer and inner bits are disjoint, so a key's lowest
-    spherical mask is its lowest outer mask plus its lowest spherical
-    inner mask, and first_mask is the least of these.  The tally holds
-    at most _TALLY keys: when it is full, their inner walks run and it
-    starts again empty, so a key met again later is walked again, and the
-    sums are the same.
+    their lowest mask.  jump maps exits onto the alpha-images of the
+    darts of V outside the block, which are exits again, so with e exits
+    there are at most e! jumps.  The inner walk reads
+    only jump, and closed only adds to its face counts: it runs once per
+    jump among the keys, and tallies its inner states by their count c of
+    cycles of r, with their sign sum, their number and their lowest inner
+    mask.  Each key of that jump then takes closed + c faces from each
+    count c.  Outer and inner bits are disjoint, so a key's lowest
+    spherical mask is its lowest outer mask plus the lowest inner mask of
+    the count c that makes it spherical, and first_mask is the least of
+    these.  The tally holds at most _TALLY keys: when it is full, their
+    inner walks run and it starts again empty, so a key met again later
+    is walked again, and the sums are the same.
 
     The work is thus about 2^(v-1-k) outer states of 3v steps each plus
-    2^k inner states of 3k steps for each key, with at most
-    min(2^(v-1-k), e!) keys.  _block takes the k, 1..min(v - 1, _MAX_K),
+    2^k inner states of 3k steps for each jump, with at most
+    min(2^(v-1-k), e!) jumps.  _block takes the k, 1..min(v - 1, _MAX_K),
     and the block of k vertices that make this estimate (_work) least, so
     the block grows with v where few darts leave it and stays small where
     many do.  The outputs do not depend on the block.
@@ -230,8 +237,8 @@ def _work(v: int, j: int, inside: int) -> int:
     """The work marking_scan estimates for a block of j vertices with
     `inside` edges between them, loops included: 3v steps for each of the
     2^(v-1-j) outer states, and 3j for each of the 2^j inner states of
-    each key.  The e = 3j - 2 inside darts that leave the block make at
-    most e! keys, and there are no more keys than outer states."""
+    each jump.  The e = 3j - 2 inside darts that leave the block make at
+    most e! jumps, and there are no more jumps than outer states."""
     outer = 1 << (v - 1 - j)
     return 3 * v * outer + min(outer, _FACTORIAL[3 * j - 2 * inside]) * (
         3 * j << j)
@@ -241,7 +248,11 @@ def _block(alpha, v: int) -> list:
     """The block of marking_scan, in label order: j vertices, never
     v - 1, for the j = 1..min(v - 1, _MAX_K) of least _work, the least j
     on a tie.  From v = _SEARCH_V each j scores the set of j vertices with
-    the most edges inside that _search finds; below, it scores 0..j-1."""
+    the most edges inside that _search finds; below, it scores 0..j-1.
+    _search grows its sets one size at a time, and is asked for no size
+    that cannot beat the best so far: a block leaves v - 1 out of a
+    connected graph, so at least one dart leaves it, two when j is even,
+    and _work at that many exits is the least a size can reach."""
     top = min(v - 1, _MAX_K)
     if v < _SEARCH_V:
         # The edges inside 0..j-1 are those of its darts d with alpha[d] < d.
@@ -252,88 +263,125 @@ def _block(alpha, v: int) -> list:
                 alpha[d + 2] < d + 2)
             costs.append(_work(v, d // 3 + 1, inside))
         return list(range(1 + costs.index(min(costs))))
-    most, runs = _search(alpha, v, top)
-    costs = [_work(v, j, most[j]) for j in range(1, top + 1)]
-    j = 1 + costs.index(min(costs))
-    return sorted(runs[j][:j])
+    # bound[j]: the least _work of sizes j + 1..top
+    bound = list(accumulate((_work(v, j, (3 * j - 1) // 2)
+                             for j in range(top, 0, -1)), min))[::-1]
+    for j, inside, run in _search(alpha, v, top):
+        cost = _work(v, j, inside)
+        if j == 1 or cost < best:
+            best, block = cost, run
+        if j == top or bound[j] > best:
+            return sorted(block)
 
 
 def _search(alpha, v: int, top: int):
-    """For each j = 1..top, the most edges inside a set of j vertices,
-    never v - 1, that a greedy run finds, and a run whose first j vertices
-    hold them.  A run from each start vertex adds top - 1 times the vertex
-    that adds the most edges to the block (its loops included), the
-    lowest label on a tie, so one run scores every size; for each size
-    the run with the most edges inside wins, the lowest start on a tie."""
+    """For j = 1..top in turn, yield j, the most edges inside a set of j
+    vertices, never v - 1, that a greedy run finds, and the first j
+    vertices of that run, which hold them.  A run from each start vertex
+    adds the vertex that adds the most edges to the block (its loops
+    included), the lowest label on a tie.  All runs grow by one vertex
+    for each size asked for, so a size never asked for is never grown;
+    for each size the run with the most edges inside wins, the lowest
+    start on a tie."""
     far = [x // 3 for x in alpha]
     ends = list(zip(far[0::3], far[1::3], far[2::3]))  # far ends of vertex i
     shut = -64  # a gain no run of increments lifts to 0
     base = [e.count(i) // 2 for i, e in enumerate(ends)]  # loops at i
     base[v - 1] = shut
-    most = [-1] * (top + 1)
-    runs = [None] * (top + 1)
-    for s in range(v - 1):
-        gain = base[:]  # the edges each vertex would add to the block
-        run = []
-        u, inside = s, gain[s]
-        for j in range(1, top + 1):
+    gains = [base[:] for _ in range(v - 1)]  # the edges each vertex adds
+    runs = [[] for _ in range(v - 1)]
+    insides = base[:v - 1]
+    for j in range(1, top + 1):
+        most = -1
+        for s in range(v - 1):
+            gain = gains[s]
             if j > 1:
                 add = max(gain)
                 u = gain.index(add)
-                inside += add
+                insides[s] += add
+            else:
+                u = s
+            run = runs[s]
             run.append(u)
             gain[u] = shut
             for w in ends[u]:
                 gain[w] += 1
-            if inside > most[j]:
-                most[j], runs[j] = inside, run
-    return most, runs
+            if insides[s] > most:
+                most, best = insides[s], run
+        yield j, most, best[:]
 
 
 def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:
-    """Walk the block of marking_scan in Gray order once for each key of
-    tally, and empty it.  Block vertex i flips the mask bit bit[i].  A
-    key holds jump at the block darts in exits; at the other block darts
-    jump is alpha, relabeled.  The faces of each inner state go into
-    signed_by_b; found holds the spherical count and the lowest spherical
-    mask so far, and is updated."""
-    k = len(bit)
-    nb = 3 * k
+    """Walk the block of marking_scan in Gray order once for each jump
+    among the keys of tally, and empty it.  Block vertex i flips the mask
+    bit bit[i].  A key holds jump at the block darts in exits; at the
+    other block darts jump is alpha, relabeled.  The keys are grouped by
+    their jump, and _cycle_histograms walks the block once for each
+    group; each inner state with c cycles of r then gives closed + c
+    faces to every key of the group.  The faces go into signed_by_b; found
+    holds the spherical count and the lowest spherical mask so far, and
+    is updated."""
+    nb = 3 * len(bit)
     jump = list(alpha[:nb])
     b_top = len(signed_by_b) - 1
     spherical, first_mask = found
-    flips = [(j & -j).bit_length() - 1 for j in range(1, 1 << k)]
-    r = [0] * nb
-    for (closed, *far), (sign, count, outer) in tally.items():
+    groups = {}  # jump at exits -> [(closed, sign, count, lowest mask)]
+    for (closed, *far), entry in tally.items():
+        groups.setdefault(tuple(far), []).append((closed, *entry))
+    for far, keys in groups.items():
         for t, x in zip(exits, far):
             jump[t] = x
-        for o in range(0, nb, 3):  # every block vertex unreversed
-            r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
-        inner = 0
-        for j in range(1 << k):
-            if j:
-                i = flips[j - 1]
-                inner ^= bit[i]
-                sign = -sign
-                o = 3 * i
-                if inner & bit[i]:
-                    r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
-                else:
-                    r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]
-            mark = [False] * nb  # inline: faster here than _count_cycles
-            faces = closed
-            for s in range(nb):
-                if not mark[s]:
-                    faces += 1
-                    mark[s] = True
-                    d = r[s]
-                    while d != s:
-                        mark[d] = True
-                        d = r[d]
-            signed_by_b[faces] += sign
-            if faces == b_top:
-                if first_mask < 0 or outer | inner < first_mask:
-                    first_mask = outer | inner
-                spherical += count
+        histograms = _cycle_histograms(jump, bit)
+        for closed, sign, count, outer in keys:
+            for cycles, signed, states, lowest in histograms:
+                faces = closed + cycles
+                signed_by_b[faces] += sign * signed
+                if faces == b_top:
+                    if first_mask < 0 or outer | lowest < first_mask:
+                        first_mask = outer | lowest
+                    spherical += count * states
     found[:] = spherical, first_mask
     tally.clear()
+
+
+def _cycle_histograms(jump, bit) -> list:
+    """Walk the block in Gray order with jump fixed, from every block
+    vertex unreversed with sign +1, and return for each count c of cycles
+    of r that some inner state has: (c, the signed sum of those states,
+    their number, their lowest inner mask)."""
+    k = len(bit)
+    nb = 3 * k
+    r = [0] * nb
+    for o in range(0, nb, 3):  # every block vertex unreversed
+        r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
+    signed = [0] * (nb + 1)  # by the cycle count
+    states = [0] * (nb + 1)
+    lowest = [1 << 32] * (nb + 1)  # above every mask of v <= MAX_SCAN_V
+    inner = 0
+    sign = 1
+    for j in range(1 << k):
+        if j:
+            i = _FLIPS[j]
+            inner ^= bit[i]
+            sign = -sign
+            o = 3 * i
+            if inner & bit[i]:
+                r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
+            else:
+                r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]
+        mark = [False] * nb  # inline: faster here than _count_cycles
+        cycles = 0
+        for s in range(nb):
+            if not mark[s]:
+                cycles += 1
+                mark[s] = True
+                d = r[s]
+                while d != s:
+                    mark[d] = True
+                    d = r[d]
+        signed[cycles] += sign
+        states[cycles] += 1
+        if inner < lowest[cycles]:
+            lowest[cycles] = inner
+    return [(c, signed[c], states[c], lowest[c])
+            for c in range(1, nb + 1) if states[c]]

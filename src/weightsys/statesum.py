@@ -18,7 +18,15 @@ product is the weight.
 A tensor's entries are a dict from index tuples (one index per leg, in leg
 order) to the nonzero exact values.  Structure tensors are extremely
 sparse, and entries that cancel to 0 are dropped, so contraction touches
-only nonzero products.
+only nonzero products.  The replay multiplies Python ints only: each
+folded vertex tensor is stored as int entries times ``1 / den``, ``den``
+the lcm of its entries' denominators (2 for sl2's tensor with no metric
+leg, whose entries are ``±1/2``, and 1 for every other tensor of the
+built-in algebras).  The contraction is multilinear, so the network of
+int entries contracts to the weight times the product of the vertex
+denominators, and ``evaluate_weight`` divides by that product once, at
+the end, into an exact int, or a ``Fraction`` when the weight is not
+whole.
 
 The contraction runs in two parts.  ``contraction_plan`` fixes the order
 of the merges from the legs alone: the vertices get tensor ids
@@ -64,6 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -72,6 +81,7 @@ from .graphs import TrivalentGraph
 
 _Positions = tuple[int, ...]
 _Entries = dict[tuple[int, ...], Scalar]
+_Ints = dict[tuple[int, ...], int]
 
 # The kind of each dart of a vertex: its leg is plain, carries the folded
 # inverse metric, or is one end of a loop traced inside the vertex.
@@ -223,9 +233,11 @@ def contraction_plan(g: TrivalentGraph,
                            tuple(touched), scalars)
 
 
-def _fold(f: _Entries, alg: MetrizedLieAlgebra, kinds: _Pattern) -> _Entries:
-    """The entries of a vertex tensor of pattern ``kinds``: ``f`` with the
-    inverse metric summed into each metric leg, then any loop traced."""
+def _fold(f: _Entries, alg: MetrizedLieAlgebra, kinds: _Pattern
+          ) -> tuple[_Ints, int]:
+    """The entries of a vertex tensor of pattern ``kinds``, ``f`` with the
+    inverse metric summed into each metric leg, then any loop traced, as
+    int entries and one int denominator they are over."""
     entries = f
     for k, kind in enumerate(kinds):
         if kind != _METRIC:
@@ -247,16 +259,19 @@ def _fold(f: _Entries, alg: MetrizedLieAlgebra, kinds: _Pattern) -> _Entries:
                 j = (idx[r],)
                 out[j] = out.get(j, 0) + x * t
         entries = {j: x for j, x in out.items() if x}
-    # Whole Fractions (sl2's halves folded against its metric 2) become
-    # ints, which multiply faster in the replay.
-    return {j: _normalize(x) for j, x in entries.items()}
+    # The denominator is the lcm of the entries' own (2 for sl2's halves
+    # with no metric leg), so the replay multiplies ints only.
+    den = lcm(*(Fraction(x).denominator for x in entries.values()))
+    return {j: int(x * den) for j, x in entries.items()}, den
 
 
 # A handful of algebras are live at once: check_graph uses three.
 @lru_cache(maxsize=16)
-def _vertex_tensors(alg: MetrizedLieAlgebra) -> dict[_Pattern, _Entries]:
-    """The folded vertex tensor of every pattern, made once per algebra.
-    Every replay shares these dicts; it reads them and never writes."""
+def _vertex_tensors(alg: MetrizedLieAlgebra
+                    ) -> dict[_Pattern, tuple[_Ints, int]]:
+    """The folded vertex tensor of every pattern, made once per algebra,
+    as int entries and their denominator.  Every replay shares these
+    dicts; it reads them and never writes."""
     f = {(a, b, c): x for a, plane in enumerate(alg.f)
          for b, row in enumerate(plane) for c, x in enumerate(row) if x}
     return {kinds: _fold(f, alg, kinds)
@@ -280,7 +295,7 @@ def _merge(ea: dict, eb: dict, sa: _Positions, ka: _Positions,
     by_key: dict = {}
     for idx, vb in eb.items():
         by_key.setdefault(key_b(idx), []).append((keep_b(idx), vb))
-    out: dict[tuple[int, ...], Scalar] = {}
+    out: _Ints = {}
     for idx, va in ea.items():
         ents_b = by_key.get(key_a(idx))
         if ents_b:
@@ -289,12 +304,6 @@ def _merge(ea: dict, eb: dict, sa: _Positions, ka: _Positions,
                 k = ia + ib
                 out[k] = out.get(k, 0) + va * vb
     return {k: x for k, x in out.items() if x}
-
-
-def _normalize(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra,
@@ -316,9 +325,14 @@ def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra,
     elif plan.alpha != g.alpha:
         raise ValueError("contraction plan was made for a different graph")
     folded = _vertex_tensors(alg)
-    tensors = [folded[kinds] for kinds in plan.patterns]
-    if not all(tensors):
-        return 0
+    tensors = []
+    den = 1
+    for kinds in plan.patterns:
+        entries, d = folded[kinds]
+        if not entries:
+            return 0
+        tensors.append(entries)
+        den *= d
     if isinstance(plan, FoldedNetwork):
         plan = plan.plan()
     cost = plan.cost(alg.dim)
@@ -336,4 +350,5 @@ def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra,
     prod = 1
     for t in plan.scalars:
         prod *= tensors[t][()]
-    return _normalize(prod)
+    value = Fraction(prod, den)
+    return value.numerator if value.denominator == 1 else value

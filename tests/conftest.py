@@ -1,6 +1,7 @@
-"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels and a
-UBSan build of them, each kernel backend in turn and counters of marking
-scans and coloring enumerations."""
+"""Shared fixtures: the v <= 8 dedup catalog, the compiled kernels, a
+UBSan build of them and a build with a tally of 2 keys, each kernel
+backend in turn and counters of marking scans and coloring
+enumerations."""
 
 import importlib.util
 import os
@@ -36,16 +37,16 @@ def catalog_v8():
     return [g for v in (2, 4, 6, 8) for g in generate_graphs(v, dedup=True)]
 
 
-def build_kernels(out, flags=()):
-    """Build _kernels.c with setuptools into the directory out, with the
-    extra flags passed to both compiler and linker, and return the path
-    of the module.  Warnings fail the build here; setup.py keeps the
-    default flags for compilers that do not take these.  Skips when there
-    is no C compiler."""
+def build_kernels(out, flags=(), source=KERNELS_C):
+    """Build source, _kernels.c unless given, with setuptools into the
+    directory out, with the extra flags passed to both compiler and
+    linker, and return the path of the module.  Warnings fail the build
+    here; setup.py keeps the default flags for compilers that do not take
+    these.  Skips when there is no C compiler."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build _kernels.c")
-    ext = Extension("weightsys._kernels", [str(KERNELS_C)], extra_compile_args=[
+    ext = Extension("weightsys._kernels", [str(source)], extra_compile_args=[
         "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", *flags],
         extra_link_args=list(flags))
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
@@ -56,15 +57,34 @@ def build_kernels(out, flags=()):
     return build.get_ext_fullpath(ext.name)
 
 
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """_kernels.c built by build_kernels into a temporary directory and
-    loaded from there, whether or not an in-place build exists."""
-    path = build_kernels(tmp_path_factory.mktemp("kernels"))
+def load_kernels(path):
+    """The compiled kernels built at path, loaded whether or not an
+    in-place build exists."""
     spec = importlib.util.spec_from_file_location("weightsys._kernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """_kernels.c built by build_kernels into a temporary directory and
+    loaded from there."""
+    return load_kernels(build_kernels(tmp_path_factory.mktemp("kernels")))
+
+
+@pytest.fixture(scope="session")
+def small_tally_kernels(tmp_path_factory):
+    """_kernels.c with TALLY_BITS 1 in place of 14, built and loaded as
+    compiled_kernels is.  Its tally has 4 slots and is walked and emptied
+    whenever it holds 2 keys, so most scans fill it mid-scan."""
+    out = tmp_path_factory.mktemp("small_tally")
+    define = "#define TALLY_BITS 14 "
+    text = KERNELS_C.read_text()
+    assert text.count(define) == 1
+    source = out / "_kernels.c"
+    source.write_text(text.replace(define, "#define TALLY_BITS 1 "))
+    return load_kernels(build_kernels(out, source=source))
 
 
 @pytest.fixture(scope="session")

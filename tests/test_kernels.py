@@ -206,7 +206,7 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
 # for each state of an outer walk over the rest but v - 1.  The kernel
 # takes the k and the block that make its estimate of the work least
 # (_kernels_py._work): 2^(v-1-k) outer states of 3v steps, plus 2^k inner
-# states of 3k steps for each of at most min(2^(v-1-k), e!) keys, where
+# states of 3k steps for each of at most min(2^(v-1-k), e!) jumps, where
 # e darts leave the block.  From v = _SEARCH_V each k scores the block
 # with the most inside edges that a greedy run finds; below, it scores
 # 0..k-1.  The compiled kernel picks by the same rule, so
@@ -357,6 +357,50 @@ def test_block_choice_pins_the_keys_walked(monkeypatch):
     monkeypatch.setattr(_kernels_py, "_block",
                         lambda alpha, v: list(range(len(block(alpha, v)))))
     assert walked() == [128, 103]
+
+
+def test_the_block_is_walked_once_per_jump(monkeypatch):
+    # On the inputs of test_block_choice_pins_the_keys_walked, the keys
+    # _walk_block receives and the walks of the block it makes: one for
+    # each distinct jump among the keys, as _cycle_histograms counts them.
+    keys, walks = [], []
+    walk, histograms = _kernels_py._walk_block, _kernels_py._cycle_histograms
+
+    def counting_walk(tally, *args):
+        keys.append(len(tally))
+        walk(tally, *args)
+
+    def counting_histograms(jump, bit):
+        walks.append(tuple(jump))
+        return histograms(jump, bit)
+
+    monkeypatch.setattr(_kernels_py, "_walk_block", counting_walk)
+    monkeypatch.setattr(_kernels_py, "_cycle_histograms", counting_histograms)
+    counts = []
+    for alpha, v in [
+            (random_connected_graph(14, random.Random(41)).alpha, 14),
+            (relabeled(ladder(12), list(range(11, -1, -1))).alpha, 12)]:
+        keys.clear()
+        walks.clear()
+        _kernels_py.marking_scan(alpha, v)
+        assert len(keys) == 1 and len(set(walks)) == len(walks)
+        counts.append((sum(keys), len(walks)))
+    assert counts == [(14, 6), (28, 22)]
+
+
+def test_compiled_matches_pure_when_the_tally_fills(
+        small_tally_kernels, monkeypatch, relabeled_scans):
+    # Both tallies walked and emptied every 2 keys: the keys of one jump
+    # are split over several walks, and a key met again is walked again.
+    monkeypatch.setattr(_kernels_py, "_TALLY", 2)
+    rng = random.Random(47)
+    cases = [(alpha, v) for alpha, v, _ in relabeled_scans]
+    cases += block_size_cases(14)
+    cases += [(random_connected_graph(v, rng).alpha, v)
+              for v in (10, 12, 14, 16) for _ in range(2)]
+    for alpha, v in cases:
+        assert small_tally_kernels.marking_scan(alpha, v) == \
+            _kernels_py.marking_scan(alpha, v), alpha
 
 
 @pytest.mark.parametrize("v", [10, 12, 14, 16])

@@ -4,13 +4,14 @@ and brute-force oracles."""
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weightsys import statesum
-from weightsys.algebra import (algebra_by_name, make_abelian, make_gl,
-                               make_sl2, make_so3)
+from weightsys.algebra import (algebra_by_name, change_basis, make_abelian,
+                               make_gl, make_sl2, make_so3, scale_metric)
 from weightsys.catalog import generate_graphs
 from weightsys.coloring import w_sl2
 from weightsys.graphs import (TrivalentGraph, flip_vertices, is_connected,
@@ -261,6 +262,51 @@ def test_values_identical_to_the_rescanning_greedy_without_loops(
         _, expected = greedy_contraction(g, alg)
         value = evaluate_weight(g, alg)
         assert (repr(value), type(value)) == (repr(expected), type(expected))
+
+
+# Algebras whose folded vertex tensors have denominators other than 1 and
+# 2: so3 with its metric scaled by 1/3 (3 on the all-plain pattern) and
+# by 3 (up to 9, and weights that are not integers), and sl2 in a
+# rational basis.
+OTHER_DENOMINATORS = {
+    "so3*1/3": scale_metric(make_so3(), Fraction(1, 3)),
+    "so3*3": scale_metric(make_so3(), 3),
+    "sl2 in a rational basis": change_basis(make_sl2(), [
+        [1, Fraction(1, 2), 0], [0, 1, Fraction(2, 3)],
+        [Fraction(1, 5), 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("alg", [
+    *map(algebra_by_name, ("gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2",
+                           "abelian:2")),
+    *OTHER_DENOMINATORS.values()], ids=lambda alg: alg.name)
+def test_the_replay_reads_only_int_entries(alg):
+    folded = statesum._vertex_tensors(alg)
+    assert len(folded) == 14
+    for entries, den in folded.values():
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for x in entries.values())
+
+
+@pytest.mark.parametrize("name", OTHER_DENOMINATORS)
+def test_values_identical_to_the_rescanning_greedy_on_other_denominators(
+        name, catalog_v8):
+    alg = OTHER_DENOMINATORS[name]
+    assert {den for _, den in statesum._vertex_tensors(alg).values()} - {1, 2}
+    graphs = [*catalog_v8, *(ladder(v, mobius, relabel)
+                             for v in (8, 10, 12, 14)
+                             for mobius in (False, True)
+                             for relabel in (False, True))]
+    kinds = Counter()
+    for g in graphs:
+        _, expected = greedy_contraction(g, alg)
+        value = evaluate_weight(g, alg)
+        assert (value, repr(value), type(value)) == (
+            expected, repr(expected), type(expected)), g
+        kinds[type(value)] += bool(value)
+    assert kinds[int] > 0
+    assert (kinds[Fraction] > 0) == (name == "so3*3"), kinds
 
 
 def test_values_identical_on_random_pairings():
