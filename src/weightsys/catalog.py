@@ -58,8 +58,8 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import make_gl, make_sl2, make_so3
-from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
-                       extract_map, penrose_sum, verify_tait_bijection)
+from .coloring import (edge_3_coloring_counts, enumerate_four_colorings,
+                       extract_map, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
 from .ribbon import IntPolynomial, marking_profile, rotation_of_marking
 from .statesum import FoldedNetwork, evaluate_weight
@@ -475,9 +475,7 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     profile = marking_profile(g)
     wgl, spherical, top = profile.wgl, profile.spherical, profile.top
     planar = spherical > 0
-    three = enumerate_edge_3_colorings(g)
-    n3 = len(three)
-    penrose = penrose_sum(g, three)
+    n3, penrose = edge_3_coloring_counts(g)
     wsl2 = 2 ** (v // 2) * penrose
 
     # The merge order depends on the legs alone: one plan, three algebras.

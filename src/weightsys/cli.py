@@ -27,8 +27,8 @@ import sys
 from . import __version__, kernels
 from .algebra import algebra_by_name, validate_algebra
 from .catalog import VerificationReport, run_survey
-from .coloring import (enumerate_edge_3_colorings, enumerate_four_colorings,
-                       extract_map, penrose_sum, verify_tait_bijection)
+from .coloring import (edge_3_coloring_counts, enumerate_four_colorings,
+                       extract_map, verify_tait_bijection)
 from .graphs import (TrivalentGraph, is_connected, is_two_connected,
                      parse_graph)
 from .ribbon import genus, marking_profile, rotation_of_marking
@@ -90,9 +90,8 @@ def cmd_poly(args) -> int:
 
 def cmd_colorings(args) -> int:
     g = args.graph
-    three = enumerate_edge_3_colorings(g)
-    pen = penrose_sum(g, three)
-    _emit(args, {"edge_3_colorings": len(three), "penrose": pen,
+    count, pen = edge_3_coloring_counts(g)
+    _emit(args, {"edge_3_colorings": count, "penrose": pen,
                  "w_sl2": 2 ** (g.vertex_count // 2) * pen})
     return 0
 
@@ -104,8 +103,7 @@ def cmd_map(args) -> int:
         raise ValueError("graph has no spherical embedding")
     pm = extract_map(rotation_of_marking(g, marking))
     fours = enumerate_four_colorings(pm)
-    tait = verify_tait_bijection(pm, fours,
-                                 len(enumerate_edge_3_colorings(g)))
+    tait = verify_tait_bijection(pm, fours, edge_3_coloring_counts(g)[0])
     tail = {"outer_face": pm.outer_face,
             "self_bordering": pm.is_self_bordering(),
             "four_colorings": len(fours), "tait": tait or "ok"}

@@ -14,28 +14,32 @@ planar map whose faces can be 4-colored by the Klein group H = Z/2 x Z/2
 (encoded 0..3 with XOR as addition); coloring each edge by the XOR of its
 two face colors is the classical Tait correspondence, verified exhaustively.
 
-Both enumerations are one search, ``_proper_colorings``, over a conflict
-graph: the line graph for edge colorings (two edges conflict when they
-share a vertex), the dual for face colorings (two faces conflict when a
-map edge lies between them).  It colors next the position with the most
-conflicts already colored, the lowest index on a tie, so a dead branch
-fails near where it starts, and tries colors in ascending order.  Each
-coloring is read back in index order and the list is sorted, so it comes
-out as a search in index order would give it, sorted and distinct.  A
-loop or a face that borders itself would conflict with itself, so a graph
-with a loop and a map with such a face have no proper colorings: both
-enumerations return [] before the search.
+The edge side lists nothing: ``edge_3_coloring_counts`` counts the
+colorings and signs each as the search completes it, with vertex 0's
+colors pinned, so it walks a sixth of the colorings.  The face side
+lists every coloring, since the Tait check reads them all: its search,
+``_proper_colorings``, runs over a conflict graph, the dual (two faces
+conflict when a map edge lies between them).  Both searches place next
+the position with the most conflicts already placed, the lowest index on
+a tie (``_placement_order``), so a dead branch fails near where it
+starts.  The face search tries colors in ascending order, reads each
+coloring back in index order and sorts the list, so it comes out as a
+search in index order would give it, sorted and distinct.  A loop or a
+face that borders itself would conflict with itself, so a graph with a
+loop and a map with such a face have no proper colorings: both searches
+return before they start.
 
-Each enumeration is made once per graph by the caller and handed on:
-``penrose_sum`` signs the edge colorings it is given, and
+Each search is made once per graph by the caller and handed on:
 ``verify_tait_bijection`` checks the face colorings it is given against
-the edge colorings' count.
+the edge colorings' count.  ``penrose_sum`` signs a list of edge
+colorings one by one; the package calls it only to word a Tait image
+that is improper at a vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, xor
 
 from .graphs import TrivalentGraph, face_orbits, is_connected
 
@@ -45,13 +49,34 @@ FaceColoring = tuple[int, ...]
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _PERMS = _EVEN | {(1, 3, 2), (3, 2, 1), (2, 1, 3)}
 _H = frozenset(range(4))
+_H_BYTES = bytes(sorted(_H))
+# bytes.translate tables that move a face coloring by each element of H.
+_MOVES = [bytes(x ^ h for x in range(256)) for h in _H_BYTES]
 
-# The marking scan's cap.  The search's list grows long before its depth
-# (one frame per position) nears the recursion limit: the prism lists
-# 16,392 colorings at v = 28 and 1,048,584 at v = 40 (pure, in 5.2 s at
-# 552 MB), doubling every two vertices.  Placed in index order, random
-# loop-free draws took up to 31 s at v = 36 and 261 s at v = 50; in the
-# placement order they take 0.04 and 0.08 s (BENCH_coloring.json).
+
+def _vertex_code(colors: tuple[int, ...]) -> int:
+    """The colors at a vertex's darts 3i, 3i + 1, 3i + 2 as the edge search
+    holds them: color c as the bit 1 << (c - 1), dart 3i + s's color in
+    bits 3s to 3s + 2, which hold 0 while the dart is uncolored."""
+    return sum(1 << c - 1 << 3 * s for s, c in enumerate(colors))
+
+
+# Indexed by a vertex code: the colors still free at the vertex as bits,
+# and 1 where the vertex reads an odd permutation, else 0.
+_FREE = [7 & ~(c | c >> 3 | c >> 6) for c in range(512)]
+_ODD = [0] * 512
+for _perm in _PERMS - _EVEN:
+    _ODD[_vertex_code(_perm)] = 1
+_UNSIGNED = [0] * 512
+_FREE_BITS = [tuple(b for b in (1, 2, 4) if free & b) for free in range(8)]
+
+# The marking scan's cap.  The face search's list grows long before
+# either search's depth (one frame per position) nears the recursion
+# limit: the prism has 16,392 edge colorings at v = 28 and 1,048,584 at
+# v = 40, doubling every two vertices, and its map four times as many face
+# colorings.  Placed in index order, the edge colorings of random
+# loop-free draws took up to 31 s to list at v = 36 and 261 s at v = 50;
+# in the placement order 0.04 and 0.08 s (BENCH_coloring.json).
 MAX_SEARCH_V = 28
 
 
@@ -112,21 +137,84 @@ def _proper_colorings(conflicts: list[set[int]],
     return out
 
 
-def enumerate_edge_3_colorings(g: TrivalentGraph) -> list[EdgeColoring]:
-    """All proper edge colorings of ``g`` by 1, 2, 3, in ascending order
-    of their tuples in edge index order.  Empty if ``g`` has a loop.
-    Raises ValueError over ``MAX_SEARCH_V`` vertices."""
-    if g.vertex_count > MAX_SEARCH_V:
+def edge_3_coloring_counts(g: TrivalentGraph) -> tuple[int, int]:
+    """The number of proper edge colorings of ``g`` by 1, 2, 3 and their
+    sum signed as ``penrose_sum`` signs them, from one search that lists
+    none; (0, 0) if ``g`` has a loop.  Raises ValueError over
+    ``MAX_SEARCH_V`` vertices.
+
+    Permuting the three colors permutes the proper colorings, and with no
+    loop every vertex sees all three colors, so a permutation other than
+    the identity moves each coloring: each orbit holds six, exactly one of
+    them coloring vertex 0's darts 0, 1, 2 with 1, 2, 3.  A transposition
+    of two colors flips the parity at all v vertices, and v is even, so
+    the six share one sign.  The search walks only the pinned colorings
+    and multiplies its totals by 6.  Each vertex is signed when its third
+    edge is placed; vertex 0, and the theta's other vertex, which the pin
+    colors completely, are signed before the search starts."""
+    v = g.vertex_count
+    if v > MAX_SEARCH_V:
         raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if g.has_loop():
-        return []
-    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for k, (d, dd) in enumerate(g.edges()):
+        return 0, 0
+    edges = g.edges()
+    at: list[list[int]] = [[] for _ in range(v)]
+    for k, (d, dd) in enumerate(edges):
         at[d // 3].append(k)
         at[dd // 3].append(k)
-    conflicts = [{*at[d // 3], *at[dd // 3]} - {k}
-                 for k, (d, dd) in enumerate(g.edges())]
-    return _proper_colorings(conflicts, (1, 2, 3))
+    # With no loop, edges 0, 1, 2 hold darts 0, 1, 2, and the order
+    # places them first: each next one conflicts with all those placed.
+    order = _placement_order([{*at[d // 3], *at[dd // 3]} - {k}
+                              for k, (d, dd) in enumerate(edges)])
+    rank = [0] * len(order)
+    for k, p in enumerate(order):
+        rank[p] = k
+    # done[i]: the step that places vertex i's last edge.
+    done = [max(map(rank.__getitem__, ks)) for ks in at]
+    code = [0] * v
+    for k in range(3):
+        for d in edges[k]:
+            code[d // 3] += 1 << k << 3 * (d % 3)
+    start = 0
+    for i in range(v):
+        if done[i] < 3:
+            start ^= _ODD[code[i]]
+    # steps[k] places edge order[k + 3]: its ends, the weight of a color at
+    # each end's dart, and each end's parity table if the step completes
+    # that end, else _UNSIGNED.
+    steps = []
+    for r in range(3, len(order)):
+        d, dd = edges[order[r]]
+        steps.append((d // 3, 1 << 3 * (d % 3), dd // 3, 1 << 3 * (dd % 3),
+                      _ODD if done[d // 3] == r else _UNSIGNED,
+                      _ODD if done[dd // 3] == r else _UNSIGNED))
+    if not steps:  # the theta: the pin colors every edge
+        return 6, 6 - 12 * start
+    tally = [0, 0]  # pinned colorings of sign +1, of sign -1
+    last = len(steps) - 1
+
+    def place(k: int, odd: int):
+        a, wa, b, wb, odd_a, odd_b = steps[k]
+        ca = code[a]
+        cb = code[b]
+        free = _FREE[ca] & _FREE[cb]
+        if k == last:
+            # Every other edge is placed, so both ends leave at most one
+            # color free.
+            if free:
+                tally[odd ^ odd_a[ca + free * wa] ^ odd_b[cb + free * wb]] += 1
+            return
+        for c in _FREE_BITS[free]:
+            na = ca + c * wa
+            nb = cb + c * wb
+            code[a] = na
+            code[b] = nb
+            place(k + 1, odd ^ odd_a[na] ^ odd_b[nb])
+        code[a] = ca
+        code[b] = cb
+
+    place(0, start)
+    return 6 * (tally[0] + tally[1]), 6 * (tally[0] - tally[1])
 
 
 def _signer(g: TrivalentGraph):
@@ -154,19 +242,17 @@ def _signer(g: TrivalentGraph):
 
 
 def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
-    """Signed count of proper edge-3-colorings, given as
-    ``enumerate_edge_3_colorings(g)``, so that a caller who also wants
-    the count enumerates them once.  A coloring's sign is the product
-    over vertices of the sign of its color permutation read
-    counterclockwise; raises ValueError on an improper coloring or one
-    without exactly one entry per edge."""
+    """The signed sum of the edge colorings ``colorings`` of ``g``.  A
+    coloring's sign is the product over vertices of the sign of its color
+    permutation read counterclockwise; raises ValueError on an improper
+    coloring or one without exactly one entry per edge.  Over all the
+    proper colorings it is ``edge_3_coloring_counts(g)[1]``."""
     return sum(map(_signer(g), colorings))
 
 
 def w_sl2(g: TrivalentGraph) -> int:
     """2^{v/2} times the signed coloring count — the sl(2) weight."""
-    return 2 ** (g.vertex_count // 2) * penrose_sum(
-        g, enumerate_edge_3_colorings(g))
+    return 2 ** (g.vertex_count // 2) * edge_3_coloring_counts(g)[1]
 
 
 @dataclass(frozen=True)
@@ -239,32 +325,81 @@ def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
     return tuple(result)
 
 
+def _sides_pair_up(pm: PlanarMap) -> bool:
+    """Whether ``pm`` has one face pair per edge of its graph and, at each
+    vertex, each face lies on an even number of the sides of the edges at
+    the vertex's three darts, as the faces f, g, h around a vertex lie on
+    the sides (f, g), (g, h), (h, f) of its edges."""
+    g = pm.graph
+    if len(pm.edge_faces) != g.edge_count:
+        return False
+    sides: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for (d, dd), pair in zip(g.edges(), pm.edge_faces):
+        sides[d // 3] += pair
+        sides[dd // 3] += pair
+    for faces in sides:
+        faces.sort()
+        if faces[0::2] != faces[1::2]:
+            return False
+    return True
+
+
 def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
                           edge_colorings: int) -> str | None:
     """Check the Tait correspondence on ``colorings``, the proper face
     colorings of ``pm`` as ``enumerate_four_colorings(pm)`` gives them:
-    those with the outer face colored 0 map one-to-one onto the
-    ``edge_colorings`` proper edge-3-colorings, and the colorings are
-    exactly the pinned ones with every color moved by each element of H,
-    four times as many.  None if so, else a description of the
-    discrepancy.
+    those with the outer face colored 0 (the pinned ones) are proper
+    colorings by H, and map one-to-one onto the ``edge_colorings`` proper
+    edge-3-colorings, and the colorings are exactly the pinned ones with
+    every color moved by each element of H, four times as many.  None if
+    so, else a description of the discrepancy.
 
     Distinct images proper at every vertex, as many as the edge colorings,
     are all of them, so a count is enough; and the input graph's count
     serves, as the map's graph differs from it only by vertex reversals.
     Moving by H keeps a coloring proper and distinct ones distinct, so
-    the list equals that set, at its size, only when it has no repeat."""
+    the list equals that set, at its size, only when it has no repeat.
+
+    The images' colors lie in {1, 2, 3}, and three such colors differ
+    exactly when their XOR is 0.  The XOR of the three colors at a vertex
+    is that of the face colors on the sides of its edges, 0 when each face
+    lies on an even number of them.  So on a map whose sides pair up at
+    every vertex each image is proper at each vertex, and only on another
+    map are the images signed, which words the first improper one."""
     pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
-    images = [tait_edge_coloring(pm, fc) for fc in pinned]
     try:
-        penrose_sum(pm.graph, images)  # raises at an improper vertex
-    except ValueError as exc:
-        return f"pinned image: {exc}"
+        pinned_bytes = list(map(bytes, pinned))
+    except ValueError:  # a color outside 0..255, so outside H
+        pinned_bytes = None
+    images = None
+    if (pinned_bytes is not None
+            and set(map(len, pinned_bytes)) <= {len(pm.faces)}
+            and not b"".join(pinned_bytes).translate(None, _H_BYTES)):
+        left = itemgetter(*[a for a, _ in pm.edge_faces])
+        right = itemgetter(*[b for _, b in pm.edge_faces])
+        images = [bytes(map(xor, left(fc), right(fc)))
+                  for fc in pinned_bytes]
+    if images is None or 0 in b"".join(images):
+        # Some pinned coloring is defective: word the first.
+        for fc in pinned:
+            try:
+                tait_edge_coloring(pm, fc)
+            except ValueError as exc:
+                return f"pinned coloring: {exc}"
+    if not _sides_pair_up(pm):
+        try:
+            penrose_sum(pm.graph, images)  # raises at an improper vertex
+        except ValueError as exc:
+            return f"pinned image: {exc}"
     if len(images) != edge_colorings or len(set(images)) != len(images):
         return "pinned colorings do not map one-to-one onto edge colorings"
     if len(colorings) != 4 * edge_colorings:
         return f"count mismatch: {len(colorings)} != 4 * {edge_colorings}"
-    if set(colorings) != {tuple(x ^ h for x in fc)
-                          for fc in pinned for h in _H}:
+    try:
+        have = set(map(bytes, colorings))
+    except ValueError:  # a color outside 0..255, so outside H
+        have = None
+    if have != {fc.translate(move)
+                for fc in pinned_bytes for move in _MOVES}:
         return "colorings are not the pinned ones moved by H"
     return None

@@ -109,8 +109,9 @@ def backend(request):
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Calls to the two coloring enumerations, counted by function name in
-    every module that binds them."""
+    """Calls to the two coloring searches, the edge colorings' count and
+    the face colorings' list, counted by function name in every module
+    that binds them."""
     calls = Counter()
 
     def counted(name, fn):
@@ -119,7 +120,7 @@ def enumerations(monkeypatch):
             return fn(*args, **kwargs)
         return counting
 
-    for name in ("enumerate_edge_3_colorings", "enumerate_four_colorings"):
+    for name in ("edge_3_coloring_counts", "enumerate_four_colorings"):
         counting = counted(name, getattr(coloring, name))
         for module in (coloring, catalog, cli):
             if hasattr(module, name):

@@ -543,6 +543,51 @@ def four_colorings_by_neighbours(pm):
     return out
 
 
+def tait_verdict_one_by_one(pm, colorings, edge_colorings):
+    """What verify_tait_bijection returns, read one coloring, edge and
+    vertex at a time: the message of the first of its checks that fails,
+    in their order, or None.  The pinned colorings (outer face 0) must be
+    colorings by 0..3 proper across every edge; their images, the XOR of
+    the two face colors at each edge, must be proper at every vertex of
+    the map's graph, as many as edge_colorings and distinct; the list must
+    hold four times as many and equal the pinned ones with each color
+    moved by each h in 0..3."""
+    g = pm.graph
+    pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
+    images = []
+    for fc in pinned:
+        if len(fc) != len(pm.faces):
+            return ("pinned coloring: face coloring length does not match "
+                    "face count")
+        if any(x not in range(4) for x in fc):
+            return f"pinned coloring: face coloring has colors outside H: {fc}"
+        image = []
+        for k, (a, b) in enumerate(pm.edge_faces):
+            if fc[a] == fc[b]:
+                return f"pinned coloring: improper face coloring across edge {k}"
+            image.append(fc[a] ^ fc[b])
+        images.append(tuple(image))
+    edge_of = {}
+    for k, (d, dd) in enumerate(g.edges()):
+        edge_of[d] = edge_of[dd] = k
+    for image in images:
+        if len(image) != g.edge_count:
+            return (f"pinned image: coloring has {len(image)} entries, "
+                    f"not one per edge ({g.edge_count})")
+        for i in range(g.vertex_count):
+            seen = tuple(image[edge_of[3 * i + t]] for t in range(3))
+            if len(set(seen)) != 3:
+                return f"pinned image: improper coloring at vertex {i}: {seen}"
+    if len(images) != edge_colorings or len(set(images)) != len(images):
+        return "pinned colorings do not map one-to-one onto edge colorings"
+    if len(colorings) != 4 * edge_colorings:
+        return f"count mismatch: {len(colorings)} != 4 * {edge_colorings}"
+    if set(colorings) != {tuple(x ^ h for x in fc)
+                          for fc in pinned for h in range(4)}:
+        return "colorings are not the pinned ones moved by H"
+    return None
+
+
 def lagrange_int_poly(points):
     """Exact interpolation through (x, y) pairs; returns a coefficient
     dict exponent -> int and raises if any coefficient is fractional."""

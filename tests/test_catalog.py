@@ -363,7 +363,7 @@ def test_check_graph_enumerates_each_coloring_kind_once(enumerations):
     cube = parse_graph((DATA / "cube.tgf").read_bytes())
     assert check_graph(cube).all_passed()
     assert enumerations == {"enumerate_four_colorings": 1,
-                            "enumerate_edge_3_colorings": 1}
+                            "edge_3_coloring_counts": 1}
 
 
 def test_check_graph_scans_the_markings_once(marking_scans):

@@ -286,7 +286,7 @@ def test_readme_quotes_only_pinned_refusals():
 @pytest.mark.parametrize("argv, route", [
     (("eval", THETA, "--algebra", "gl:2"), "evaluate_weight"),
     (("poly", THETA), "marking_profile"),
-    (("colorings", THETA), "enumerate_edge_3_colorings"),
+    (("colorings", THETA), "edge_3_coloring_counts"),
     (("map", THETA), "extract_map"),
     (("validate", THETA), "genus"),
     (("survey", "--max-v", "2"), "run_survey"),
@@ -313,7 +313,7 @@ def test_colorings_text(capsys):
 def test_colorings_enumerates_once(capsys, enumerations):
     code, _, _ = run(capsys, "colorings", K4)
     assert code == 0
-    assert enumerations == {"enumerate_edge_3_colorings": 1}
+    assert enumerations == {"edge_3_coloring_counts": 1}
 
 
 def test_map_text(capsys):
@@ -341,11 +341,11 @@ def test_map_json(capsys):
 
 
 def test_map_enumerates_the_face_colorings_once(capsys, enumerations):
-    # The edge enumeration is of the input graph, counted for the Tait check.
+    # The edge search is of the input graph, counted for the Tait check.
     code, _, _ = run(capsys, "map", K4)
     assert code == 0
     assert enumerations == {"enumerate_four_colorings": 1,
-                            "enumerate_edge_3_colorings": 1}
+                            "edge_3_coloring_counts": 1}
 
 
 def test_map_requires_spherical_embedding(capsys):

@@ -8,7 +8,7 @@ import pytest
 from weightsys import coloring
 from weightsys.catalog import generate_graphs
 from weightsys.coloring import (MAX_SEARCH_V, PlanarMap,
-                                enumerate_edge_3_colorings,
+                                edge_3_coloring_counts,
                                 enumerate_four_colorings, extract_map,
                                 penrose_sum, tait_edge_coloring,
                                 verify_tait_bijection, w_sl2)
@@ -17,7 +17,7 @@ from weightsys.ribbon import marking_profile, rotation_of_marking
 from oracles import (brute_edge_3_coloring_count, brute_four_coloring_count,
                      brute_signed_coloring_sum, edge_3_colorings_by_bitmasks,
                      four_colorings_by_neighbours, ladder,
-                     random_connected_graph)
+                     random_connected_graph, tait_verdict_one_by_one)
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,7 +30,14 @@ def load(name):
 
 
 def penrose(g):
-    return penrose_sum(g, enumerate_edge_3_colorings(g))
+    return edge_3_coloring_counts(g)[1]
+
+
+def listed_counts(g):
+    """The count and the signed sum of the colorings the index-order
+    oracle lists."""
+    listed = edge_3_colorings_by_bitmasks(g)
+    return len(listed), penrose_sum(g, listed)
 
 
 def planar_map(name):
@@ -42,25 +49,27 @@ def planar_map(name):
     ("theta", 6), ("dumbbell", 0), ("k4", 6), ("cube", 24), ("k33", 12),
 ])
 def test_coloring_counts(name, count):
-    assert len(enumerate_edge_3_colorings(load(name + ".tgf"))) == count
+    assert edge_3_coloring_counts(load(name + ".tgf"))[0] == count
 
 
 @pytest.mark.parametrize("name", ["theta", "dumbbell", "k4", "k33"])
 def test_coloring_count_matches_brute_force(name):
     g = load(name + ".tgf")
-    assert len(enumerate_edge_3_colorings(g)) == brute_edge_3_coloring_count(g)
+    assert edge_3_coloring_counts(g)[0] == brute_edge_3_coloring_count(g)
 
 
 def test_colorings_are_sorted_and_distinct():
+    # The face search lists its colorings in index order, sorted.
     for name in ("theta", "k4", "cube"):
-        cs = enumerate_edge_3_colorings(load(name + ".tgf"))
+        cs = enumerate_four_colorings(planar_map(name))
         assert cs == sorted(set(cs))
-    assert enumerate_edge_3_colorings(THETA)[0] == (1, 2, 3)
+    assert enumerate_four_colorings(extract_map(THETA))[0] == (0, 1, 2)
 
 
 def test_search_at_the_cap_fits_the_recursion_limit():
-    # One frame per edge of a v = MAX_SEARCH_V graph, far below the
-    # recursion limit now that time and list size set the cap: a chain in
+    # One frame per position, here as many as a v = MAX_SEARCH_V graph has
+    # edges (its map has fewer faces), far below the recursion limit now
+    # that time and list size set the cap: a chain in
     # which each position conflicts with the two before it has just the 6
     # colorings fixed by the first two positions, so the search is cheap.
     n = 3 * MAX_SEARCH_V // 2
@@ -80,7 +89,7 @@ def test_both_searches_refuse_a_graph_over_the_cap():
     assert len(enumerate_four_colorings(prism_map(28))) == 4 * 16392
     capped = f"coloring search capped at v = {MAX_SEARCH_V}"
     with pytest.raises(ValueError, match=capped):
-        enumerate_edge_3_colorings(ladder(30))
+        edge_3_coloring_counts(ladder(30))
     with pytest.raises(ValueError, match=capped):
         enumerate_four_colorings(prism_map(30))
 
@@ -197,7 +206,7 @@ def test_tait_images_are_proper():
 
 
 def edge_count(name):
-    return len(enumerate_edge_3_colorings(load(name + ".tgf")))
+    return edge_3_coloring_counts(load(name + ".tgf"))[0]
 
 
 @pytest.mark.parametrize("name", ["theta", "k4", "cube"])
@@ -285,8 +294,8 @@ def test_tait_bijection_rejects_an_image_improper_at_a_vertex():
 
 def test_loops_kill_colorings():
     g = load("dumbbell.tgf")
-    assert enumerate_edge_3_colorings(g) == []
-    assert penrose(g) == 0
+    assert edge_3_coloring_counts(g) == (0, 0)
+    assert edge_3_colorings_by_bitmasks(g) == []
 
 
 def search_order_cases():
@@ -316,8 +325,7 @@ def test_enumerations_list_what_the_references_list_in_order():
     loops = self_bordering = 0
     for name, g in search_order_cases():
         loops += g.has_loop()
-        assert enumerate_edge_3_colorings(g) == \
-            edge_3_colorings_by_bitmasks(g), name
+        assert edge_3_coloring_counts(g) == listed_counts(g), name
         first = marking_profile(g).first
         if first is None:
             continue
@@ -325,6 +333,129 @@ def test_enumerations_list_what_the_references_list_in_order():
         self_bordering += pm.is_self_bordering()
         assert enumerate_four_colorings(pm) == \
             four_colorings_by_neighbours(pm), name
-        assert enumerate_edge_3_colorings(pm.graph) == \
-            edge_3_colorings_by_bitmasks(pm.graph), name
+        assert edge_3_coloring_counts(pm.graph) == \
+            listed_counts(pm.graph), name
     assert loops and self_bordering
+
+
+def edge_count_cases():
+    cases = [("theta", THETA), ("theta twisted", THETA_TWISTED)]
+    cases += [(f"catalog v={v} loops={loops}", g)
+              for loops in (True, False) for v in (2, 4, 6, 8, 10)
+              for g in generate_graphs(v, allow_loops=loops, dedup=True)]
+    cases += [(f"ladder v={v} mobius={m} relabel={r}", ladder(v, m, r))
+              for v in range(4, 26, 2) for m in (False, True)
+              for r in (False, True)]
+    rng = random.Random(27)
+    cases += [(f"random v={v}", random_connected_graph(v, rng))
+              for v in range(2, 24, 2) for _ in range(8)]
+    return cases
+
+
+def test_edge_counts_are_the_listed_colorings_counted_and_signed():
+    # The search walks only the colorings that give vertex 0's darts
+    # 1, 2, 3 and multiplies by 6.  On the theta the pin colors vertex 1
+    # completely too, so only there is a vertex signed before the search.
+    cases = edge_count_cases()
+    for name, g in cases:
+        assert edge_3_coloring_counts(g) == listed_counts(g), name
+    draws = [g for name, g in cases if name.startswith("random")]
+    assert any(g.has_loop() for g in draws)
+    assert any(len({frozenset((d // 3, dd // 3)) for d, dd in g.edges()})
+               < g.edge_count for g in draws if not g.has_loop())
+
+
+def test_edge_counts_at_the_cap():
+    # One frame per edge the pin leaves, 39 at v = MAX_SEARCH_V.
+    assert edge_3_coloring_counts(ladder(MAX_SEARCH_V)) == (16392, 16392)
+    assert edge_3_coloring_counts(ladder(MAX_SEARCH_V, True)) == (
+        16386, -16386)
+
+
+def k4_with_a_pinned(fc):
+    pm = planar_map("k4")
+    full = enumerate_four_colorings(pm)
+    assert pm.outer_face == 0
+    k = next(i for i, x in enumerate(full) if x[0] == 0)
+    return pm, full[:k] + [fc] + full[k + 1:]
+
+
+@pytest.mark.parametrize("fc, defect", [
+    ((0, 0, 1, 2), "improper face coloring across edge 0"),
+    ((0, 9, 9, 9), "face coloring has colors outside H: (0, 9, 9, 9)"),
+    ((0, 1, 2, 3, 1), "face coloring length does not match face count"),
+], ids=["improper", "outside-h", "wrong-length"])
+def test_tait_bijection_words_a_defective_pinned_coloring(fc, defect):
+    # These come back as a description, as the same defects do in an
+    # unpinned coloring, so a survey is not stopped by them.
+    pm, colorings = k4_with_a_pinned(fc)
+    assert verify_tait_bijection(pm, colorings, edge_count("k4")) == (
+        f"pinned coloring: {defect}")
+
+
+def tait_map_cases():
+    names = ["theta", "k4", "cube"]
+    maps = [(name, planar_map(name)) for name in names]
+    maps += [(f"prism v={v}", prism_map(v)) for v in (8, 10)]
+    for g in generate_graphs(6, allow_loops=False, dedup=True):
+        first = marking_profile(g).first
+        if first is not None:
+            maps.append(("catalog v=6", extract_map(
+                rotation_of_marking(g, first))))
+    return [(name, pm) for name, pm in maps if not pm.is_self_bordering()]
+
+
+def mutated(pm, colorings, count, rng):
+    """pm, colorings and count with one or two defects of the kinds the
+    Tait check looks for, drawn from rng."""
+    faces = len(pm.faces)
+    sides = list(pm.edge_faces)
+    colorings = list(colorings)
+    for _ in range(rng.choice((1, 1, 2))):
+        kind = rng.randrange(8)
+        k = rng.randrange(len(colorings))
+        if kind == 0:
+            del colorings[k]
+        elif kind == 1:
+            colorings.append(colorings[k])
+        elif kind == 2:
+            colorings[k] = colorings[rng.randrange(len(colorings))]
+        elif kind == 3:
+            fc = list(colorings[k])
+            fc[rng.randrange(faces)] = rng.randrange(-1, 6)
+            colorings[k] = tuple(fc)
+        elif kind == 4:
+            colorings[k] = tuple(rng.randrange(4) for _ in range(
+                faces + rng.choice((-1, 0, 0, 1))))
+        elif kind == 5:
+            e = rng.randrange(len(sides))
+            a, b = sides[e]
+            sides[e] = (a, rng.randrange(faces))
+        elif kind == 6:
+            e, f = rng.randrange(len(sides)), rng.randrange(len(sides))
+            sides[e], sides[f] = sides[f], sides[e]
+        else:
+            count += rng.choice((-1, 1))
+    return PlanarMap(pm.graph, pm.faces, tuple(sides), pm.outer_face), \
+        colorings, count
+
+
+def test_tait_bijection_agrees_with_the_check_read_one_by_one():
+    # Bulk reads and the sides' parity stand in for the checks per
+    # coloring and per vertex; each verdict, message included, must be
+    # the one-by-one check's.
+    rng = random.Random(31)
+    verdicts = set()
+    for name, pm in tait_map_cases():
+        full = enumerate_four_colorings(pm)
+        count = len(full) // 4
+        assert verify_tait_bijection(pm, full, count) is None, name
+        for _ in range(40):
+            args = mutated(pm, full, count, rng)
+            verdict = verify_tait_bijection(*args)
+            assert verdict == tait_verdict_one_by_one(*args), name
+            verdicts.add(verdict and verdict.split(":")[0])
+    assert verdicts >= {"pinned coloring", "pinned image", "count mismatch",
+                        "pinned colorings do not map one-to-one onto edge "
+                        "colorings",
+                        "colorings are not the pinned ones moved by H"}
