@@ -141,84 +141,63 @@ static unsigned long long work(int v, int j, int inside)
  * j on a tie.  From v = SEARCH_V each j scores the set of j vertices with
  * the most edges inside that a greedy run finds.  A run from each start
  * vertex adds the vertex that adds the most edges to the block (its loops
- * included), the lowest label on a tie; for each size the run with the
- * most edges inside wins, the lowest start on a tie.  All runs grow one
- * vertex per size, and stop before a size when no size from there on can
- * beat the best so far: a block leaves v - 1 out of a connected graph,
- * so at least one dart leaves it, two when j is even, and the work at
- * that many exits is the least a size can reach.  Below SEARCH_V each j
- * scores 0..j-1.  Writes the block into best in label order and returns
- * its size. */
+ * included), the lowest label on a tie, so one run scores every size; for
+ * each size the run with the most edges inside wins, the lowest start on
+ * a tie.  Below SEARCH_V each j scores 0..j-1.  Writes the block into
+ * best in label order and returns its size. */
 static int choose_block(const Py_ssize_t *a, int v, int *best)
 {
     int top = v - 1 < MAX_K ? v - 1 : MAX_K, k = 1;
+    int most[MAX_K + 1], runs[MAX_K + 1][MAX_K];
     if (v < SEARCH_V) {
         /* The edges inside 0..j-1 are those of its darts d with a[d] < d. */
-        int most[MAX_K + 1];
         for (int j = 1, inside = 0; j <= top; j++) {
             for (int d = 3 * j - 3; d < 3 * j; d++)
                 inside += a[d] < d;
             most[j] = inside;
+            for (int i = 0; i < j; i++)
+                runs[j][i] = i;
         }
-        for (int j = 2; j <= top; j++)
-            if (work(v, j, most[j]) < work(v, k, most[k]))
-                k = j;
-        for (int i = 0; i < k; i++)
-            best[i] = i;
-        return k;
-    }
-    /* bound[j]: the least work of sizes j + 1..top */
-    unsigned long long bound[MAX_K + 1], least = 0;
-    bound[top] = ~0ULL;
-    for (int j = top - 1; j >= 0; j--) {
-        unsigned long long w = work(v, j + 1, (3 * j + 2) / 2);
-        bound[j] = w < bound[j + 1] ? w : bound[j + 1];
-    }
-    int base[MAX_V], gain[MAX_V][MAX_V], run[MAX_V][MAX_K], inside[MAX_V];
-    int block[MAX_K];
-    for (int i = 0; i < v; i++) { /* the loops at i */
-        int ends = 0;
-        for (int d = 3 * i; d < 3 * i + 3; d++)
-            ends += a[d] / 3 == i;
-        base[i] = ends / 2;
-    }
-    base[v - 1] = SHUT;
-    for (int s = 0; s < v - 1; s++)
-        for (int i = 0; i < v; i++)
-            gain[s][i] = base[i];
-    for (int j = 1; j <= top; j++) {
-        int most = -1, won = 0;
+    } else {
+        int base[MAX_V];
+        for (int i = 0; i < v; i++) { /* the loops at i */
+            int ends = 0;
+            for (int d = 3 * i; d < 3 * i + 3; d++)
+                ends += a[d] / 3 == i;
+            base[i] = ends / 2;
+        }
+        base[v - 1] = SHUT;
+        for (int j = 1; j <= top; j++)
+            most[j] = -1;
         for (int s = 0; s < v - 1; s++) {
-            int u = s;
-            if (j > 1) {
-                u = 0;
-                for (int w = 1; w < v; w++)
-                    if (gain[s][w] > gain[s][u])
-                        u = w;
-                inside[s] += gain[s][u];
-            } else
-                inside[s] = gain[s][s];
-            run[s][j - 1] = u;
-            gain[s][u] = SHUT;
-            for (int d = 3 * u; d < 3 * u + 3; d++)
-                gain[s][a[d] / 3]++;
-            if (inside[s] > most) {
-                most = inside[s];
-                won = s;
+            int gain[MAX_V], run[MAX_K], u = s, inside = base[s];
+            for (int i = 0; i < v; i++)
+                gain[i] = base[i];
+            for (int j = 1; j <= top; j++) {
+                if (j > 1) {
+                    u = 0;
+                    for (int w = 1; w < v; w++)
+                        if (gain[w] > gain[u])
+                            u = w;
+                    inside += gain[u];
+                }
+                run[j - 1] = u;
+                gain[u] = SHUT;
+                for (int d = 3 * u; d < 3 * u + 3; d++)
+                    gain[a[d] / 3]++;
+                if (inside > most[j]) {
+                    most[j] = inside;
+                    for (int i = 0; i < j; i++)
+                        runs[j][i] = run[i];
+                }
             }
         }
-        unsigned long long cost = work(v, j, most);
-        if (j == 1 || cost < least) {
-            least = cost;
-            k = j;
-            for (int i = 0; i < j; i++)
-                block[i] = run[won][i];
-        }
-        if (bound[j] > least)
-            break;
     }
+    for (int j = 2; j <= top; j++)
+        if (work(v, j, most[j]) < work(v, k, most[k]))
+            k = j;
     for (int j = 0; j < k; j++) { /* insertion sort */
-        int x = block[j], i = j;
+        int x = runs[k][j], i = j;
         for (; i > 0 && best[i - 1] > x; i--)
             best[i] = best[i - 1];
         best[i] = x;

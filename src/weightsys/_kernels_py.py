@@ -14,7 +14,6 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import factorial
 
 MAX_SCAN_V = 28
@@ -248,11 +247,7 @@ def _block(alpha, v: int) -> list:
     """The block of marking_scan, in label order: j vertices, never
     v - 1, for the j = 1..min(v - 1, _MAX_K) of least _work, the least j
     on a tie.  From v = _SEARCH_V each j scores the set of j vertices with
-    the most edges inside that _search finds; below, it scores 0..j-1.
-    _search grows its sets one size at a time, and is asked for no size
-    that cannot beat the best so far: a block leaves v - 1 out of a
-    connected graph, so at least one dart leaves it, two when j is even,
-    and _work at that many exits is the least a size can reach."""
+    the most edges inside that _search finds; below, it scores 0..j-1."""
     top = min(v - 1, _MAX_K)
     if v < _SEARCH_V:
         # The edges inside 0..j-1 are those of its darts d with alpha[d] < d.
@@ -263,52 +258,42 @@ def _block(alpha, v: int) -> list:
                 alpha[d + 2] < d + 2)
             costs.append(_work(v, d // 3 + 1, inside))
         return list(range(1 + costs.index(min(costs))))
-    # bound[j]: the least _work of sizes j + 1..top
-    bound = list(accumulate((_work(v, j, (3 * j - 1) // 2)
-                             for j in range(top, 0, -1)), min))[::-1]
-    for j, inside, run in _search(alpha, v, top):
-        cost = _work(v, j, inside)
-        if j == 1 or cost < best:
-            best, block = cost, run
-        if j == top or bound[j] > best:
-            return sorted(block)
+    most, runs = _search(alpha, v, top)
+    costs = [_work(v, j, most[j]) for j in range(1, top + 1)]
+    j = 1 + costs.index(min(costs))
+    return sorted(runs[j][:j])
 
 
 def _search(alpha, v: int, top: int):
-    """For j = 1..top in turn, yield j, the most edges inside a set of j
-    vertices, never v - 1, that a greedy run finds, and the first j
-    vertices of that run, which hold them.  A run from each start vertex
-    adds the vertex that adds the most edges to the block (its loops
-    included), the lowest label on a tie.  All runs grow by one vertex
-    for each size asked for, so a size never asked for is never grown;
-    for each size the run with the most edges inside wins, the lowest
-    start on a tie."""
+    """For each j = 1..top, the most edges inside a set of j vertices,
+    never v - 1, that a greedy run finds, and a run whose first j vertices
+    hold them.  A run from each start vertex adds top - 1 times the vertex
+    that adds the most edges to the block (its loops included), the
+    lowest label on a tie, so one run scores every size; for each size
+    the run with the most edges inside wins, the lowest start on a tie."""
     far = [x // 3 for x in alpha]
     ends = list(zip(far[0::3], far[1::3], far[2::3]))  # far ends of vertex i
     shut = -64  # a gain no run of increments lifts to 0
     base = [e.count(i) // 2 for i, e in enumerate(ends)]  # loops at i
     base[v - 1] = shut
-    gains = [base[:] for _ in range(v - 1)]  # the edges each vertex adds
-    runs = [[] for _ in range(v - 1)]
-    insides = base[:v - 1]
-    for j in range(1, top + 1):
-        most = -1
-        for s in range(v - 1):
-            gain = gains[s]
+    most = [-1] * (top + 1)
+    runs = [None] * (top + 1)
+    for s in range(v - 1):
+        gain = base[:]  # the edges each vertex would add to the block
+        run = []
+        u, inside = s, gain[s]
+        for j in range(1, top + 1):
             if j > 1:
                 add = max(gain)
                 u = gain.index(add)
-                insides[s] += add
-            else:
-                u = s
-            run = runs[s]
+                inside += add
             run.append(u)
             gain[u] = shut
             for w in ends[u]:
                 gain[w] += 1
-            if insides[s] > most:
-                most, best = insides[s], run
-        yield j, most, best[:]
+            if inside > most[j]:
+                most[j], runs[j] = inside, run
+    return most, runs
 
 
 def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:

@@ -62,7 +62,7 @@ from .coloring import (edge_3_coloring_counts, enumerate_four_colorings,
                        extract_map, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
 from .ribbon import IntPolynomial, marking_profile, rotation_of_marking
-from .statesum import FoldedNetwork, evaluate_weight
+from .statesum import evaluate_weight
 
 MAX_V_DEFAULT = 10
 # The labeled stream walks (3v - 1)!! pairings: 17!! = 3.4e7 at v = 6.
@@ -478,15 +478,10 @@ def check_graph(g: TrivalentGraph) -> VerificationReport:
     n3, penrose = edge_3_coloring_counts(g)
     wsl2 = 2 ** (v // 2) * penrose
 
-    # The merge order depends on the legs alone: one plan, three algebras.
-    # A sum is exact 0 with no replay when one of its folded vertex tensors
-    # is empty, and its replay stops at the first empty intermediate; the
-    # network makes the plan the first time a replay needs it, so a graph
-    # whose three networks each have an empty vertex tensor is not planned.
-    network = FoldedNetwork(g)
-    ev_gl2 = evaluate_weight(g, _GL2, network)
-    ev_so3 = evaluate_weight(g, _SO3, network)
-    ev_sl2 = evaluate_weight(g, _SL2, network)
+    # In a row, so the three sums share statesum's one plan of g.
+    ev_gl2 = evaluate_weight(g, _GL2)
+    ev_so3 = evaluate_weight(g, _SO3)
+    ev_sl2 = evaluate_weight(g, _SL2)
 
     four = None
     tait_ok = True

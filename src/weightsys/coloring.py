@@ -70,7 +70,7 @@ for _perm in _PERMS - _EVEN:
 _UNSIGNED = [0] * 512
 _FREE_BITS = [tuple(b for b in (1, 2, 4) if free & b) for free in range(8)]
 
-# The marking scan's cap.  The face search's list grows long before
+# Equal to the marking scan's cap.  The face search's list grows long before
 # either search's depth (one frame per position) nears the recursion
 # limit: the prism has 16,392 edge colorings at v = 28 and 1,048,584 at
 # v = 40, doubling every two vertices, and its map four times as many face

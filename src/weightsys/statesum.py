@@ -56,14 +56,15 @@ as soon as one of the algebra's folded tensors for the graph's vertex
 patterns is empty, before any plan is made: ``f`` traced against the
 metric over a loop vanishes by antisymmetry, so every weight of a graph
 with a loop is 0, and an abelian algebra has no nonzero vertex tensor at
-all.  The patterns come from a ``FoldedNetwork``, which reads them and
-the legs in one pass and makes the plan from the same legs the first
-time a replay needs it, so one network handed to several algebras plans
-the graph at most once, and a graph with a loop never.  The replay also
-stops at the first intermediate tensor that comes out empty.  Otherwise
-the plan's cost at dimension ``d``, the sum over its merges of
-``d ** (legs touched)``, must not exceed ``MAX_PLAN_COST``; a costlier
-contraction is refused before the replay starts.
+all.  The patterns and legs are read in one pass, and
+``contraction_plan`` makes the plan from the same legs; each keeps one
+entry, for the graph it saw last, so the sums of one graph over several
+algebras in a row read it once and plan it at most once, and a graph
+with a loop never.  The replay also stops at the first intermediate
+tensor that comes out empty.  Otherwise the plan's cost at dimension
+``d``, the sum over its merges of ``d ** (legs touched)``, must not
+exceed ``MAX_PLAN_COST``; a costlier contraction is refused before the
+replay starts.
 """
 
 from __future__ import annotations
@@ -101,22 +102,18 @@ MAX_PLAN_COST = 10 ** 11
 class ContractionPlan(NamedTuple):
     """The merges of one graph's network and the scalars they leave.
 
-    ``alpha`` is the dart pairing the plan was made for, and
-    ``patterns[i]`` the kinds of vertex ``i``'s darts (0 plain, 1 metric,
-    2 loop end), which pick its folded tensor.  Step
-    ``(a, b, sa, ka, sb, kb)`` merges tensors ``a < b`` over the legs at
-    positions ``sa`` of ``a`` and ``sb`` of ``b`` (the shared labels in
+    Step ``(a, b, sa, ka, sb, kb)`` merges tensors ``a < b`` over the legs
+    at positions ``sa`` of ``a`` and ``sb`` of ``b`` (the shared labels in
     ascending order) into a tensor with the legs at ``ka`` of ``a`` then
     at ``kb`` of ``b``; ``touched`` holds the number of legs each step
     touches, shared and kept.  ``scalars`` are the ids left when every
     leg is contracted, one per connected component, in ascending order.
+    Every caller shares the memoized plan, so each field is a tuple.
     """
-    alpha: tuple[int, ...]
-    patterns: tuple[_Pattern, ...]
-    steps: list[tuple[int, int, _Positions, _Positions, _Positions,
-                      _Positions]]
+    steps: tuple[tuple[int, int, _Positions, _Positions, _Positions,
+                       _Positions], ...]
     touched: tuple[int, ...]
-    scalars: list[int]
+    scalars: tuple[int, ...]
 
     def cost(self, dim: int) -> int:
         """The estimated work of a replay at dimension ``dim``: the sum
@@ -124,41 +121,33 @@ class ContractionPlan(NamedTuple):
         return sum(dim ** t for t in self.touched)
 
 
-class FoldedNetwork:
-    """One graph's folded network: its ``alpha``, each vertex's pattern
-    and legs, and its contraction plan, made by ``contraction_plan`` the
-    first time ``plan()`` is called.  Handed to ``evaluate_weight`` over
-    several algebras, it plans the graph at most once, and not at all
-    when every network has a zero vertex tensor."""
-
-    def __init__(self, g: TrivalentGraph):
-        self.graph = g
-        self.alpha = g.alpha
-        patterns = []
-        legs = []
-        for i in range(g.vertex_count):
-            kinds = []
-            labels = []
-            for d in range(3 * i, 3 * i + 3):
-                e = self.alpha[d]
-                if e // 3 == i:
-                    kinds.append(_LOOP)
-                else:
-                    kinds.append(_METRIC if d < e else _PLAIN)
-                    labels.append(min(d, e))
-            patterns.append(tuple(kinds))
-            legs.append(tuple(labels))
-        self.patterns = tuple(patterns)
-        self.legs = legs
-        self._plan: ContractionPlan | None = None
-
-    def plan(self) -> ContractionPlan:
-        if self._plan is None:
-            self._plan = contraction_plan(self.graph, self)
-        return self._plan
+# One entry: check_graph contracts one graph over three algebras in a
+# row, so the pattern pass and the plan each run once per graph.
+@lru_cache(maxsize=1)
+def _folded_network(g: TrivalentGraph
+                    ) -> tuple[tuple[_Pattern, ...], tuple[_Positions, ...]]:
+    """Each vertex's pattern (0 plain, 1 metric, 2 loop end for each of
+    its darts), which picks its folded tensor, and its legs, the labels
+    ``min(d, alpha d)`` of its darts that are no loop ends."""
+    alpha = g.alpha
+    patterns = []
+    legs = []
+    for i in range(g.vertex_count):
+        kinds = []
+        labels = []
+        for d in range(3 * i, 3 * i + 3):
+            e = alpha[d]
+            if e // 3 == i:
+                kinds.append(_LOOP)
+            else:
+                kinds.append(_METRIC if d < e else _PLAIN)
+                labels.append(min(d, e))
+        patterns.append(tuple(kinds))
+        legs.append(tuple(labels))
+    return tuple(patterns), tuple(legs)
 
 
-def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
+def _greedy(legs: tuple[_Positions, ...], newest_first: bool):
     """The heap greedy over tensors with ``legs``; see the module
     docstring.  Returns its merges ``(a, b)``, the legs of every tensor
     it made, the legs each merge touches, and its cost ``(widest
@@ -208,16 +197,14 @@ def _greedy(legs: list[tuple[int, ...]], newest_first: bool):
     return merges, legs, touched, (widest, sum(16 ** t for t in touched))
 
 
-def contraction_plan(g: TrivalentGraph,
-                     network: FoldedNetwork | None = None) -> ContractionPlan:
+@lru_cache(maxsize=1)
+def contraction_plan(g: TrivalentGraph) -> ContractionPlan:
     """The merge order of ``g``'s folded network, the better of two
-    greedy orders; see the module docstring.  ``network`` is
-    ``FoldedNetwork(g)``, made here when not given."""
-    if network is None:
-        network = FoldedNetwork(g)
+    greedy orders; see the module docstring."""
+    _, vertex_legs = _folded_network(g)
     # min keeps the first of equal costs, so a tie goes to the first key.
     merges, legs, touched, _ = min(
-        (_greedy(network.legs, newest) for newest in (False, True)),
+        (_greedy(vertex_legs, newest) for newest in (False, True)),
         key=itemgetter(3))
     steps = []
     for a, b in merges:
@@ -228,9 +215,8 @@ def contraction_plan(g: TrivalentGraph,
                       tuple(map(lb.index, shared)),
                       tuple(k for k, l in enumerate(lb) if l not in la)))
     merged = {t for step in merges for t in step}
-    scalars = [t for t in range(len(legs)) if t not in merged]
-    return ContractionPlan(network.alpha, network.patterns, steps,
-                           tuple(touched), scalars)
+    scalars = tuple(t for t in range(len(legs)) if t not in merged)
+    return ContractionPlan(tuple(steps), tuple(touched), scalars)
 
 
 def _fold(f: _Entries, alg: MetrizedLieAlgebra, kinds: _Pattern
@@ -306,35 +292,28 @@ def _merge(ea: dict, eb: dict, sa: _Positions, ka: _Positions,
     return {k: x for k, x in out.items() if x}
 
 
-def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra,
-                    plan: ContractionPlan | FoldedNetwork | None = None
-                    ) -> Scalar:
+def evaluate_weight(g: TrivalentGraph, alg: MetrizedLieAlgebra) -> Scalar:
     """Contract the network of ``g`` over ``alg``; exact int or Fraction.
 
-    ``plan`` is ``contraction_plan(g)`` or ``FoldedNetwork(g)``, the
-    latter made here when neither is given; pass one to contract one
-    graph over several algebras with one plan.  Returns int 0, with no
-    plan made, when one of ``alg``'s folded vertex tensors for ``g`` is
-    empty, and stops the replay at the first empty intermediate.  Raises
-    ValueError if ``plan`` was made for a different graph, and, once the
-    zero test has passed, if the plan costs more than ``MAX_PLAN_COST``
-    at ``alg``'s dimension.
+    Returns int 0, with no plan made, when one of ``alg``'s folded vertex
+    tensors for ``g`` is empty, and stops the replay at the first empty
+    intermediate.  Otherwise replays ``contraction_plan(g)``, which is
+    made once for the graph contracted last, so the sums of one graph over
+    several algebras in a row share it.  Raises ValueError, once the zero
+    test has passed, if the plan costs more than ``MAX_PLAN_COST`` at
+    ``alg``'s dimension.
     """
-    if plan is None:
-        plan = FoldedNetwork(g)
-    elif plan.alpha != g.alpha:
-        raise ValueError("contraction plan was made for a different graph")
+    patterns, _ = _folded_network(g)
     folded = _vertex_tensors(alg)
     tensors = []
     den = 1
-    for kinds in plan.patterns:
+    for kinds in patterns:
         entries, d = folded[kinds]
         if not entries:
             return 0
         tensors.append(entries)
         den *= d
-    if isinstance(plan, FoldedNetwork):
-        plan = plan.plan()
+    plan = contraction_plan(g)
     cost = plan.cost(alg.dim)
     if cost > MAX_PLAN_COST:
         raise ValueError(f"contraction plan costs about {cost:.2g} at "

@@ -374,46 +374,34 @@ def test_check_graph_scans_the_markings_once(marking_scans):
 
 
 def test_check_graph_plans_the_contraction_once(monkeypatch):
-    plans, sums = [], []
-    plan_of, evaluate = statesum.contraction_plan, catalog.evaluate_weight
+    sums = []
+    evaluate = catalog.evaluate_weight
 
-    def counting_plan(g, network=None):
-        plans.append(g.vertex_count)
-        return plan_of(g, network)
-
-    def recording(g, alg, plan=None):
-        value = evaluate(g, alg, plan)
+    def recording(g, alg):
+        value = evaluate(g, alg)
         sums.append((alg.name, value))
         return value
 
-    monkeypatch.setattr(statesum, "contraction_plan", counting_plan)
     monkeypatch.setattr(catalog, "evaluate_weight", recording)
     cube = parse_graph((DATA / "cube.tgf").read_bytes())
+    statesum.contraction_plan.cache_clear()
     r = check_graph(cube)
     assert r.all_passed()
-    assert plans == [8]
+    assert statesum.contraction_plan.cache_info().misses == 1
     gl2 = r.wgl_poly(2)
     assert sums == [(make_gl(2).name, gl2), (make_so3().name, r.penrose),
                     (make_sl2().name, r.w_sl2)]
 
 
 @pytest.mark.parametrize("allow_loops", [True, False])
-def test_a_v8_survey_plans_only_the_loop_free_classes(monkeypatch,
-                                                      allow_loops):
+def test_a_v8_survey_plans_only_the_loop_free_classes(allow_loops):
     # Every state sum of a graph with a loop has a zero vertex tensor, so
-    # only the 1 + 2 + 6 + 20 loop-free classes are planned, once each.
-    planned = []
-    plan_of = statesum.contraction_plan
-
-    def counting_plan(g, network=None):
-        planned.append(g)
-        return plan_of(g, network)
-
-    monkeypatch.setattr(statesum, "contraction_plan", counting_plan)
+    # only the 1 + 2 + 6 + 20 loop-free classes are planned, once each:
+    # each needs a plan, so 29 plans leave none for a class with a loop.
+    statesum.contraction_plan.cache_clear()
     out = run_survey(8, allow_loops=allow_loops, dedup=True)
     assert out["summary"]["graphs_checked"] == (95 if allow_loops else 29)
-    assert len(planned) == len(set(planned)) == 29
-    assert not any(g.has_loop() for g in planned)
+    assert statesum.contraction_plan.cache_info().misses == 29
 
 
 def test_check_graph_dumbbell():
@@ -448,9 +436,8 @@ STATE_SUMS = (make_gl(2), make_so3(), make_sl2())
 def invariants(g):
     """check_graph's report of g with its graph text blanked, and the
     state sums it compares with the other routes."""
-    plan = statesum.contraction_plan(g)
     return (replace(check_graph(g), graph=""),
-            [statesum.evaluate_weight(g, alg, plan) for alg in STATE_SUMS])
+            [statesum.evaluate_weight(g, alg) for alg in STATE_SUMS])
 
 
 def negated(report, sums):
