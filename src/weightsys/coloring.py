@@ -16,18 +16,14 @@ two face colors is the classical Tait correspondence, verified exhaustively.
 
 The edge side lists nothing: ``edge_3_coloring_counts`` counts the
 colorings and signs each as the search completes it, with vertex 0's
-colors pinned, so it walks a sixth of the colorings.  The face side
-lists every coloring, since the Tait check reads them all: its search,
-``_proper_colorings``, runs over a conflict graph, the dual (two faces
-conflict when a map edge lies between them).  Both searches place next
-the position with the most conflicts already placed, the lowest index on
-a tie (``_placement_order``), so a dead branch fails near where it
-starts.  The face search tries colors in ascending order, reads each
-coloring back in index order and sorts the list, so it comes out as a
-search in index order would give it, sorted and distinct.  A loop or a
-face that borders itself would conflict with itself, so a graph with a
-loop and a map with such a face have no proper colorings: both searches
-return before they start.
+colors pinned, so it walks a sixth of the colorings.  The face side,
+``enumerate_four_colorings``, lists every coloring, since the Tait check
+reads them all; two faces conflict when a map edge lies between them.
+Both searches place next the position with the most conflicts already
+placed, the lowest index on a tie (``_placement_order``), so a dead
+branch fails near where it starts.  A loop or a face that borders itself
+would conflict with itself, so a graph with a loop and a map with such a
+face have no proper colorings: both searches return before they start.
 
 Each search is made once per graph by the caller and handed on:
 ``verify_tait_bijection`` checks the face colorings it is given against
@@ -80,61 +76,24 @@ _FREE_BITS = [tuple(b for b in (1, 2, 4) if free & b) for free in range(8)]
 MAX_SEARCH_V = 28
 
 
-def _placement_order(conflicts: list[set[int]]) -> list[int]:
-    """The positions in the order the search places them: each next one
-    has the most conflicts among those placed, the lowest index on a
-    tie, so a dead branch shows early."""
+def _placement_order(conflicts: list[set[int]]) -> tuple[list[int], list[int]]:
+    """The positions in the order the search places them, and each
+    position's rank in that order: each next one has the most conflicts
+    among those placed, the lowest index on a tie, so a dead branch shows
+    early."""
     placed_conflicts = [0] * len(conflicts)
     left = list(range(len(conflicts)))
     order = []
+    rank = [0] * len(conflicts)
     while left:
         # max keeps the first of equal counts, and left is ascending.
         k = max(left, key=placed_conflicts.__getitem__)
         left.remove(k)
+        rank[k] = len(order)
         order.append(k)
         for j in conflicts[k]:
             placed_conflicts[j] += 1
-    return order
-
-
-def _proper_colorings(conflicts: list[set[int]],
-                      colors: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every assignment of ``colors`` to the positions 0..n-1 (n >= 2) in
-    which position k differs from each position in ``conflicts[k]``,
-    sorted with the colors in the order given.  The positions are placed
-    in ``_placement_order`` and each coloring is read back in index
-    order."""
-    order = _placement_order(conflicts)
-    # rank[p]: when position p is placed.
-    rank = [0] * len(order)
-    for k, p in enumerate(order):
-        rank[p] = k
-    # earlier[k]: the placed conflicts of the k-th position placed.
-    earlier = [sorted(rank[j] for j in conflicts[p] if rank[j] < k)
-               for k, p in enumerate(order)]
-    n = len(earlier)
-    chosen = [0] * n
-    out: list[tuple[int, ...]] = []
-    # taken[k](chosen) holds the colors of k's earlier conflicts; one
-    # index is read as a slice, since itemgetter returns it bare.
-    taken = [itemgetter(*js) if len(js) > 1
-             else itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
-             for js in earlier]
-    in_index_order = itemgetter(*rank)
-
-    def place(k: int):
-        if k == n:
-            out.append(in_index_order(chosen))
-            return
-        used = taken[k](chosen)
-        for c in colors:
-            if c not in used:
-                chosen[k] = c
-                place(k + 1)
-
-    place(0)
-    out.sort()
-    return out
+    return order, rank
 
 
 def edge_3_coloring_counts(g: TrivalentGraph) -> tuple[int, int]:
@@ -164,11 +123,8 @@ def edge_3_coloring_counts(g: TrivalentGraph) -> tuple[int, int]:
         at[dd // 3].append(k)
     # With no loop, edges 0, 1, 2 hold darts 0, 1, 2, and the order
     # places them first: each next one conflicts with all those placed.
-    order = _placement_order([{*at[d // 3], *at[dd // 3]} - {k}
-                              for k, (d, dd) in enumerate(edges)])
-    rank = [0] * len(order)
-    for k, p in enumerate(order):
-        rank[p] = k
+    order, rank = _placement_order([{*at[d // 3], *at[dd // 3]} - {k}
+                                    for k, (d, dd) in enumerate(edges)])
     # done[i]: the step that places vertex i's last edge.
     done = [max(map(rank.__getitem__, ks)) for ks in at]
     code = [0] * v
@@ -217,15 +173,18 @@ def edge_3_coloring_counts(g: TrivalentGraph) -> tuple[int, int]:
     return 6 * (tally[0] + tally[1]), 6 * (tally[0] - tally[1])
 
 
-def _signer(g: TrivalentGraph):
-    """The sign function of ``g``'s edge colorings, with the dart-to-edge
-    table built once for all the colorings it is applied to."""
+def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
+    """The signed sum of the edge colorings ``colorings`` of ``g``.  A
+    coloring's sign is the product over vertices of the sign of its color
+    permutation read counterclockwise; raises ValueError on an improper
+    coloring or one without exactly one entry per edge.  Over all the
+    proper colorings it is ``edge_3_coloring_counts(g)[1]``."""
     edge_of = [0] * g.dart_count
     for k, (d, dd) in enumerate(g.edges()):
         edge_of[d] = edge_of[dd] = k
     rotations = [edge_of[3 * i:3 * i + 3] for i in range(g.vertex_count)]
-
-    def sign(c: EdgeColoring) -> int:
+    total = 0
+    for c in colorings:
         if len(c) != g.edge_count:
             raise ValueError(f"coloring has {len(c)} entries, "
                              f"not one per edge ({g.edge_count})")
@@ -236,18 +195,8 @@ def _signer(g: TrivalentGraph):
                 raise ValueError(f"improper coloring at vertex {i}: {perm}")
             if perm not in _EVEN:
                 s = -s
-        return s
-
-    return sign
-
-
-def penrose_sum(g: TrivalentGraph, colorings: list[EdgeColoring]) -> int:
-    """The signed sum of the edge colorings ``colorings`` of ``g``.  A
-    coloring's sign is the product over vertices of the sign of its color
-    permutation read counterclockwise; raises ValueError on an improper
-    coloring or one without exactly one entry per edge.  Over all the
-    proper colorings it is ``edge_3_coloring_counts(g)[1]``."""
-    return sum(map(_signer(g), colorings))
+        total += s
+    return total
 
 
 def w_sl2(g: TrivalentGraph) -> int:
@@ -292,7 +241,12 @@ def extract_map(rot: TrivalentGraph) -> PlanarMap:
 def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
     """All proper face colorings of ``pm`` by H = {0,1,2,3}, in ascending
     order of their tuples in face index order.  Empty if a face borders
-    itself.  Raises ValueError over ``MAX_SEARCH_V`` vertices."""
+    itself.  Raises ValueError over ``MAX_SEARCH_V`` vertices.
+
+    The faces are placed in ``_placement_order`` of the dual, each tried
+    with the colors in ascending order; each coloring is read back in
+    face index order and the list sorted, so it comes out as a search in
+    index order would give it, sorted and distinct."""
     if pm.graph.vertex_count > MAX_SEARCH_V:
         raise ValueError(f"coloring search capped at v = {MAX_SEARCH_V}")
     if pm.is_self_bordering():
@@ -301,7 +255,33 @@ def enumerate_four_colorings(pm: PlanarMap) -> list[FaceColoring]:
     for a, b in pm.edge_faces:
         conflicts[a].add(b)
         conflicts[b].add(a)
-    return _proper_colorings(conflicts, (0, 1, 2, 3))
+    order, rank = _placement_order(conflicts)
+    # earlier[k]: the placed conflicts of the k-th face placed.
+    earlier = [sorted(rank[j] for j in conflicts[f] if rank[j] < k)
+               for k, f in enumerate(order)]
+    n = len(earlier)
+    chosen = [0] * n
+    out: list[FaceColoring] = []
+    # taken[k](chosen) holds the colors of k's earlier conflicts; one
+    # index is read as a slice, since itemgetter returns it bare.
+    taken = [itemgetter(*js) if len(js) > 1
+             else itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
+             for js in earlier]
+    in_index_order = itemgetter(*rank)
+
+    def place(k: int):
+        if k == n:
+            out.append(in_index_order(chosen))
+            return
+        used = taken[k](chosen)
+        for c in _H_BYTES:
+            if c not in used:
+                chosen[k] = c
+                place(k + 1)
+
+    place(0)
+    out.sort()
+    return out
 
 
 def tait_edge_coloring(pm: PlanarMap, fc: FaceColoring) -> EdgeColoring:
@@ -348,11 +328,12 @@ def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
                           edge_colorings: int) -> str | None:
     """Check the Tait correspondence on ``colorings``, the proper face
     colorings of ``pm`` as ``enumerate_four_colorings(pm)`` gives them:
-    those with the outer face colored 0 (the pinned ones) are proper
-    colorings by H, and map one-to-one onto the ``edge_colorings`` proper
-    edge-3-colorings, and the colorings are exactly the pinned ones with
-    every color moved by each element of H, four times as many.  None if
-    so, else a description of the discrepancy.
+    those with the outer face colored 0 (the pinned ones; one too short
+    to reach the outer face is not pinned) are proper colorings by H, and
+    map one-to-one onto the ``edge_colorings`` proper edge-3-colorings,
+    and the colorings are exactly the pinned ones with every color moved
+    by each element of H, four times as many.  None if so, else a
+    description of the discrepancy.
 
     Distinct images proper at every vertex, as many as the edge colorings,
     are all of them, so a count is enough; and the input graph's count
@@ -366,7 +347,8 @@ def verify_tait_bijection(pm: PlanarMap, colorings: list[FaceColoring],
     lies on an even number of them.  So on a map whose sides pair up at
     every vertex each image is proper at each vertex, and only on another
     map are the images signed, which words the first improper one."""
-    pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
+    pinned = [fc for fc in colorings
+              if len(fc) > pm.outer_face and fc[pm.outer_face] == 0]
     try:
         pinned_bytes = list(map(bytes, pinned))
     except ValueError:  # a color outside 0..255, so outside H

@@ -551,9 +551,11 @@ def tait_verdict_one_by_one(pm, colorings, edge_colorings):
     the two face colors at each edge, must be proper at every vertex of
     the map's graph, as many as edge_colorings and distinct; the list must
     hold four times as many and equal the pinned ones with each color
-    moved by each h in 0..3."""
+    moved by each h in 0..3.  A coloring with no entry at the outer face
+    is not pinned."""
     g = pm.graph
-    pinned = [fc for fc in colorings if fc[pm.outer_face] == 0]
+    pinned = [fc for fc in colorings
+              if len(fc) > pm.outer_face and fc[pm.outer_face] == 0]
     images = []
     for fc in pinned:
         if len(fc) != len(pm.faces):

@@ -66,15 +66,36 @@ def test_colorings_are_sorted_and_distinct():
     assert enumerate_four_colorings(extract_map(THETA))[0] == (0, 1, 2)
 
 
-def test_search_at_the_cap_fits_the_recursion_limit():
-    # One frame per position, here as many as a v = MAX_SEARCH_V graph has
-    # edges (its map has fewer faces), far below the recursion limit now
-    # that time and list size set the cap: a chain in
-    # which each position conflicts with the two before it has just the 6
-    # colorings fixed by the first two positions, so the search is cheap.
-    n = 3 * MAX_SEARCH_V // 2
-    earlier = [list(range(max(0, k - 2), k)) for k in range(n)]
-    assert len(coloring._proper_colorings(earlier, (1, 2, 3))) == 6
+def placed_by_the_rule(conflicts):
+    """The placement order read off its rule one step at a time: next the
+    unplaced position with the most conflicts among those placed, the
+    lowest index on a tie."""
+    order = []
+    while len(order) < len(conflicts):
+        left = [p for p in range(len(conflicts)) if p not in order]
+        order.append(max(left, key=lambda p: len(conflicts[p] & {*order})))
+    return order
+
+
+def test_placement_order_places_the_most_constrained_position_next():
+    # Conflicts 0-2, 1-3, 2-3, 2-4.  Nothing is placed, so 0 comes first;
+    # then 2, its one conflict, ahead of the lower 1; then 3 and 4 tie
+    # and 3 comes first, as 1 does over 4 after it.
+    hand = [{2}, {3}, {0, 3, 4}, {1, 2}, {2}]
+    assert coloring._placement_order(hand) == ([0, 2, 3, 1, 4],
+                                               [0, 3, 1, 2, 4])
+    cases = [("hand", hand)]
+    for name in ("theta", "k4", "cube"):
+        pm = planar_map(name)
+        dual = [set() for _ in pm.faces]
+        for a, b in pm.edge_faces:
+            dual[a].add(b)
+            dual[b].add(a)
+        cases.append((name, dual))
+    for name, conflicts in cases:
+        order, rank = coloring._placement_order(conflicts)
+        assert order == placed_by_the_rule(conflicts), name
+        assert [rank[p] for p in order] == list(range(len(order))), name
 
 
 def prism_map(v):
@@ -259,6 +280,15 @@ def test_tait_bijection_rejects_a_repeated_unpinned_coloring():
         "colorings are not the pinned ones moved by H")
 
 
+def test_tait_bijection_words_a_coloring_without_an_outer_face():
+    # () has no entry at the outer face, so it is not pinned, and only
+    # the count can notice it.
+    pm = extract_map(THETA)
+    full = enumerate_four_colorings(pm)
+    assert verify_tait_bijection(pm, full + [()], 6) == (
+        "count mismatch: 25 != 4 * 6")
+
+
 def test_tait_bijection_rejects_a_coloring_outside_h():
     pm = planar_map("k4")
     full = enumerate_four_colorings(pm)
@@ -425,8 +455,10 @@ def mutated(pm, colorings, count, rng):
             fc[rng.randrange(faces)] = rng.randrange(-1, 6)
             colorings[k] = tuple(fc)
         elif kind == 4:
+            # () is the one coloring too short to reach the outer face,
+            # which is face 0 on every extracted map.
             colorings[k] = tuple(rng.randrange(4) for _ in range(
-                faces + rng.choice((-1, 0, 0, 1))))
+                faces + rng.choice((-faces, -1, 0, 0, 1))))
         elif kind == 5:
             e = rng.randrange(len(sides))
             a, b = sides[e]

@@ -75,11 +75,8 @@ CONTAINER_METHODS = {name for name in dir(dict) + dir(list)
                      if not name.startswith("_")}
 
 
-def public_definitions(tree):
-    """(name, node, method) for each public top-level name of a module and
-    each public method of its top-level classes, method telling which;
-    dunder methods are private here, as every name with a leading
-    underscore is."""
+def top_level_definitions(tree):
+    """(name, node) for each name a module's top level defines."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -89,11 +86,32 @@ def public_definitions(tree):
             names = [node.target.id]
         else:
             names = []
-        yield from ((n, node, False) for n in names if not n.startswith("_"))
+        yield from ((n, node) for n in names)
+
+
+def public_definitions(tree):
+    """(name, node, method) for each public top-level name of a module and
+    each public method of its top-level classes, method telling which;
+    dunder methods are private here, as every name with a leading
+    underscore is."""
+    for name, node in top_level_definitions(tree):
+        if not name.startswith("_"):
+            yield name, node, False
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield from ((m.name, m, True) for m in node.body
                         if isinstance(m, ast.FunctionDef)
                         and not m.name.startswith("_"))
+
+
+def used_outside(name, node, path, texts):
+    """Whether ``name``, defined by ``node`` in ``path``, appears as a
+    word in ``texts`` outside its own definition."""
+    word = re.compile(rf"\b{name}\b")
+    lines = texts[path].splitlines()
+    rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+    return any(word.search(rest if other == path else text)
+               for other, text in texts.items())
 
 
 def test_every_public_name_has_a_caller():
@@ -107,14 +125,23 @@ def test_every_public_name_has_a_caller():
               *(ROOT / "perfbench").glob("*.py")]}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = texts[path].splitlines()
         for name, node, method in public_definitions(ast.parse(texts[path])):
-            word = re.compile(rf"\b{name}\b")
-            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            if (method and name in CONTAINER_METHODS) or not any(
-                    word.search(rest if other == path else text)
-                    for other, text in texts.items()):
+            if (method and name in CONTAINER_METHODS) or not used_outside(
+                    name, node, path, texts):
                 unused.append(f"{path.name}:{name}")
+    assert unused == []
+
+
+def test_every_private_name_has_a_user_in_the_package():
+    # A private top-level name is the package's own, so only the package
+    # counts as using it: a helper left behind when its caller is folded
+    # away or deleted shows here, even if a test still calls it.  Dunder
+    # names are read by Python and its tools, not by the package.
+    texts = {path: path.read_text() for path in PACKAGE.glob("*.py")}
+    unused = [f"{path.name}:{name}" for path in sorted(texts)
+              for name, node in top_level_definitions(ast.parse(texts[path]))
+              if name.startswith("_") and not name.endswith("__")
+              and not used_outside(name, node, path, texts)]
     assert unused == []
 
 
