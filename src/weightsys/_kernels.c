@@ -13,21 +13,27 @@
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define MAX_K 8 /* block vertices at most: each of its darts fits 5 bits */
-/* Exits a key holds.  No block the estimate takes has more, so there is
- * no guard: with e >= 13 exits, e! > 2^27 is at least the outer states
- * of j vertices, so j - 1 vertices cost less as 2^j > v for j >= 5, and
- * j <= 4 have at most 12 exits; see
- * test_kernels.py::test_no_block_taken_has_more_than_12_exits. */
+#define MAX_K 8 /* block vertices at most: an inner state fits 8 bits */
+/* Exits a block has at most: choose_block takes no block with more, as
+ * the pure twin's _size takes none with more than _MAX_EXITS, so a key
+ * (4 bits a jump) and a table word (4 bits a tau entry, the closed count
+ * and the inner state) each fit 64 bits.  On a connected graph no block
+ * reaches it: each step of a greedy run adds an edge unless vertex v - 1
+ * cuts the block off from the rest, which leaves it at most 11 exits, and
+ * the block 0..k-1 below SEARCH_V has at most 3 min(k, v - k) <= 12.  So
+ * the rule only guards the packing. */
 #define MAX_EXITS 12
-#define TALLY_BITS 14 /* it tallies at most 2^14 keys before walking them */
+#define TALLY_BITS 14 /* it tallies at most 2^14 keys before reading them */
 #define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
 #define JUMPS ((1ULL << 60) - 1) /* the bits of a key that hold its jumps */
 #define SEARCH_V 10 /* the least v whose block is searched for, as in the
                      * pure twin's _SEARCH_V; below it the block is 0..k-1 */
+#define EXPORT_BLOCK 0 /* 1 adds choose_block(alpha, v) to the module */
 
 _Static_assert(MAX_V < 32 && MAX_V / 2 + 1 < 16 && 3 * MAX_K <= 32 &&
-               3 * 4 <= MAX_EXITS && 5 * MAX_EXITS + 4 <= 64, "key widths");
+               MAX_K <= 8 && 3 <= MAX_EXITS && MAX_EXITS <= 16 &&
+               4 * MAX_EXITS <= 60 && 8 + 4 * MAX_EXITS + 5 <= 64,
+               "key and table word widths");
 
 static PyObject *value_error(const char *message)
 {
@@ -122,23 +128,30 @@ static int connected(const Py_ssize_t *a, int v)
 
 /* The work marking_scan estimates for a block of j vertices with inside
  * edges between them, loops included, as in the pure twin's _work: 3v
- * steps for each of the 2^(v-1-j) outer states, and 3j for each of the 2^j
- * inner states of each jump, of which there are at most e! for the
- * e = 3j - 2 inside darts that leave the block, and no more than outer
- * states.  The estimate stays below 2^34. */
+ * steps for each of the 2^(v-1-j) outer states, 3j for each of the 2^j
+ * inner states of the one walk of the block, and e for each row of the
+ * table for each jump.  The e = 3j - 2 inside exits make at most e! jumps
+ * and e! rows, and there are no more jumps than outer states nor rows
+ * than inner states.  perms is e! or, once it passes both, a number above
+ * them, so no product overflows: the last term is at most 24 * 2^(v-1),
+ * and the estimate stays below 2^33, its largest being about 3v * 2^(v-2)
+ * at j = 1 and v = MAX_V. */
 static unsigned long long work(int v, int j, int inside)
 {
-    unsigned long long outer = 1ULL << (v - 1 - j), keys = 1;
-    for (int f = 2; f <= 3 * j - 2 * inside && keys < outer; f++)
-        keys *= f;
-    if (keys > outer)
-        keys = outer;
-    return 3ULL * v * outer + (keys * 3 * j << j);
+    unsigned long long outer = 1ULL << (v - 1 - j), inner = 1ULL << j;
+    unsigned long long perms = 1;
+    int e = 3 * j - 2 * inside;
+    for (int f = 2; f <= e && (perms < outer || perms < inner); f++)
+        perms *= f;
+    return 3ULL * v * outer + 3ULL * j * inner +
+           (perms < outer ? perms : outer) * (perms < inner ? perms : inner) *
+           e;
 }
 
 /* The block of marking_scan, as in the pure twin's _block: j vertices,
- * never v - 1, for the j = 1..min(v - 1, MAX_K) of least work, the least
- * j on a tie.  From v = SEARCH_V each j scores the set of j vertices with
+ * never v - 1, for the j = 1..min(v - 1, MAX_K) of least work among the
+ * blocks with at most MAX_EXITS exits, the least j on a tie (one vertex
+ * has at most 3).  From v = SEARCH_V each j scores the set of j vertices with
  * the most edges inside that a greedy run finds.  A run from each start
  * vertex adds the vertex that adds the most edges to the block (its loops
  * included), the lowest label on a tie, so one run scores every size; for
@@ -194,7 +207,8 @@ static int choose_block(const Py_ssize_t *a, int v, int *best)
         }
     }
     for (int j = 2; j <= top; j++)
-        if (work(v, j, most[j]) < work(v, k, most[k]))
+        if (3 * j - 2 * most[j] <= MAX_EXITS &&
+            work(v, j, most[j]) < work(v, k, most[k]))
             k = j;
     for (int j = 0; j < k; j++) { /* insertion sort */
         int x = runs[k][j], i = j;
@@ -205,16 +219,33 @@ static int choose_block(const Py_ssize_t *a, int v, int *best)
     return k;
 }
 
-/* The outer states of marking_scan tallied under one key (closed, jump at
- * the block darts that leave the block): their sign sum, their number and
- * their lowest mask.  The j-th of the at most MAX_EXITS jumps (each below
- * 3 * MAX_K) takes bits 5j up of key, and closed (at most v/2 + 1 < 16)
- * its top 4 bits; a slot with count 0 is free. */
+/* The outer states of marking_scan tallied under one key (closed, J): their
+ * sign sum, their number and their lowest mask.  J(x), the exit index the
+ * outer state sends exit x to, takes bits 4x up of key for the at most
+ * MAX_EXITS exits, and closed (at most v/2 + 1 < 16) the top 4 bits; a
+ * slot with count 0 is free. */
 struct outer_key {
     unsigned long long key;
     long long sign, count;
     unsigned long outer;
 };
+
+/* A row of the table of exit_table: the inner states with one pair
+ * (c, tau), held in pair as tau[x] at bits 4x up and c from bit 48, with
+ * their sign sum, their number and their lowest inner mask. */
+struct exit_row {
+    unsigned long long pair;
+    long long sign, count;
+    unsigned long lowest;
+};
+
+/* Order table words by value. */
+static int ascending(const void *x, const void *y)
+{
+    unsigned long long a = *(const unsigned long long *)x;
+    unsigned long long b = *(const unsigned long long *)y;
+    return (a > b) - (a < b);
+}
 
 /* Order tally entries by their jumps, the low 60 bits of the key. */
 static int by_jump(const void *x, const void *y)
@@ -224,23 +255,99 @@ static int by_jump(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
-/* Walk the block in Gray order once for each jump among the keys in the
- * slots of tally, adding the faces of each inner state to by_b, spherical
- * and first_mask, and empty the slots.  Block vertex i flips the mask bit
- * bit[i]; jump holds jump at the block darts that stay in it, and the key
- * fills in the e darts of exits, those that leave it.  The occupied slots
- * are gathered at the front and sorted on their jumps, so the keys of one
- * jump are a run.  One walk per run fills, by the count c of cycles of r,
- * the signed sum, the number and the lowest inner mask of the inner
- * states with c cycles; each key of the run takes closed + c faces from
- * each of them. */
-static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
-                       const unsigned long *bit, int *jump, const int *exits,
-                       int e, long long *by_b, long long *spherical,
-                       long long *first_mask)
+/* Walk the block of k vertices once in Gray order, from every vertex
+ * unreversed, and write its table into rows, one row per pair (c, tau)
+ * that some inner state M gives, in ascending order of the pair; returns
+ * the number of rows.  c counts the cycles of q = b . sigma_M that pass
+ * no exit, and tau[x] is the index of the exit that exits[x] leads to.
+ * Block vertex i flips the mask bit bit[i].  q is kept on the block
+ * darts: q at a dart whose sigma_M is an exit lies outside the block, and
+ * back maps it to that exit's index.  Each
+ * state makes one word, its pair above its 8-bit inner state, in which
+ * bit i stands for block vertex i.  As bit[] ascends, a lower state is a
+ * lower mask, so once the 2^k words are sorted each pair is a run headed
+ * by its lowest inner mask, and the runs are the rows. */
+static int exit_table(int k, const Py_ssize_t *b, const unsigned long *bit,
+                      const int *exits, int e, const int *back,
+                      struct exit_row *rows)
 {
-    int nb = 3 * k, r[3 * MAX_K], used = 0;
-    unsigned int mark[3 * MAX_K] = {0}, stamp = 0;
+    int nb = 3 * k, q[3 * MAX_K], used = 0;
+    unsigned int shut = 0, state = 0; /* shut: the exits */
+    unsigned long long words[1 << MAX_K];
+    for (int x = 0; x < e; x++)
+        shut |= 1U << exits[x];
+    for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
+        q[o] = (int)b[o + 1];
+        q[o + 1] = (int)b[o + 2];
+        q[o + 2] = (int)b[o];
+    }
+    for (unsigned int j = 0; j < 1U << k; j++) {
+        if (j) {
+            int i = 0;
+            while (!(j >> i & 1))
+                i++;
+            state ^= 1U << i;
+            int o = 3 * i, x = q[o];
+            if (state >> i & 1) { /* forward to reversed */
+                q[o] = q[o + 1];
+                q[o + 1] = q[o + 2];
+                q[o + 2] = x;
+            } else {
+                q[o] = q[o + 2];
+                q[o + 2] = q[o + 1];
+                q[o + 1] = x;
+            }
+        }
+        unsigned int seen = shut;
+        unsigned long long word = state, closed = 0;
+        for (int x = 0; x < e; x++) {
+            int d = q[exits[x]];
+            for (; d < nb; d = q[d])
+                seen |= 1U << d;
+            word |= (unsigned long long)back[d] << (8 + 4 * x);
+        }
+        for (int s = 0; s < nb; s++) {
+            if (seen >> s & 1)
+                continue;
+            closed++;
+            for (int d = s; !(seen >> d & 1); d = q[d])
+                seen |= 1U << d;
+        }
+        words[j] = word | closed << 56;
+    }
+    qsort(words, 1U << k, sizeof *words, ascending);
+    for (unsigned int j = 0; j < 1U << k; j++) {
+        unsigned long long pair = words[j] >> 8;
+        unsigned int inner = words[j] & 255, odd = 0;
+        unsigned long mask = 0;
+        for (int i = 0; i < k; i++)
+            if (inner >> i & 1) {
+                odd ^= 1;
+                mask |= bit[i];
+            }
+        if (used && rows[used - 1].pair == pair) {
+            rows[used - 1].sign += odd ? -1 : 1;
+            rows[used - 1].count++;
+        } else
+            rows[used++] = (struct exit_row){pair, odd ? -1 : 1, 1, mask};
+    }
+    return used;
+}
+
+/* Add the faces of the outer states tallied in the slots of tally to
+ * by_b, spherical and first_mask, and empty the slots.  The occupied slots
+ * are gathered at the front and sorted on their jumps, so the keys of one
+ * jump J are a run.  Each run reads the table of exit_table once, e steps
+ * a row: the row (c, tau) gives its inner states c + cycles(J . tau)
+ * cycles through the block, and these fill, by that count, the signed
+ * sum, the number and the lowest inner mask of the inner states.  Each key
+ * of the run then takes closed + c faces from each count c. */
+static void flush_tally(struct outer_key *tally, int slots,
+                       const struct exit_row *rows, int n_rows, int e,
+                       int nb, int b_top, long long *by_b,
+                       long long *spherical, long long *first_mask)
+{
+    int used = 0, jump[16]; /* by exit index, which a key holds in 4 bits */
     long long signed_by_c[3 * MAX_K + 1], states[3 * MAX_K + 1];
     unsigned long lowest[3 * MAX_K + 1];
     for (int s = 0; s < slots; s++)
@@ -255,50 +362,27 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
         for (end = first + 1;
              end < used && (tally[end].key & JUMPS) == far; end++)
             ;
-        for (int j = 0; j < e; j++)
-            jump[exits[j]] = far >> 5 * j & 31;
-        for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
-            r[o] = jump[o + 1];
-            r[o + 1] = jump[o + 2];
-            r[o + 2] = jump[o];
-        }
+        for (int x = 0; x < e; x++)
+            jump[x] = far >> 4 * x & 15;
         for (int c = 1; c <= nb; c++) {
             signed_by_c[c] = states[c] = 0;
             lowest[c] = ~0UL;
         }
-        int sign = 1;
-        unsigned long inner = 0;
-        for (unsigned long j = 0; j < 1UL << k; j++) {
-            if (j) {
-                int i = 0;
-                while (!(j >> i & 1))
-                    i++;
-                inner ^= bit[i];
-                sign = -sign;
-                int o = 3 * i, x = r[o];
-                if (inner & bit[i]) { /* forward to reversed */
-                    r[o] = r[o + 1];
-                    r[o + 1] = r[o + 2];
-                    r[o + 2] = x;
-                } else {
-                    r[o] = r[o + 2];
-                    r[o + 2] = r[o + 1];
-                    r[o + 1] = x;
-                }
-            }
-            int cycles = 0;
-            stamp++;
-            for (int s = 0; s < nb; s++) {
-                if (mark[s] == stamp)
+        for (const struct exit_row *row = rows; row < rows + n_rows; row++) {
+            int c = (int)(row->pair >> 48);
+            unsigned int seen = 0;
+            for (int s = 0; s < e; s++) {
+                if (seen >> s & 1)
                     continue;
-                cycles++;
-                for (int d = s; mark[d] != stamp; d = r[d])
-                    mark[d] = stamp;
+                c++;
+                for (int d = s; !(seen >> d & 1);
+                     d = jump[row->pair >> 4 * d & 15])
+                    seen |= 1U << d;
             }
-            signed_by_c[cycles] += sign;
-            states[cycles]++;
-            if (inner < lowest[cycles])
-                lowest[cycles] = inner;
+            signed_by_c[c] += row->sign;
+            states[c] += row->count;
+            if (row->lowest < lowest[c])
+                lowest[c] = row->lowest;
         }
         for (struct outer_key *entry = tally + first; entry < tally + end;
              entry++) {
@@ -331,36 +415,40 @@ static void walk_block(struct outer_key *tally, int slots, int k, int b_top,
  * a walk flipping its vertex ctz(j) and alternating the sign.  The inner
  * walk runs over a block of k vertices, the outer walk over the rest but
  * v - 1.  choose_block picks k and the block from the estimate of the
- * work, about 2^(v-1-k) outer states of 3v steps plus, for each of at
- * most min(2^(v-1-k), e!) jumps, 2^k inner states of 3k steps, where e
- * darts leave the block (from v = SEARCH_V; below it the block is 0..k-1).
- * The darts are relabeled into b so the block is vertices 0..k-1 and the
- * outer vertices keep their order, and each walk flips the original bit of
- * the vertex it reverses (bit[i] for new vertex i), so every mask is in
- * the original labels.  In the new labels let V = b(darts 0..3k-1).  p(d)
- * is a block dart exactly when d is in V, so p(V) is the block's darts and
- * p off V is fixed by the outer state.  For each outer state one pass over
- * p follows each block dart t to the first dart of V, jump[t]; p(V) being
- * the block's darts, jump is a bijection from them onto V, and it cuts
- * every face through the block into segments.  A block dart that b keeps
- * in the block is in V, so its jump is b(t) in every state, and only the e
- * darts that leave the block (exits) are followed.  The darts no segment
- * reaches make the faces that avoid V, which the inner walk leaves alone:
- * they are counted once, as closed.  Every face through the block is a
- * cycle of r = jump . p on V, 3k entries, of which a flip in the block
- * rewrites three, so faces = closed + cycles(r).  r is kept by block dart:
- * r[t] is b(jump(sigma_M(t))), standing for r at b(t).
+ * work (work()): 2^(v-1-k) outer states of 3v steps, one walk of 2^k
+ * inner states of 3k steps, and e steps for each of at most
+ * min(2^k, e!) rows of the table for each of at most min(2^(v-1-k), e!)
+ * jumps, where e darts leave the block (from v = SEARCH_V; below it the
+ * block is 0..k-1).  The darts are relabeled into b so the block is
+ * vertices 0..k-1 and the outer vertices keep their order, and each walk
+ * flips the original bit of the vertex it reverses (bit[i] for new vertex
+ * i), so every mask is in the original labels.  In the new labels let
+ * V = b(darts 0..3k-1).  p(d) is a block dart exactly when d is in V, so
+ * p(V) is the block's darts and p off V is fixed by the outer state.  The
+ * block darts that b sends out of the block are its e exits.  For each
+ * outer state one pass over p follows each exit x to the first dart of V,
+ * whose b is an exit again, J(x): J, a bijection of the exits, is the
+ * outer state's jump.  The darts no path reaches make the faces that
+ * avoid V, which no inner state changes: they are counted once, as
+ * closed.
  *
- * As in the pure twin, the outer states are tallied by the key (closed,
- * jump at exits), one word, with their sign sum, number and lowest mask,
- * and the block is walked once per jump among the keys (walk_block).
- * Outer and inner bits are disjoint, so the lowest spherical mask of a
- * key is its lowest outer mask plus its lowest spherical inner mask.  The
- * tally is an
+ * For an inner state M a face runs inside the block along
+ * q = b . sigma_M until sigma_M takes it to an exit x, and J sends it on
+ * to J(x).  So with tau_M(x) the exit met by following s = sigma_M(x),
+ * then s = sigma_M(b(s)) while s is not an exit, and c_M the cycles of q
+ * that pass no exit, the faces through the block are
+ * c_M + cycles(J . tau_M), neither c_M nor tau_M depending on the outer
+ * state.  As in the pure twin, exit_table walks the block once per scan
+ * into a table of the pairs (c_M, tau_M), each with its sign sum, number
+ * and lowest inner mask; the outer states are tallied by the key (closed,
+ * J), one word, with their sign sum, number and lowest mask; and each
+ * distinct J among the keys reads the table once (flush_tally).  Outer and
+ * inner bits are disjoint, so the lowest spherical mask of a key is its
+ * lowest outer mask plus its lowest spherical inner mask.  The tally is an
  * open-addressed table with twice as many slots as the keys it may hold,
  * the fewer of the outer states and 2^TALLY_BITS; when it is full its
- * keys are walked and it starts again empty.  first_mask is the minimum
- * spherical mask met.
+ * jumps read the table and it starts again empty.  first_mask is the
+ * minimum spherical mask met.
  * Returns (by_b, spherical, first_mask); the signed spherical count is
  * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
  * ValueError in the twin's order, connectivity last ("graph is not
@@ -400,7 +488,8 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     long long spherical = 0, first_mask = -1;
     int order[MAX_V], new[MAX_V], e = 0;
     int k = choose_block(a, v, order), nb = 3 * k;
-    int jump[3 * MAX_K], exits[3 * MAX_K];
+    int exits[3 * MAX_K], back[MAX_N];
+    struct exit_row rows[1 << MAX_K];
     unsigned long bit[MAX_V];
     for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
         int in_block = 0;
@@ -426,12 +515,13 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         in_v[d] = b[d] < nb;
         inside[d] = d < nb && in_v[d];
     }
-    for (int t = 0; t < nb; t++) {
-        jump[t] = (int)b[t];
-        if (!in_v[t])
+    for (int t = 0; t < nb; t++)
+        if (!in_v[t]) {
+            back[b[t]] = e; /* for a dart of V outside the block */
             exits[e++] = t;
-    }
+        }
     Py_BEGIN_ALLOW_THREADS
+    int n_rows = exit_table(k, b, bit, exits, e, back, rows);
     unsigned long outer = 0;
     int sign = 1;
     for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
@@ -453,7 +543,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
             for (; !in_v[d]; d = p[d])
                 seen[d] = 1;
             seen[d] = 1;
-            key |= (unsigned long long)b[d] << 5 * j;
+            key |= (unsigned long long)back[d] << 4 * j;
         }
         key |= (unsigned long long)count_cycles(p, seen, n) << 60;
         unsigned long slot = key * 0x9E3779B97F4A7C15ULL >> (64 - bits);
@@ -467,14 +557,14 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
         } else {
             tally[slot] = (struct outer_key){key, sign, 1, outer};
             if (++used == slots / 2) {
-                walk_block(tally, slots, k, b_top, bit, jump, exits, e,
-                           by_b, &spherical, &first_mask);
+                flush_tally(tally, slots, rows, n_rows, e, nb, b_top, by_b,
+                           &spherical, &first_mask);
                 used = 0;
             }
         }
     }
-    walk_block(tally, slots, k, b_top, bit, jump, exits, e, by_b,
-               &spherical, &first_mask);
+    flush_tally(tally, slots, rows, n_rows, e, nb, b_top, by_b, &spherical,
+               &first_mask);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(tally);
     for (int f = 0; f <= b_top; f++)
@@ -495,11 +585,47 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     return Py_BuildValue("(NLL)", counts, spherical, first_mask);
 }
 
+#if EXPORT_BLOCK
+/* choose_block(alpha, v): the block marking_scan would walk, as a list in
+ * label order, for a tuple alpha of 3v entries in 0..3v-1 with 2 <= v <=
+ * MAX_V.  Built only for the tests that tie it to the pure twin's
+ * _block. */
+static PyObject *block(PyObject *self, PyObject *args)
+{
+    PyObject *alpha;
+    int v, best[MAX_K], fail = 1;
+    Py_ssize_t a[MAX_N];
+    if (!PyArg_ParseTuple(args, "O!i:choose_block", &PyTuple_Type, &alpha,
+                          &v))
+        return NULL;
+    if (v < 2 || v > MAX_V || PyTuple_GET_SIZE(alpha) != 3 * v)
+        value_error("choose_block needs 3v darts and 2 <= v <= 28");
+    else if (read_alpha(alpha, 3 * v, a) == 0)
+        fail = 0;
+    if (fail)
+        return NULL;
+    int k = choose_block(a, v, best);
+    PyObject *list = PyList_New(k);
+    for (int i = 0; list != NULL && i < k; i++) {
+        PyObject *x = PyLong_FromLong(best[i]);
+        if (x == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, x);
+    }
+    return list;
+}
+#endif
+
 static PyMethodDef methods[] = {
     {"face_count", face_count, METH_O,
      "face_count(alpha): number of faces of the rotation system."},
     {"marking_scan", marking_scan, METH_VARARGS,
      "marking_scan(alpha, v) -> (signed_by_b, spherical, first_mask)."},
+#if EXPORT_BLOCK
+    {"choose_block", block, METH_VARARGS,
+     "choose_block(alpha, v) -> the block marking_scan walks."},
+#endif
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,10 +15,13 @@ at ``i`` is reversed (darts ``3i+1`` and ``3i+2`` swapped).
 from __future__ import annotations
 
 from math import factorial
+from operator import itemgetter
 
 MAX_SCAN_V = 28
-_MAX_K = 8  # block vertices at most: each of its darts fits 5 bits in C
-_TALLY = 1 << 14  # keys it tallies before walking the block for them
+_MAX_K = 8  # block vertices at most: C keeps an inner state in 8 bits
+_TALLY = 1 << 14  # keys it tallies before their jumps read the table
+_MAX_EXITS = 12  # exits of a block at most: C packs 4 bits an exit in 64
+_CYCLES = 1 << 12  # cycle counts of exit permutations a scan keeps
 # The least v whose block marking_scan searches for.  Below it the outer
 # walk has at most 64 states and each block size k scores the block
 # 0..k-1: on the v <= 8 catalog, whose canonical labels put a
@@ -114,53 +117,54 @@ def marking_scan(alpha, v: int):
     walk flips its vertex ctz(j), and the sign alternates.  The inner walk
     runs over a block of k vertices, the outer walk over the rest but
     v - 1.  _block picks the block for its many inside edges: the fewer
-    darts leave it, the fewer outer states the inner walk can tell apart
-    (see the keys below).  Below v = _SEARCH_V the block is 0..k-1.  The
-    darts are relabeled on every scan so the block is vertices 0..k-1 and
-    the outer vertices keep their order, and each walk flips the original
-    bit of the vertex it reverses, so every mask below is in the original
+    darts leave it, the fewer outer states the block can tell apart (see
+    the keys below).  Below v = _SEARCH_V the block is 0..k-1.  The darts
+    are relabeled on every scan so the block is vertices 0..k-1 and the
+    outer vertices keep their order, and each walk flips the original bit
+    of the vertex it reverses, so every mask below is in the original
     labels.  In the new labels let V = alpha(darts 0..3k-1), the darts
     that alpha sends into the block.  p[d] is a block dart exactly when d
     is in V, so p(V) is the block's darts, and p off V is fixed by the
-    outer state.  For each outer state one pass over p
+    outer state.  The block darts that alpha sends out of the block are
+    its e exits.  For each outer state one pass over p
 
-    - follows each block dart t to the first dart of V it reaches,
-      jump[t].  As p(V) is the block's darts, jump is a bijection from
-      them onto V, and it cuts every face through the block into
-      segments.  A block dart that alpha keeps in the block is in V, so
-      its jump is alpha[t] in every state: only the darts that leave the
-      block, exits, are followed;
-    - counts the faces that no segment reaches.  They avoid V, so every
+    - follows each exit x to the first dart of V it reaches; alpha of
+      that dart is an exit again, J(x), and J is a bijection of the exits:
+      the outer state's jump;
+    - counts the faces that no such path reaches.  They avoid V, so every
       inner state keeps them: they are the closed faces.
 
-    Every face through the block is a cycle of r = jump . p on V, which
-    has 3k entries, so faces = closed + cycles(r), and a flip in the block
-    rewrites three entries of r.  r is kept by block dart: r[t] is
-    alpha[jump[sigma_M(t)]] and stands for r at alpha[t].
+    Fix an inner state M.  Inside the block a face runs along
+    q = alpha . sigma_M until sigma_M takes it to an exit x, where the
+    outer state sends it on to J(x).  So let tau_M map each exit x to the
+    exit met by following s = sigma_M(x), then s = sigma_M(alpha(s)),
+    for as long as s is not an exit, and let c_M count the cycles of q
+    that pass no exit.  The faces through the block are then
+    c_M + cycles(J . tau_M), and neither c_M nor tau_M depends on the
+    outer state.  So the outer states are tallied by the key (closed, J),
+    with their sign sum, their number and their lowest mask, and the
+    inner states by the pair (c_M, tau_M), with the same three: one Gray
+    walk of the block per scan builds that table (_exit_table), one row
+    per pair.  Each distinct jump among the keys reads the table once,
+    e steps a row (_read_table), into the signed sum, the number and the
+    lowest inner mask of the inner states by their count c_M +
+    cycles(J . tau_M), and each key of that jump takes closed + c faces
+    from each count c.  Outer and inner bits are disjoint, so a key's
+    lowest spherical mask is its lowest outer mask plus the lowest inner
+    mask of the count c that makes it spherical, and first_mask is the
+    least of these.  The tally holds at most _TALLY keys: when it is full
+    their jumps read the table and it starts again empty, so a jump met
+    again later reads the table again, and the sums are the same.
 
-    The inner walk sees an outer state only through closed and jump, and
-    many outer states share both.  So the outer states are tallied by the
-    key (closed, jump at exits), with their sign sum, their number and
-    their lowest mask.  jump maps exits onto the alpha-images of the
-    darts of V outside the block, which are exits again, so with e exits
-    there are at most e! jumps.  The inner walk reads
-    only jump, and closed only adds to its face counts: it runs once per
-    jump among the keys, and tallies its inner states by their count c of
-    cycles of r, with their sign sum, their number and their lowest inner
-    mask.  Each key of that jump then takes closed + c faces from each
-    count c.  Outer and inner bits are disjoint, so a key's lowest
-    spherical mask is its lowest outer mask plus the lowest inner mask of
-    the count c that makes it spherical, and first_mask is the least of
-    these.  The tally holds at most _TALLY keys: when it is full, their
-    inner walks run and it starts again empty, so a key met again later
-    is walked again, and the sums are the same.
-
-    The work is thus about 2^(v-1-k) outer states of 3v steps each plus
-    2^k inner states of 3k steps for each jump, with at most
-    min(2^(v-1-k), e!) jumps.  _block takes the k, 1..min(v - 1, _MAX_K),
-    and the block of k vertices that make this estimate (_work) least, so
-    the block grows with v where few darts leave it and stays small where
-    many do.  The outputs do not depend on the block.
+    The work is thus about 2^(v-1-k) outer states of 3v steps each, one
+    walk of 2^k inner states of 3k steps, and for each jump e steps for
+    each row.  With e exits there are at most e! jumps and e! values of
+    tau, so at most min(2^(v-1-k), e!) jumps and min(2^k, e!) rows.
+    _block takes the k, 1..min(v - 1, _MAX_K), and the block of k vertices
+    that make this estimate (_work) least among the blocks with at most
+    _MAX_EXITS exits, so the block grows with v where few darts leave it
+    and stays small where many do.  The outputs do not depend on the
+    block.
     """
     n = 3 * v
     if len(alpha) != n:
@@ -193,7 +197,12 @@ def marking_scan(alpha, v: int):
     p = fwd[:]
     exits = [t for t in range(nb) if not in_v[t]]  # block darts leaving it
     inside = bytearray(in_v[:nb]) + bytes(n - nb)  # and those staying in
-    tally = {}  # (closed, *jump at exits) -> [signed, count, lowest mask]
+    back = [0] * n  # for a dart of V outside the block, its exit's index
+    for x, t in enumerate(exits):
+        back[alpha[t]] = x
+    table = _exit_table(alpha, bit[:k], exits, back)
+    known = {}  # a permutation of the exits -> its number of cycles
+    tally = {}  # (closed, *J) -> [signed, count, lowest mask]
     found = [0, -1]  # spherical masks traced, lowest spherical mask
     outer = 0
     sign = 1
@@ -202,11 +211,11 @@ def marking_scan(alpha, v: int):
             i = (h & -h).bit_length() - 1 + k
             outer ^= bit[i]
             sign = -sign
-            table = bwd if outer & bit[i] else fwd
+            sigma = bwd if outer & bit[i] else fwd
             x, y, z = into[i]
-            p[x] = table[x]
-            p[y] = table[y]
-            p[z] = table[z]
+            p[x] = sigma[x]
+            p[y] = sigma[y]
+            p[z] = sigma[z]
         seen = inside[:]
         jump = []
         for t in exits:
@@ -215,19 +224,19 @@ def marking_scan(alpha, v: int):
                 seen[d] = 1
                 d = p[d]
             seen[d] = 1
-            jump.append(alpha[d])
+            jump.append(back[d])
         key = (_count_cycles(p, seen), *jump)
         entry = tally.get(key)
         if entry is None:
             tally[key] = [sign, 1, outer]
             if len(tally) == _TALLY:
-                _walk_block(tally, bit[:k], alpha, exits, signed_by_b, found)
+                _flush_tally(tally, table, known, signed_by_b, found)
         else:
             entry[0] += sign
             entry[1] += 1
             if outer < entry[2]:
                 entry[2] = outer
-    _walk_block(tally, bit[:k], alpha, exits, signed_by_b, found)
+    _flush_tally(tally, table, known, signed_by_b, found)
     spherical, first_mask = found
     return [2 * c for c in signed_by_b], 2 * spherical, first_mask
 
@@ -235,32 +244,47 @@ def marking_scan(alpha, v: int):
 def _work(v: int, j: int, inside: int) -> int:
     """The work marking_scan estimates for a block of j vertices with
     `inside` edges between them, loops included: 3v steps for each of the
-    2^(v-1-j) outer states, and 3j for each of the 2^j inner states of
-    each jump.  The e = 3j - 2 inside darts that leave the block make at
-    most e! jumps, and there are no more jumps than outer states."""
+    2^(v-1-j) outer states, 3j for each of the 2^j inner states of the
+    one walk of the block, and e for each row of the table for each jump.
+    The e = 3j - 2 * inside exits make at most e! jumps and e! rows, and
+    there are no more jumps than outer states nor rows than inner
+    states."""
     outer = 1 << (v - 1 - j)
-    return 3 * v * outer + min(outer, _FACTORIAL[3 * j - 2 * inside]) * (
-        3 * j << j)
+    e = 3 * j - 2 * inside
+    return 3 * v * outer + (3 * j << j) + min(outer, _FACTORIAL[e]) * min(
+        1 << j, _FACTORIAL[e]) * e
+
+
+def _size(v: int, most) -> int:
+    """The size of the block of marking_scan, given most[j], the edges
+    inside the block of j vertices, for j = 1..len(most) - 1: the j of
+    least _work among the blocks with at most _MAX_EXITS exits, the least
+    j on a tie.  One vertex has at most 3 exits, and on a connected graph
+    no block _block scores comes near the bound: the rule guards the
+    compiled twin's packing of keys and table words."""
+    k = 1
+    for j in range(2, len(most)):
+        if 3 * j - 2 * most[j] <= _MAX_EXITS and \
+                _work(v, j, most[j]) < _work(v, k, most[k]):
+            k = j
+    return k
 
 
 def _block(alpha, v: int) -> list:
     """The block of marking_scan, in label order: j vertices, never
-    v - 1, for the j = 1..min(v - 1, _MAX_K) of least _work, the least j
-    on a tie.  From v = _SEARCH_V each j scores the set of j vertices with
-    the most edges inside that _search finds; below, it scores 0..j-1."""
+    v - 1, for the j = 1..min(v - 1, _MAX_K) that _size picks.  From
+    v = _SEARCH_V each j scores the set of j vertices with the most edges
+    inside that _search finds; below, it scores 0..j-1."""
     top = min(v - 1, _MAX_K)
     if v < _SEARCH_V:
         # The edges inside 0..j-1 are those of its darts d with alpha[d] < d.
-        inside = 0
-        costs = []
+        most = [0]
         for d in range(0, 3 * top, 3):
-            inside += (alpha[d] < d) + (alpha[d + 1] < d + 1) + (
-                alpha[d + 2] < d + 2)
-            costs.append(_work(v, d // 3 + 1, inside))
-        return list(range(1 + costs.index(min(costs))))
+            most.append(most[-1] + (alpha[d] < d) + (alpha[d + 1] < d + 1) + (
+                alpha[d + 2] < d + 2))
+        return list(range(_size(v, most)))
     most, runs = _search(alpha, v, top)
-    costs = [_work(v, j, most[j]) for j in range(1, top + 1)]
-    j = 1 + costs.index(min(costs))
+    j = _size(v, most)
     return sorted(runs[j][:j])
 
 
@@ -296,29 +320,75 @@ def _search(alpha, v: int, top: int):
     return most, runs
 
 
-def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:
-    """Walk the block of marking_scan in Gray order once for each jump
-    among the keys of tally, and empty it.  Block vertex i flips the mask
-    bit bit[i].  A key holds jump at the block darts in exits; at the
-    other block darts jump is alpha, relabeled.  The keys are grouped by
-    their jump, and _cycle_histograms walks the block once for each
-    group; each inner state with c cycles of r then gives closed + c
-    faces to every key of the group.  The faces go into signed_by_b; found
-    holds the spherical count and the lowest spherical mask so far, and
-    is updated."""
+def _exit_table(alpha, bit, exits, back) -> list:
+    """Walk the block of marking_scan once in Gray order, from every block
+    vertex unreversed with sign +1, and return its table: for each pair
+    (c, tau) that some inner state M gives, (c, tau, the signed sum of
+    those states, their number, their lowest inner mask), where c counts
+    the cycles of q = alpha . sigma_M that pass no exit and tau[x] is the
+    index of the exit that exits[x] leads to.  tau is given as the
+    itemgetter that reads a jump at it, so tau(J) is J . tau.  Block
+    vertex i flips the mask bit bit[i].  q is kept on the block darts; q
+    at a dart whose sigma_M is an exit lies outside the block, and back
+    maps it to that exit's index."""
     nb = 3 * len(bit)
-    jump = list(alpha[:nb])
+    q = [0] * nb
+    for o in range(0, nb, 3):  # every block vertex unreversed
+        q[o], q[o + 1], q[o + 2] = alpha[o + 1], alpha[o + 2], alpha[o]
+    shut = bytearray(nb)  # the exits, which no cycle that c counts passes
+    for t in exits:
+        shut[t] = 1
+    rows = {}  # (c, *tau) -> [signed, states, lowest inner mask]
+    inner = 0
+    sign = 1
+    for j in range(1 << len(bit)):
+        if j:
+            i = _FLIPS[j]
+            inner ^= bit[i]
+            sign = -sign
+            o = 3 * i
+            if inner & bit[i]:
+                q[o], q[o + 1], q[o + 2] = q[o + 1], q[o + 2], q[o]
+            else:
+                q[o], q[o + 1], q[o + 2] = q[o + 2], q[o], q[o + 1]
+        seen = shut[:]
+        tau = []
+        for t in exits:
+            d = q[t]
+            while d < nb:
+                seen[d] = 1
+                d = q[d]
+            tau.append(back[d])
+        key = (_count_cycles(q, seen), *tau)
+        row = rows.get(key)
+        if row is None:
+            rows[key] = [sign, 1, inner]
+        else:
+            row[0] += sign
+            row[1] += 1
+            if inner < row[2]:
+                row[2] = inner
+    # tau of one exit is (0,): the getter of a slice keeps J . tau a tuple.
+    return [(key[0], itemgetter(*key[1:]) if len(key) > 2 else
+             itemgetter(slice(1)), *row) for key, row in rows.items()]
+
+
+def _flush_tally(tally, table, known, signed_by_b, found) -> None:
+    """Add the faces of the outer states of marking_scan tallied in tally
+    to signed_by_b and found, and empty it.  A key of tally holds closed
+    and J; the keys are grouped by J, each group's J reads the table of
+    _exit_table once (_read_table), and each key of the group takes
+    closed + c faces from each count c.  found holds the spherical count
+    and the lowest spherical mask so far, and is updated."""
     b_top = len(signed_by_b) - 1
     spherical, first_mask = found
-    groups = {}  # jump at exits -> [(closed, sign, count, lowest mask)]
-    for (closed, *far), entry in tally.items():
-        groups.setdefault(tuple(far), []).append((closed, *entry))
-    for far, keys in groups.items():
-        for t, x in zip(exits, far):
-            jump[t] = x
-        histograms = _cycle_histograms(jump, bit)
+    groups = {}  # J -> [(closed, sign, count, lowest mask)]
+    for (closed, *jump), entry in tally.items():
+        groups.setdefault(tuple(jump), []).append((closed, *entry))
+    for jump, keys in groups.items():
+        histogram = _read_table(table, jump, known)
         for closed, sign, count, outer in keys:
-            for cycles, signed, states, lowest in histograms:
+            for cycles, (signed, states, lowest) in histogram.items():
                 faces = closed + cycles
                 signed_by_b[faces] += sign * signed
                 if faces == b_top:
@@ -329,44 +399,28 @@ def _walk_block(tally, bit, alpha, exits, signed_by_b, found) -> None:
     tally.clear()
 
 
-def _cycle_histograms(jump, bit) -> list:
-    """Walk the block in Gray order with jump fixed, from every block
-    vertex unreversed with sign +1, and return for each count c of cycles
-    of r that some inner state has: (c, the signed sum of those states,
-    their number, their lowest inner mask)."""
-    k = len(bit)
-    nb = 3 * k
-    r = [0] * nb
-    for o in range(0, nb, 3):  # every block vertex unreversed
-        r[o], r[o + 1], r[o + 2] = jump[o + 1], jump[o + 2], jump[o]
-    signed = [0] * (nb + 1)  # by the cycle count
-    states = [0] * (nb + 1)
-    lowest = [1 << 32] * (nb + 1)  # above every mask of v <= MAX_SCAN_V
-    inner = 0
-    sign = 1
-    for j in range(1 << k):
-        if j:
-            i = _FLIPS[j]
-            inner ^= bit[i]
-            sign = -sign
-            o = 3 * i
-            if inner & bit[i]:
-                r[o], r[o + 1], r[o + 2] = r[o + 1], r[o + 2], r[o]
-            else:
-                r[o], r[o + 1], r[o + 2] = r[o + 2], r[o], r[o + 1]
-        mark = [False] * nb  # inline: faster here than _count_cycles
-        cycles = 0
-        for s in range(nb):
-            if not mark[s]:
-                cycles += 1
-                mark[s] = True
-                d = r[s]
-                while d != s:
-                    mark[d] = True
-                    d = r[d]
-        signed[cycles] += sign
-        states[cycles] += 1
-        if inner < lowest[cycles]:
-            lowest[cycles] = inner
-    return [(c, signed[c], states[c], lowest[c])
-            for c in range(1, nb + 1) if states[c]]
+def _read_table(table, jump, known) -> dict:
+    """The inner states of the table of _exit_table by their count
+    c + cycles(J . tau) of cycles through the block, for the jump J given
+    as the tuple of the exit indices J(x): count -> [the signed sum of
+    those states, their number, their lowest inner mask].  known maps a
+    permutation of the exits, as a tuple, to its number of cycles; it is
+    filled here while it holds fewer than _CYCLES of them."""
+    histogram = {}
+    for c, tau, signed, states, lowest in table:
+        composed = tau(jump)
+        n = known.get(composed)
+        if n is None:
+            n = _count_cycles(composed, bytearray(len(composed)))
+            if len(known) < _CYCLES:
+                known[composed] = n
+        c += n
+        entry = histogram.get(c)
+        if entry is None:
+            histogram[c] = [signed, states, lowest]
+        else:
+            entry[0] += signed
+            entry[1] += states
+            if lowest < entry[2]:
+                entry[2] = lowest
+    return histogram

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 
@@ -31,6 +32,16 @@ class MetrizedLieAlgebra:
     t: tuple[tuple[Scalar, ...], ...]
     t_inv: tuple[tuple[Scalar, ...], ...]
     f: tuple[tuple[tuple[Scalar, ...], ...], ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, taken once: the state sum's cache hashes
+        the algebra on every call, and that walks all dim^3 bracket
+        entries, whose Fractions hash in Python code."""
+        return hash((self.name, self.dim, self.t, self.t_inv, self.f))
 
 
 def _freeze2(m) -> tuple[tuple[Scalar, ...], ...]:

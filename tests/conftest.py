@@ -1,10 +1,11 @@
 """Shared fixtures: the v <= 8 dedup catalog, the compiled kernels, a
-UBSan build of them and a build with a tally of 2 keys, each kernel
-backend in turn and counters of marking scans and coloring
-enumerations."""
+UBSan build of them, a build with a tally of 2 keys and one that exports
+its block choice, each kernel backend in turn and counters of marking
+scans and coloring enumerations."""
 
 import importlib.util
 import os
+import re
 import shutil
 import sysconfig
 from collections import Counter
@@ -73,18 +74,33 @@ def compiled_kernels(tmp_path_factory):
     return load_kernels(build_kernels(tmp_path_factory.mktemp("kernels")))
 
 
+def edited_kernels(out, define, value):
+    """_kernels.c with the value of one #define replaced, built into the
+    directory out and loaded as compiled_kernels is."""
+    text, count = re.subn(rf"^#define {define} \S+",
+                          f"#define {define} {value}", KERNELS_C.read_text(),
+                          flags=re.MULTILINE)
+    assert count == 1
+    source = out / "_kernels.c"
+    source.write_text(text)
+    return load_kernels(build_kernels(out, source=source))
+
+
 @pytest.fixture(scope="session")
 def small_tally_kernels(tmp_path_factory):
-    """_kernels.c with TALLY_BITS 1 in place of 14, built and loaded as
-    compiled_kernels is.  Its tally has 4 slots and is walked and emptied
-    whenever it holds 2 keys, so most scans fill it mid-scan."""
-    out = tmp_path_factory.mktemp("small_tally")
-    define = "#define TALLY_BITS 14 "
-    text = KERNELS_C.read_text()
-    assert text.count(define) == 1
-    source = out / "_kernels.c"
-    source.write_text(text.replace(define, "#define TALLY_BITS 1 "))
-    return load_kernels(build_kernels(out, source=source))
+    """_kernels.c with TALLY_BITS 1 in place of 14.  Its tally has 4 slots
+    and is flushed whenever it holds 2 keys, so most scans fill it
+    mid-scan."""
+    return edited_kernels(tmp_path_factory.mktemp("small_tally"),
+                          "TALLY_BITS", 1)
+
+
+@pytest.fixture(scope="session")
+def block_kernels(tmp_path_factory):
+    """_kernels.c with EXPORT_BLOCK 1, which adds choose_block(alpha, v),
+    the block marking_scan walks, to the module."""
+    return edited_kernels(tmp_path_factory.mktemp("block"), "EXPORT_BLOCK",
+                          1)
 
 
 @pytest.fixture(scope="session")

@@ -176,8 +176,11 @@ def prism_scans():
 
 
 # Seeded draws (v, seed) on which the kernel takes its largest block,
-# k = _MAX_K = 8, and the smallest from v = _SEARCH_V, k = 2.
-BLOCK_SIZE_DRAWS = {(14, 31): 8, (16, 5): 8, (10, 8): 2}
+# k = _MAX_K = 8, and the smallest the draws at v = _SEARCH_V reach, k = 3
+# (455 of the first 3000 seeds).  The table of (16, 0) has 5 rows for 256
+# inner states, one of them 64 states with one tau, and rows whose states
+# close up to 4 cycles that pass no exit.
+BLOCK_SIZE_DRAWS = {(14, 135): 8, (16, 0): 8, (10, 4): 3}
 
 
 def block_size_cases(largest_v):
@@ -192,7 +195,30 @@ def block_size_cases(largest_v):
 
 @pytest.fixture(scope="module")
 def block_size_scans():
-    return with_oracle(block_size_cases(14))
+    return with_oracle(block_size_cases(16))
+
+
+def test_exit_tables_of_the_block_size_draws(monkeypatch):
+    # The tables the draws of BLOCK_SIZE_DRAWS build: (k, rows, the most
+    # inner states of one row, the most cycles of one row that pass no
+    # exit).  Every table covers the 2^k inner states once.
+    tables = []
+    table = _kernels_py._exit_table
+
+    def keeping_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(_kernels_py, "_exit_table", keeping_table)
+    shapes = []
+    for alpha, v in block_size_cases(16):
+        _kernels_py.marking_scan(alpha, v)
+        k = len(_kernels_py._block(alpha, v))
+        rows = tables.pop()
+        assert sum(row[3] for row in rows) == 2 ** k
+        shapes.append((k, len(rows), max(row[3] for row in rows),
+                       max(row[0] for row in rows)))
+    assert shapes == [(8, 19, 24, 2), (8, 5, 64, 4), (3, 5, 2, 1)]
 
 
 @pytest.mark.parametrize("inputs", ["catalog_scans", "random_scans",
@@ -202,26 +228,34 @@ def test_marking_scan_matches_oracle(backend, inputs, request):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
-# The block walk of marking_scan: an inner walk over a block of k vertices
-# for each state of an outer walk over the rest but v - 1.  The kernel
-# takes the k and the block that make its estimate of the work least
-# (_kernels_py._work): 2^(v-1-k) outer states of 3v steps, plus 2^k inner
-# states of 3k steps for each of at most min(2^(v-1-k), e!) jumps, where
-# e darts leave the block.  From v = _SEARCH_V each k scores the block
-# with the most inside edges that a greedy run finds; below, it scores
-# 0..k-1.  The compiled kernel picks by the same rule, so
-# _kernels_py._block names its block too.
+# The block walk of marking_scan: one inner walk over a block of k
+# vertices builds a table of the exit permutations its states give, and an
+# outer walk over the rest but v - 1 reads the table once for each jump it
+# meets.  The kernel takes the k and the block that make its estimate of
+# the work least (_kernels_py._work) among the blocks with at most
+# _MAX_EXITS exits: 2^(v-1-k) outer states of 3v steps, one walk of 2^k
+# inner states of 3k steps, and e steps for each of at most min(2^k, e!)
+# rows for each of at most min(2^(v-1-k), e!) jumps, where e darts leave
+# the block.  From v = _SEARCH_V each k scores the block with the most
+# inside edges that a greedy run finds; below, it scores 0..k-1.  The
+# compiled kernel picks by the same rule, so _kernels_py._block names its
+# block too, as test_compiled_block_choice_matches_pure checks.
 
 
 def test_block_search_follows_its_tie_rules(monkeypatch):
-    # The 10-prism's rim edge {0, 1}: four darts leave it, so the 2^7
-    # outer states of 30 steps make at most 4! keys of 2^2 inner states of
-    # 6 steps.  That is the least estimate, so it is the block.
-    assert _kernels_py._work(10, 2, 1) == 2 ** 7 * 30 + 24 * 2 ** 2 * 6
-    assert _kernels_py._block(ladder(10).alpha, 10) == [0, 1]
+    # Three rungs of the 10-prism, {0, 1, 2, 5, 6, 7}: seven edges inside
+    # and four darts leave it, so the 2^3 outer states of 30 steps, one
+    # walk of 2^6 inner states of 18 steps, and at most 4! rows of 4 steps
+    # for each of the 8 jumps.  That is the least estimate, so it is the
+    # block; the rim edge {0, 1}, also four exits, has 2^7 outer states.
+    assert _kernels_py._work(10, 6, 7) == \
+        2 ** 3 * 30 + 2 ** 6 * 18 + 8 * 24 * 4
+    assert _kernels_py._work(10, 2, 1) == \
+        2 ** 7 * 30 + 2 ** 2 * 6 + 24 * 4 * 4
+    assert _kernels_py._block(ladder(10).alpha, 10) == [0, 1, 2, 5, 6, 7]
     # Below _SEARCH_V each size scores the block 0..k-1.
     assert _kernels_py._block(THETA, 2) == [0]
-    assert _kernels_py._block(ladder(8).alpha, 8) == [0, 1]
+    assert _kernels_py._block(ladder(8).alpha, 8) == [0, 1, 2, 3]
     # Sizes that tie on the estimate go to the least; with the estimate
     # forced, the search shows the block it finds for each size.  The
     # prism on 6 vertices relabeled so its triangles are {1, 3, 4} and
@@ -240,20 +274,46 @@ def test_block_search_follows_its_tie_rules(monkeypatch):
 
 
 def test_no_block_taken_has_more_than_12_exits():
-    # The compiled tally packs the jumps of at most 12 exits into one
-    # word.  A block of j vertices with `inside` edges has 3j - 2*inside
-    # exits; wherever that is 13 or more, every block of j - 1 vertices
-    # that leaves the graph is cheaper, so _block never takes it.
-    compared = 0
+    # The compiled kernel packs a key, 4 bits for each exit's jump, and a
+    # table word, 4 bits for each exit's tau, into 64 bits, so no block
+    # may have more than _MAX_EXITS = 12 exits; a block of j vertices with
+    # `inside` edges has 3j - 2*inside.  _size, which both _block paths
+    # call, skips such a block.  Over every size to v = 28, a block with
+    # 13 or more exits next to every block of j - 1 vertices that leaves
+    # the graph: _size never takes the larger, though the estimate prefers
+    # it on 170 of these pairs, the first at v = 10, j = 6 with 2 edges
+    # inside against 5 vertices with none.
+    assert _kernels_py._MAX_EXITS == 12
+    compared = preferred = 0
     for v in range(2, _kernels_py.MAX_SCAN_V + 1, 2):
         for j in range(2, min(v - 1, _kernels_py._MAX_K) + 1):
             for inside in range((3 * j - 13) // 2 + 1):
                 work = _kernels_py._work(v, j, inside)
                 for i in range((3 * j - 4) // 2 + 1):
-                    assert work > _kernels_py._work(v, j - 1, i), \
+                    # Sizes below j - 1 hold no edge: those up to 4 stay
+                    # within 12 exits, so _size has them to choose from.
+                    most = [0] * (j - 1) + [i, inside]
+                    k = _kernels_py._size(v, most)
+                    assert k != j and 3 * k - 2 * most[k] <= 12, \
                         (v, j, inside, i)
+                    preferred += work < _kernels_py._work(v, j - 1, i)
                     compared += 1
-    assert compared == 1563
+    assert (compared, preferred) == (1563, 170)
+
+
+def test_the_estimate_stays_below_its_c_bound():
+    # _kernels.c's work() computes the estimate in 64 bits and says it
+    # stays below 2^33, its largest being about 3v * 2^(v-2) at j = 1 and
+    # v = 28.
+    # Every size with every count of inside edges, loops included, to
+    # v = 28, 13 or more exits too.
+    largest = max(_kernels_py._work(v, j, inside)
+                  for v in range(2, _kernels_py.MAX_SCAN_V + 1, 2)
+                  for j in range(1, min(v - 1, _kernels_py._MAX_K) + 1)
+                  for inside in range(3 * j // 2 + 1))
+    v = _kernels_py.MAX_SCAN_V
+    assert largest == _kernels_py._work(v, 1, 0) < 2 ** 33
+    assert largest > 3 * v * 2 ** (v - 2)
 
 
 def test_block_walk_with_one_outer_step_matches_oracle(backend):
@@ -282,13 +342,13 @@ def relabeled_scans(catalog_v8):
     cases = [(relabeled(g, rng).alpha, g.vertex_count) for g in catalog_v8]
     cases += [(relabeled(random_connected_graph(v, rng), rng).alpha, v)
               for v, count in ((10, 3), (12, 2)) for _ in range(count)]
-    # The kernel's block on the prism with its labels reversed is a
-    # square face, {0, 1, 6, 7}; three square faces of the planar drawing
+    # The kernel's block on the prism with its labels reversed is three
+    # rungs, {0, 1, 2, 6, 7, 8}; two square faces of the planar drawing
     # avoid it and are counted as closed.
     prism = relabeled(ladder(12), list(range(11, -1, -1))).alpha
     cases.append((prism, 12))
     scans = with_oracle(cases)
-    assert _kernels_py._block(prism, 12) == [0, 1, 6, 7]
+    assert _kernels_py._block(prism, 12) == [0, 1, 2, 6, 7, 8]
     assert face_avoids_block(prism, 12, scans[-1][2][2])
     return scans
 
@@ -327,75 +387,94 @@ def test_marking_scan_matches_oracle_when_the_first_mask_spans_the_block(
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
+KEYS_WALKED_CASES = [
+    (random_connected_graph(14, random.Random(41)).alpha, 14),
+    (relabeled(ladder(12), list(range(11, -1, -1))).alpha, 12)]
+
+
 def test_block_choice_pins_the_keys_walked(monkeypatch):
-    # The work of the pure scan, counted as the keys _walk_block receives,
+    # The work of the pure scan, counted as the keys _flush_tally receives,
     # on a seeded random pairing at v = 14 and the prism with its labels
     # reversed at v = 12: with the block the kernel picks, and with the
     # lowest labels 0..k-1 in its place.
     keys = []
-    walk = _kernels_py._walk_block
+    flush = _kernels_py._flush_tally
 
-    def counting_walk(tally, *args):
+    def counting_flush(tally, *args):
         keys.append(len(tally))
-        walk(tally, *args)
+        flush(tally, *args)
 
-    monkeypatch.setattr(_kernels_py, "_walk_block", counting_walk)
-    cases = [(random_connected_graph(14, random.Random(41)).alpha, 14),
-             (relabeled(ladder(12), list(range(11, -1, -1))).alpha, 12)]
+    monkeypatch.setattr(_kernels_py, "_flush_tally", counting_flush)
 
     def walked():
         counts = []
-        for alpha, v in cases:
+        for alpha, v in KEYS_WALKED_CASES:
             keys.clear()
             _kernels_py.marking_scan(alpha, v)
             counts.append(sum(keys))
         return counts
 
-    assert [len(_kernels_py._block(alpha, v)) for alpha, v in cases] == [5, 4]
-    assert walked() == [14, 28]
+    assert [len(_kernels_py._block(alpha, v))
+            for alpha, v in KEYS_WALKED_CASES] == [6, 6]
+    assert walked() == [23, 18]
     block = _kernels_py._block
     monkeypatch.setattr(_kernels_py, "_block",
                         lambda alpha, v: list(range(len(block(alpha, v)))))
-    assert walked() == [128, 103]
+    assert walked() == [64, 32]
 
 
-def test_the_block_is_walked_once_per_jump(monkeypatch):
-    # On the inputs of test_block_choice_pins_the_keys_walked, the keys
-    # _walk_block receives and the walks of the block it makes: one for
-    # each distinct jump among the keys, as _cycle_histograms counts them.
-    keys, walks = [], []
-    walk, histograms = _kernels_py._walk_block, _kernels_py._cycle_histograms
+def test_the_block_is_walked_once_per_scan(monkeypatch):
+    # On the inputs of test_block_choice_pins_the_keys_walked, whatever
+    # the tally holds: _exit_table walks the block once per scan, its
+    # table covering all 2^k inner states, and at each flush of the tally
+    # every distinct jump among its keys reads the table once.  The reads
+    # per scan are the distinct jumps with the tally at full size, and
+    # every outer state's jump with room for one key.
+    tables, flushes = [], []
+    table, flush, read = (_kernels_py._exit_table, _kernels_py._flush_tally,
+                         _kernels_py._read_table)
 
-    def counting_walk(tally, *args):
-        keys.append(len(tally))
-        walk(tally, *args)
+    def counting_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
 
-    def counting_histograms(jump, bit):
-        walks.append(tuple(jump))
-        return histograms(jump, bit)
+    def counting_flush(tally, *args):
+        flushes.append(([key[1:] for key in tally], []))
+        flush(tally, *args)
 
-    monkeypatch.setattr(_kernels_py, "_walk_block", counting_walk)
-    monkeypatch.setattr(_kernels_py, "_cycle_histograms", counting_histograms)
+    def counting_read(rows, jump, known):
+        flushes[-1][1].append(jump)
+        return read(rows, jump, known)
+
+    monkeypatch.setattr(_kernels_py, "_exit_table", counting_table)
+    monkeypatch.setattr(_kernels_py, "_flush_tally", counting_flush)
+    monkeypatch.setattr(_kernels_py, "_read_table", counting_read)
     counts = []
-    for alpha, v in [
-            (random_connected_graph(14, random.Random(41)).alpha, 14),
-            (relabeled(ladder(12), list(range(11, -1, -1))).alpha, 12)]:
-        keys.clear()
-        walks.clear()
-        _kernels_py.marking_scan(alpha, v)
-        assert len(keys) == 1 and len(set(walks)) == len(walks)
-        counts.append((sum(keys), len(walks)))
-    assert counts == [(14, 6), (28, 22)]
+    for keys in (_kernels_py._TALLY, 5, 2, 1):
+        monkeypatch.setattr(_kernels_py, "_TALLY", keys)
+        reads = []
+        for alpha, v in KEYS_WALKED_CASES:
+            tables.clear()
+            flushes.clear()
+            _kernels_py.marking_scan(alpha, v)
+            k = len(_kernels_py._block(alpha, v))
+            assert len(tables) == 1
+            assert sum(row[3] for row in tables[0]) == 2 ** k
+            for jumps, read_jumps in flushes:
+                assert sorted(read_jumps) == sorted(set(jumps))
+            reads.append(sum(len(read_jumps) for _, read_jumps in flushes))
+        counts.append(reads)
+    assert counts == [[14, 17], [69, 25], [108, 31], [128, 32]]
 
 
 def test_compiled_matches_pure_when_the_tally_fills(
         small_tally_kernels, monkeypatch, relabeled_scans):
-    # Both tallies walked and emptied every 2 keys: the keys of one jump
-    # are split over several walks, and a key met again is walked again.
+    # Both tallies flushed every 2 keys: the keys of one jump are split
+    # over several flushes, each of which reads the table again.
     monkeypatch.setattr(_kernels_py, "_TALLY", 2)
     rng = random.Random(47)
     cases = [(alpha, v) for alpha, v, _ in relabeled_scans]
-    cases += block_size_cases(14)
+    cases += block_size_cases(16)
     cases += [(random_connected_graph(v, rng).alpha, v)
               for v in (10, 12, 14, 16) for _ in range(2)]
     for alpha, v in cases:
@@ -457,7 +536,37 @@ def test_twins_share_their_constants():
     assert int(defines["MAX_V"]) == _kernels_py.MAX_SCAN_V
     assert int(defines["MAX_K"]) == _kernels_py._MAX_K
     assert int(defines["SEARCH_V"]) == _kernels_py._SEARCH_V
+    assert int(defines["MAX_EXITS"]) == _kernels_py._MAX_EXITS
     assert 1 << int(defines["TALLY_BITS"]) == _kernels_py._TALLY
+    assert int(defines["EXPORT_BLOCK"]) == 0
+
+
+def loop_free_draw(v, rng):
+    """random_connected_graph redrawn until no edge is a loop."""
+    while True:
+        alpha = random_connected_graph(v, rng).alpha
+        if all(x // 3 != d // 3 for d, x in enumerate(alpha)):
+            return alpha
+
+
+def test_compiled_block_choice_matches_pure(block_kernels):
+    # No output shows the block, so the twins' block choice is compared
+    # directly: the v <= 10 catalog, the draws of BLOCK_SIZE_DRAWS and
+    # seeded draws at v = 10..28, with loops and without.
+    cases = [(g.alpha, v) for v in (2, 4, 6, 8, 10)
+             for g in generate_graphs(v, dedup=True)]
+    cases += block_size_cases(16)
+    for v in range(10, _kernels_py.MAX_SCAN_V + 1, 2):
+        rng = random.Random(1000 + v)
+        cases += [(random_connected_graph(v, rng).alpha, v)
+                  for _ in range(10)]
+        cases += [(loop_free_draw(v, rng), v) for _ in range(10)]
+    sizes = set()
+    for alpha, v in cases:
+        block = _kernels_py._block(alpha, v)
+        assert block_kernels.choose_block(alpha, v) == block, (alpha, v)
+        sizes.add(len(block))
+    assert sizes == set(range(1, _kernels_py._MAX_K + 1))
 
 
 # Loads the module built at argv[1] and prints, for each (alpha, v) read
@@ -492,11 +601,32 @@ def test_sanitized_compiled_matches_pure(sanitized_kernels, catalog_v8):
 @pytest.mark.parametrize("keys", [1, 2, 5])
 def test_pure_scan_matches_oracle_when_the_tally_fills(monkeypatch, keys,
                                                        relabeled_scans):
-    # A full tally is walked and emptied mid-scan, and a key met again is
-    # walked again; with room for one key every outer state is walked on
-    # its own.
+    # A full tally is flushed mid-scan, and a jump met again reads the
+    # table again, which one walk of the block built for the whole scan;
+    # with room for one key every outer state reads it on its own.
     monkeypatch.setattr(_kernels_py, "_TALLY", keys)
     for alpha, v, expected in relabeled_scans:
+        assert _kernels_py.marking_scan(alpha, v) == expected, alpha
+
+
+@pytest.mark.parametrize("keys", [1, 2, 5])
+def test_block_size_draws_match_oracle_when_the_tally_fills(
+        monkeypatch, keys, block_size_scans):
+    # The k = 8 tables of BLOCK_SIZE_DRAWS, one with 64 inner states in a
+    # row and rows that close cycles passing no exit, reused across the
+    # flushes of a small tally.
+    monkeypatch.setattr(_kernels_py, "_TALLY", keys)
+    for alpha, v, expected in block_size_scans:
+        assert _kernels_py.marking_scan(alpha, v) == expected, alpha
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_pure_scan_matches_oracle_when_few_cycle_counts_are_kept(
+        monkeypatch, kept, relabeled_scans, block_size_scans):
+    # The pure scan keeps the cycle counts of at most _CYCLES composed exit
+    # permutations; past that it counts each one again.
+    monkeypatch.setattr(_kernels_py, "_CYCLES", kept)
+    for alpha, v, expected in relabeled_scans + block_size_scans:
         assert _kernels_py.marking_scan(alpha, v) == expected, alpha
 
 

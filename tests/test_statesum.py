@@ -308,6 +308,29 @@ def test_values_identical_to_the_rescanning_greedy_on_other_denominators(
     assert (kinds[Fraction] > 0) == (name == "so3*3"), kinds
 
 
+def test_an_algebra_is_hashed_once(monkeypatch):
+    # _vertex_tensors is cached by algebra, so every sum hashes it.  Equal
+    # algebras built apart share one entry, and once an algebra is hashed
+    # a sum at it hashes none of its Fraction entries again.
+    statesum._vertex_tensors.cache_clear()
+    value = evaluate_weight(THETA, make_sl2())
+    alg = make_sl2()
+    assert evaluate_weight(THETA, alg) == value
+    info = statesum._vertex_tensors.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(x):
+        hashed.append(x)
+        return fraction_hash(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    assert evaluate_weight(THETA, alg) == value
+    assert hashed == []
+    assert hash(make_sl2()) == hash(alg) and hashed
+
+
 def test_values_identical_on_random_pairings():
     graphs = random_pairings()
     assert any(g.has_loop() for g in graphs)
