@@ -10,18 +10,18 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MAX_V 28
 #define MAX_N (3 * MAX_V)
-#define MAX_K 8 /* block vertices at most: an inner state fits 8 bits */
+#define MAX_K 8 /* block vertices at most, which bounds the blocks scored */
 /* Exits a block has at most: choose_block takes no block with more, as
- * the pure twin's _size takes none with more than _MAX_EXITS, so a key
- * (4 bits a jump) and a table word (4 bits a tau entry, the closed count
- * and the inner state) each fit 64 bits.  On a connected graph no block
- * reaches it: each step of a greedy run adds an edge unless vertex v - 1
- * cuts the block off from the rest, which leaves it at most 11 exits, and
- * the block 0..k-1 below SEARCH_V has at most 3 min(k, v - k) <= 12.  So
- * the rule only guards the packing. */
+ * the pure twin's _size takes none with more than _MAX_EXITS, so a key (4
+ * bits a port below the closed count's 4) fits 64 bits.  On a connected
+ * graph no block reaches it: each step of a greedy run adds an edge unless
+ * vertex v - 1 cuts the block off from the rest, which leaves it at most
+ * 11 exits, and the block 0..k-1 below SEARCH_V has at most
+ * 3 min(k, v - k) <= 12.  So the rule only guards the packing. */
 #define MAX_EXITS 12
 #define TALLY_BITS 14 /* it tallies at most 2^14 keys before reading them */
 #define SHUT (-64) /* a gain no run of choose_block lifts to 0 */
@@ -30,10 +30,8 @@
                      * pure twin's _SEARCH_V; below it the block is 0..k-1 */
 #define EXPORT_BLOCK 0 /* 1 adds choose_block(alpha, v) to the module */
 
-_Static_assert(MAX_V < 32 && MAX_V / 2 + 1 < 16 && 3 * MAX_K <= 32 &&
-               MAX_K <= 8 && 3 <= MAX_EXITS && MAX_EXITS <= 16 &&
-               4 * MAX_EXITS <= 60 && 8 + 4 * MAX_EXITS + 5 <= 64,
-               "key and table word widths");
+_Static_assert(MAX_V < 32 && MAX_V / 2 + 1 < 16 && 3 <= MAX_EXITS &&
+               4 * MAX_EXITS <= 60, "key widths");
 
 static PyObject *value_error(const char *message)
 {
@@ -63,14 +61,14 @@ static int read_alpha(PyObject *seq, Py_ssize_t n, Py_ssize_t *a)
 static Py_ssize_t sigma(Py_ssize_t x) { return x % 3 == 2 ? x - 2 : x + 1; }
 static Py_ssize_t sigma_inv(Py_ssize_t x) { return x % 3 == 0 ? x + 2 : x - 1; }
 
-/* Number of cycles of the permutation p of 0..n-1 through the darts not
+/* Number of cycles of the permutation p through the darts lo..hi-1 not
  * yet marked in seen, which it marks; a cycle is marked whole or not at
- * all. */
+ * all, and it must stay within lo..hi-1. */
 static int count_cycles(const Py_ssize_t *p, unsigned char *seen,
-                        Py_ssize_t n)
+                        Py_ssize_t lo, Py_ssize_t hi)
 {
     int cycles = 0;
-    for (Py_ssize_t start = 0; start < n; start++) {
+    for (Py_ssize_t start = lo; start < hi; start++) {
         if (seen[start])
             continue;
         cycles++;
@@ -97,7 +95,7 @@ static PyObject *face_count(PyObject *self, PyObject *alpha)
     else if (read_alpha(seq, n, a) == 0) {
         for (Py_ssize_t d = 0; d < n; d++)
             a[d] = sigma(a[d]);
-        result = PyLong_FromLong(count_cycles(a, seen, n));
+        result = PyLong_FromLong(count_cycles(a, seen, 0, n));
     }
     PyMem_Free(a);
     PyMem_Free(seen);
@@ -219,164 +217,88 @@ static int choose_block(const Py_ssize_t *a, int v, int *best)
     return k;
 }
 
-/* The outer states of marking_scan tallied under one key (closed, J): their
- * sign sum, their number and their lowest mask.  J(x), the exit index the
- * outer state sends exit x to, takes bits 4x up of key for the at most
- * MAX_EXITS exits, and closed (at most v/2 + 1 < 16) the top 4 bits; a
- * slot with count 0 is free. */
-struct outer_key {
+/* A key of a tally and the states of one side that give it: their sign
+ * sum, their number and their lowest mask.  The port of path x, an exit
+ * index, takes bits 4x up of the key for the at most MAX_EXITS paths, and
+ * the closed count the top 4 bits; a slot with count 0 is free. */
+struct tallied {
     unsigned long long key;
-    long long sign, count;
-    unsigned long outer;
-};
-
-/* A row of the table of exit_table: the inner states with one pair
- * (c, tau), held in pair as tau[x] at bits 4x up and c from bit 48, with
- * their sign sum, their number and their lowest inner mask. */
-struct exit_row {
-    unsigned long long pair;
     long long sign, count;
     unsigned long lowest;
 };
 
-/* Order table words by value. */
-static int ascending(const void *x, const void *y)
-{
-    unsigned long long a = *(const unsigned long long *)x;
-    unsigned long long b = *(const unsigned long long *)y;
-    return (a > b) - (a < b);
-}
+/* A scan's cut in the new labels, which both walks read and the flushes
+ * add into: b, the face permutation p and its two values fwd and bwd at
+ * each dart, the original mask bit of each vertex, back (an exit and its
+ * partner under b -> the exit's index, any other dart -> -1), shut (the
+ * same darts, the ends of the paths), the e exits and nb block darts, the
+ * block's table of n_rows rows, and the sums of the scan. */
+struct scan {
+    Py_ssize_t b[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
+    unsigned long bit[MAX_V];
+    int back[MAX_N], e, nb, b_top, n_rows;
+    unsigned char shut[MAX_N];
+    const struct tallied *rows;
+    long long by_b[MAX_V / 2 + 3], spherical, first_mask;
+};
 
 /* Order tally entries by their jumps, the low 60 bits of the key. */
 static int by_jump(const void *x, const void *y)
 {
-    unsigned long long a = ((const struct outer_key *)x)->key & JUMPS;
-    unsigned long long b = ((const struct outer_key *)y)->key & JUMPS;
+    unsigned long long a = ((const struct tallied *)x)->key & JUMPS;
+    unsigned long long b = ((const struct tallied *)y)->key & JUMPS;
     return (a > b) - (a < b);
 }
 
-/* Walk the block of k vertices once in Gray order, from every vertex
- * unreversed, and write its table into rows, one row per pair (c, tau)
- * that some inner state M gives, in ascending order of the pair; returns
- * the number of rows.  c counts the cycles of q = b . sigma_M that pass
- * no exit, and tau[x] is the index of the exit that exits[x] leads to.
- * Block vertex i flips the mask bit bit[i].  q is kept on the block
- * darts: q at a dart whose sigma_M is an exit lies outside the block, and
- * back maps it to that exit's index.  Each
- * state makes one word, its pair above its 8-bit inner state, in which
- * bit i stands for block vertex i.  As bit[] ascends, a lower state is a
- * lower mask, so once the 2^k words are sorted each pair is a run headed
- * by its lowest inner mask, and the runs are the rows. */
-static int exit_table(int k, const Py_ssize_t *b, const unsigned long *bit,
-                      const int *exits, int e, const int *back,
-                      struct exit_row *rows)
+/* Move the occupied slots of tally to its front and return their number;
+ * the slots behind them are left free. */
+static int gather(struct tallied *tally, int slots)
 {
-    int nb = 3 * k, q[3 * MAX_K], used = 0;
-    unsigned int shut = 0, state = 0; /* shut: the exits */
-    unsigned long long words[1 << MAX_K];
-    for (int x = 0; x < e; x++)
-        shut |= 1U << exits[x];
-    for (int o = 0; o < nb; o += 3) { /* every block vertex unreversed */
-        q[o] = (int)b[o + 1];
-        q[o + 1] = (int)b[o + 2];
-        q[o + 2] = (int)b[o];
-    }
-    for (unsigned int j = 0; j < 1U << k; j++) {
-        if (j) {
-            int i = 0;
-            while (!(j >> i & 1))
-                i++;
-            state ^= 1U << i;
-            int o = 3 * i, x = q[o];
-            if (state >> i & 1) { /* forward to reversed */
-                q[o] = q[o + 1];
-                q[o + 1] = q[o + 2];
-                q[o + 2] = x;
-            } else {
-                q[o] = q[o + 2];
-                q[o + 2] = q[o + 1];
-                q[o + 1] = x;
-            }
-        }
-        unsigned int seen = shut;
-        unsigned long long word = state, closed = 0;
-        for (int x = 0; x < e; x++) {
-            int d = q[exits[x]];
-            for (; d < nb; d = q[d])
-                seen |= 1U << d;
-            word |= (unsigned long long)back[d] << (8 + 4 * x);
-        }
-        for (int s = 0; s < nb; s++) {
-            if (seen >> s & 1)
-                continue;
-            closed++;
-            for (int d = s; !(seen >> d & 1); d = q[d])
-                seen |= 1U << d;
-        }
-        words[j] = word | closed << 56;
-    }
-    qsort(words, 1U << k, sizeof *words, ascending);
-    for (unsigned int j = 0; j < 1U << k; j++) {
-        unsigned long long pair = words[j] >> 8;
-        unsigned int inner = words[j] & 255, odd = 0;
-        unsigned long mask = 0;
-        for (int i = 0; i < k; i++)
-            if (inner >> i & 1) {
-                odd ^= 1;
-                mask |= bit[i];
-            }
-        if (used && rows[used - 1].pair == pair) {
-            rows[used - 1].sign += odd ? -1 : 1;
-            rows[used - 1].count++;
-        } else
-            rows[used++] = (struct exit_row){pair, odd ? -1 : 1, 1, mask};
-    }
-    return used;
-}
-
-/* Add the faces of the outer states tallied in the slots of tally to
- * by_b, spherical and first_mask, and empty the slots.  The occupied slots
- * are gathered at the front and sorted on their jumps, so the keys of one
- * jump J are a run.  Each run reads the table of exit_table once, e steps
- * a row: the row (c, tau) gives its inner states c + cycles(J . tau)
- * cycles through the block, and these fill, by that count, the signed
- * sum, the number and the lowest inner mask of the inner states.  Each key
- * of the run then takes closed + c faces from each count c. */
-static void flush_tally(struct outer_key *tally, int slots,
-                       const struct exit_row *rows, int n_rows, int e,
-                       int nb, int b_top, long long *by_b,
-                       long long *spherical, long long *first_mask)
-{
-    int used = 0, jump[16]; /* by exit index, which a key holds in 4 bits */
-    long long signed_by_c[3 * MAX_K + 1], states[3 * MAX_K + 1];
-    unsigned long lowest[3 * MAX_K + 1];
+    int used = 0;
     for (int s = 0; s < slots; s++)
         if (tally[s].count) {
-            struct outer_key entry = tally[s];
+            struct tallied entry = tally[s];
             tally[s].count = 0;
             tally[used++] = entry;
         }
+    return used;
+}
+
+/* Add the faces of the outer states tallied in the slots of tally to the
+ * sums of s, and empty the slots.  The occupied slots are gathered at the
+ * front and sorted on their jumps, so the keys of one jump J are a run.
+ * Each run reads the block's table once, e steps a row: the row (c, tau)
+ * gives its inner states c + cycles(J . tau) cycles through the block,
+ * and these fill, by that count, the signed sum, the number and the lowest
+ * inner mask of the inner states.  Each key of the run then takes
+ * closed + c faces from each count c. */
+static void flush_tally(struct scan *s, struct tallied *tally, int slots)
+{
+    int used = gather(tally, slots), jump[16]; /* a key holds 4 bits a jump */
+    long long signed_by_c[3 * MAX_K + 1], states[3 * MAX_K + 1];
+    unsigned long lowest[3 * MAX_K + 1];
     qsort(tally, used, sizeof *tally, by_jump);
     for (int first = 0, end; first < used; first = end) {
         unsigned long long far = tally[first].key & JUMPS;
         for (end = first + 1;
              end < used && (tally[end].key & JUMPS) == far; end++)
             ;
-        for (int x = 0; x < e; x++)
+        for (int x = 0; x < s->e; x++)
             jump[x] = far >> 4 * x & 15;
-        for (int c = 1; c <= nb; c++) {
+        for (int c = 1; c <= s->nb; c++) {
             signed_by_c[c] = states[c] = 0;
             lowest[c] = ~0UL;
         }
-        for (const struct exit_row *row = rows; row < rows + n_rows; row++) {
-            int c = (int)(row->pair >> 48);
+        for (const struct tallied *row = s->rows; row < s->rows + s->n_rows;
+             row++) {
+            int c = (int)(row->key >> 60);
             unsigned int seen = 0;
-            for (int s = 0; s < e; s++) {
-                if (seen >> s & 1)
+            for (int x = 0; x < s->e; x++) {
+                if (seen >> x & 1)
                     continue;
                 c++;
-                for (int d = s; !(seen >> d & 1);
-                     d = jump[row->pair >> 4 * d & 15])
+                for (int d = x; !(seen >> d & 1);
+                     d = jump[row->key >> 4 * d & 15])
                     seen |= 1U << d;
             }
             signed_by_c[c] += row->sign;
@@ -384,22 +306,77 @@ static void flush_tally(struct outer_key *tally, int slots,
             if (row->lowest < lowest[c])
                 lowest[c] = row->lowest;
         }
-        for (struct outer_key *entry = tally + first; entry < tally + end;
+        for (struct tallied *entry = tally + first; entry < tally + end;
              entry++) {
             int closed = entry->key >> 60;
-            for (int c = 1; c <= nb; c++) {
+            for (int c = 1; c <= s->nb; c++) {
                 if (!states[c])
                     continue;
                 int faces = closed + c;
-                by_b[faces] += entry->sign * signed_by_c[c];
-                if (faces == b_top) {
-                    long long mask = (long long)(entry->outer | lowest[c]);
-                    if (*first_mask < 0 || mask < *first_mask)
-                        *first_mask = mask;
-                    *spherical += entry->count * states[c];
+                s->by_b[faces] += entry->sign * signed_by_c[c];
+                if (faces == s->b_top) {
+                    long long mask = (long long)(entry->lowest | lowest[c]);
+                    if (s->first_mask < 0 || mask < s->first_mask)
+                        s->first_mask = mask;
+                    s->spherical += entry->count * states[c];
                 }
             }
             entry->count = 0;
+        }
+    }
+}
+
+/* Walk the states of one side S of the cut of s in Gray order, its count
+ * vertices from first, from all of S unreversed with sign +1, and tally
+ * them in the 2^bits slots of tally, as the pure twin's _walk does.  Step
+ * j flips vertex first + ctz(j) and rewrites p at the three darts b sends
+ * to it.  The path from each of the e starts, a dart off S whose b lies in
+ * S, follows p to the first dart whose b lies off S, the first that back
+ * knows, and back gives the path's port.  S's darts are lo..hi-1, and the
+ * cycles of p through those that neither shut nor a path marks are the
+ * closed count.  The tally is an open-addressed table that holds at most
+ * half its slots; with flush set it is flushed whenever it is that full,
+ * and the caller flushes the rest. */
+static void walk(struct scan *s, int first, int count, const int *starts,
+                 int lo, int hi, struct tallied *tally, int bits, int flush)
+{
+    int slots = 1 << bits, used = 0, sign = 1;
+    unsigned long mask = 0;
+    unsigned char seen[MAX_N];
+    for (unsigned long h = 0; h < 1UL << count; h++) {
+        if (h) {
+            int i = first;
+            while (!(h >> (i - first) & 1))
+                i++;
+            mask ^= s->bit[i];
+            sign = -sign;
+            const Py_ssize_t *sigma = mask & s->bit[i] ? s->bwd : s->fwd;
+            for (int t = 3 * i; t < 3 * i + 3; t++)
+                s->p[s->b[t]] = sigma[s->b[t]];
+        }
+        memcpy(seen + lo, s->shut + lo, hi - lo);
+        unsigned long long key = 0;
+        for (int x = 0; x < s->e; x++) {
+            Py_ssize_t d = s->p[starts[x]];
+            for (; s->back[d] < 0; d = s->p[d])
+                seen[d] = 1;
+            key |= (unsigned long long)s->back[d] << 4 * x;
+        }
+        key |= (unsigned long long)count_cycles(s->p, seen, lo, hi) << 60;
+        unsigned long slot = key * 0x9E3779B97F4A7C15ULL >> (64 - bits);
+        while (tally[slot].count && tally[slot].key != key)
+            slot = (slot + 1) & (slots - 1);
+        if (tally[slot].count) {
+            tally[slot].sign += sign;
+            tally[slot].count++;
+            if (mask < tally[slot].lowest)
+                tally[slot].lowest = mask;
+        } else {
+            tally[slot] = (struct tallied){key, sign, 1, mask};
+            if (++used == slots / 2 && flush) {
+                flush_tally(s, tally, slots);
+                used = 0;
+            }
         }
     }
 }
@@ -411,44 +388,39 @@ static void flush_tally(struct outer_key *tally, int slots,
  * or sigma^-1(alpha(d)) by the state of vertex alpha(d) / 3, so a flip at
  * vertex i rewrites p at alpha(3i..3i+2) only.
  *
- * The half is walked block by block, both levels in Gray order, step j of
- * a walk flipping its vertex ctz(j) and alternating the sign.  The inner
- * walk runs over a block of k vertices, the outer walk over the rest but
- * v - 1.  choose_block picks k and the block from the estimate of the
- * work (work()): 2^(v-1-k) outer states of 3v steps, one walk of 2^k
- * inner states of 3k steps, and e steps for each of at most
- * min(2^k, e!) rows of the table for each of at most min(2^(v-1-k), e!)
- * jumps, where e darts leave the block (from v = SEARCH_V; below it the
- * block is 0..k-1).  The darts are relabeled into b so the block is
- * vertices 0..k-1 and the outer vertices keep their order, and each walk
- * flips the original bit of the vertex it reverses (bit[i] for new vertex
- * i), so every mask is in the original labels.  In the new labels let
- * V = b(darts 0..3k-1).  p(d) is a block dart exactly when d is in V, so
- * p(V) is the block's darts and p off V is fixed by the outer state.  The
- * block darts that b sends out of the block are its e exits.  For each
- * outer state one pass over p follows each exit x to the first dart of V,
- * whose b is an exit again, J(x): J, a bijection of the exits, is the
- * outer state's jump.  The darts no path reaches make the faces that
- * avoid V, which no inner state changes: they are counted once, as
- * closed.
+ * The traced vertices are cut into a block of k and the rest but v - 1.
+ * choose_block picks k and the block from the estimate of the work
+ * (work()): 2^(v-1-k) outer states of 3v steps, 2^k block states of 3k
+ * steps, and e steps for each of at most min(2^k, e!) rows of the block's
+ * table for each of at most min(2^(v-1-k), e!) jumps, where e darts leave
+ * the block (from v = SEARCH_V; below it the block is 0..k-1).  The darts
+ * are relabeled into b so the block is vertices 0..k-1 and the outer
+ * vertices keep their order, and each walk flips the original bit of the
+ * vertex it reverses (bit[i] for new vertex i), so every mask is in the
+ * original labels.  The block darts that b sends out of the block are its
+ * e exits.  p at a dart is fixed by the state of the side b sends it to,
+ * so each side sees p on its own, and walk() is run once for each side.
+ * The block's paths start at the exits' partners under b, the rest's at
+ * the exits.
  *
- * For an inner state M a face runs inside the block along
- * q = b . sigma_M until sigma_M takes it to an exit x, and J sends it on
- * to J(x).  So with tau_M(x) the exit met by following s = sigma_M(x),
- * then s = sigma_M(b(s)) while s is not an exit, and c_M the cycles of q
- * that pass no exit, the faces through the block are
- * c_M + cycles(J . tau_M), neither c_M nor tau_M depending on the outer
- * state.  As in the pure twin, exit_table walks the block once per scan
- * into a table of the pairs (c_M, tau_M), each with its sign sum, number
- * and lowest inner mask; the outer states are tallied by the key (closed,
- * J), one word, with their sign sum, number and lowest mask; and each
- * distinct J among the keys reads the table once (flush_tally).  Outer and
- * inner bits are disjoint, so the lowest spherical mask of a key is its
- * lowest outer mask plus its lowest spherical inner mask.  The tally is an
- * open-addressed table with twice as many slots as the keys it may hold,
- * the fewer of the outer states and 2^TALLY_BITS; when it is full its
- * jumps read the table and it starts again empty.  first_mask is the
- * minimum spherical mask met.
+ * A block state gives c closed faces and tau, the exit at which a face
+ * entering by each exit leaves again; an outer state gives its closed
+ * count and its jump J, the exit whose partner ends the path from each
+ * exit.  Together they make closed + c + cycles(J . tau) faces.  The
+ * block's tally, its 2^k states under 2^(k+1) slots, is the table, one
+ * row per pair (c, tau) with the sign sum, number and lowest inner mask of
+ * its states.  The rest's tally, the keys (closed, J), has twice as many
+ * slots as the keys it may hold, the fewer of the outer states and
+ * 2^TALLY_BITS; when it is full, or the walk is done, each distinct J among
+ * its keys reads the table once (flush_tally).  Outer and inner bits are
+ * disjoint, so the lowest spherical mask of a key is its lowest outer mask
+ * plus its lowest spherical inner mask; first_mask is the least met.
+ *
+ * A closed count fits the top 4 bits of its key, on either side: the
+ * faces it counts are faces of every marking that agrees with the side's
+ * state, and at least one face of each marking passes an exit, as the
+ * graph is connected and the block leaves out vertex v - 1, so there are
+ * at most v/2 + 2 - 1 < 16 of them.
  * Returns (by_b, spherical, first_mask); the signed spherical count is
  * by_b[v/2 + 2], so it is not tallied apart.  Bad input raises the twin's
  * ValueError in the twin's order, connectivity last ("graph is not
@@ -464,8 +436,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     if (seq == NULL)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq);
-    Py_ssize_t a[MAX_N], b[MAX_N], fwd[MAX_N], bwd[MAX_N], p[MAX_N];
-    unsigned char in_v[MAX_N], inside[MAX_N], seen[MAX_N];
+    Py_ssize_t a[MAX_N];
     int fail = 1;
     if (n != 3 * (Py_ssize_t)v)
         value_error("alpha length does not match vertex count");
@@ -483,14 +454,16 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
             return value_error("alpha is not a fixed-point-free pairing");
     if (!connected(a, v))
         return value_error("graph is not connected");
-    int b_top = v / 2 + 2;
-    long long by_b[MAX_V / 2 + 3] = {0};
-    long long spherical = 0, first_mask = -1;
-    int order[MAX_V], new[MAX_V], e = 0;
+    struct scan s;
+    int order[MAX_V], new[MAX_V], exits[3 * MAX_K], partners[3 * MAX_K];
     int k = choose_block(a, v, order), nb = 3 * k;
-    int exits[3 * MAX_K], back[MAX_N];
-    struct exit_row rows[1 << MAX_K];
-    unsigned long bit[MAX_V];
+    struct tallied rows[2 << MAX_K];
+    s.b_top = v / 2 + 2;
+    s.nb = nb;
+    s.e = 0;
+    s.spherical = 0;
+    s.first_mask = -1;
+    memset(s.by_b, 0, sizeof s.by_b);
     for (int i = 0, j = k; i < v; i++) { /* the rest, in label order */
         int in_block = 0;
         for (int t = 0; t < k; t++)
@@ -500,89 +473,51 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     }
     for (int j = 0; j < v; j++) {
         new[order[j]] = j;
-        bit[j] = 1UL << order[j];
+        s.bit[j] = 1UL << order[j];
     }
     for (Py_ssize_t d = 0; d < n; d++)
-        b[3 * new[d / 3] + d % 3] = 3 * new[a[d] / 3] + a[d] % 3;
-    int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
-    int slots = 1 << bits, used = 0;
-    struct outer_key *tally = PyMem_RawCalloc(slots, sizeof *tally);
-    if (tally == NULL)
-        return PyErr_NoMemory();
+        s.b[3 * new[d / 3] + d % 3] = 3 * new[a[d] / 3] + a[d] % 3;
     for (Py_ssize_t d = 0; d < n; d++) {
-        fwd[d] = p[d] = sigma(b[d]);
-        bwd[d] = sigma_inv(b[d]);
-        in_v[d] = b[d] < nb;
-        inside[d] = d < nb && in_v[d];
+        s.fwd[d] = s.p[d] = sigma(s.b[d]);
+        s.bwd[d] = sigma_inv(s.b[d]);
+        s.shut[d] = (d < nb) != (s.b[d] < nb);
+        s.back[d] = -1;
     }
     for (int t = 0; t < nb; t++)
-        if (!in_v[t]) {
-            back[b[t]] = e; /* for a dart of V outside the block */
-            exits[e++] = t;
+        if (s.b[t] >= nb) {
+            s.back[t] = s.back[s.b[t]] = s.e;
+            exits[s.e] = t;
+            partners[s.e++] = (int)s.b[t];
         }
+    int bits = 1 + (v - 1 - k < TALLY_BITS ? v - 1 - k : TALLY_BITS);
+    struct tallied *tally = PyMem_RawCalloc(1 << bits, sizeof *tally);
+    if (tally == NULL)
+        return PyErr_NoMemory();
+    memset(rows, 0, (2 << k) * sizeof *rows);
     Py_BEGIN_ALLOW_THREADS
-    int n_rows = exit_table(k, b, bit, exits, e, back, rows);
-    unsigned long outer = 0;
-    int sign = 1;
-    for (unsigned long h = 0; h < 1UL << (v - 1 - k); h++) {
-        if (h) {
-            int i = k;
-            while (!(h >> (i - k) & 1))
-                i++;
-            outer ^= bit[i];
-            sign = -sign;
-            const Py_ssize_t *table = outer & bit[i] ? bwd : fwd;
-            for (int t = 3 * i; t < 3 * i + 3; t++)
-                p[b[t]] = table[b[t]];
-        }
-        for (Py_ssize_t d = 0; d < n; d++)
-            seen[d] = inside[d];
-        unsigned long long key = 0;
-        for (int j = 0; j < e; j++) {
-            Py_ssize_t d = exits[j];
-            for (; !in_v[d]; d = p[d])
-                seen[d] = 1;
-            seen[d] = 1;
-            key |= (unsigned long long)back[d] << 4 * j;
-        }
-        key |= (unsigned long long)count_cycles(p, seen, n) << 60;
-        unsigned long slot = key * 0x9E3779B97F4A7C15ULL >> (64 - bits);
-        while (tally[slot].count && tally[slot].key != key)
-            slot = (slot + 1) & (slots - 1);
-        if (tally[slot].count) {
-            tally[slot].sign += sign;
-            tally[slot].count++;
-            if (outer < tally[slot].outer)
-                tally[slot].outer = outer;
-        } else {
-            tally[slot] = (struct outer_key){key, sign, 1, outer};
-            if (++used == slots / 2) {
-                flush_tally(tally, slots, rows, n_rows, e, nb, b_top, by_b,
-                           &spherical, &first_mask);
-                used = 0;
-            }
-        }
-    }
-    flush_tally(tally, slots, rows, n_rows, e, nb, b_top, by_b, &spherical,
-               &first_mask);
+    walk(&s, 0, k, partners, 0, nb, rows, k + 1, 0);
+    s.rows = rows;
+    s.n_rows = gather(rows, 2 << k);
+    walk(&s, k, v - 1 - k, exits, nb, (int)n, tally, bits, 1);
+    flush_tally(&s, tally, 1 << bits);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(tally);
-    for (int f = 0; f <= b_top; f++)
-        by_b[f] *= 2;
-    spherical *= 2;
+    for (int f = 0; f <= s.b_top; f++)
+        s.by_b[f] *= 2;
+    s.spherical *= 2;
 
-    PyObject *counts = PyList_New(b_top + 1);
+    PyObject *counts = PyList_New(s.b_top + 1);
     if (counts == NULL)
         return NULL;
-    for (int f = 0; f <= b_top; f++) {
-        PyObject *c = PyLong_FromLongLong(by_b[f]);
+    for (int f = 0; f <= s.b_top; f++) {
+        PyObject *c = PyLong_FromLongLong(s.by_b[f]);
         if (c == NULL) {
             Py_DECREF(counts);
             return NULL;
         }
         PyList_SET_ITEM(counts, f, c);
     }
-    return Py_BuildValue("(NLL)", counts, spherical, first_mask);
+    return Py_BuildValue("(NLL)", counts, s.spherical, s.first_mask);
 }
 
 #if EXPORT_BLOCK

@@ -18,7 +18,7 @@ from math import factorial
 from operator import itemgetter
 
 MAX_SCAN_V = 28
-_MAX_K = 8  # block vertices at most: C keeps an inner state in 8 bits
+_MAX_K = 8  # block vertices at most, which bounds the blocks _block scores
 _TALLY = 1 << 14  # keys it tallies before their jumps read the table
 _MAX_EXITS = 12  # exits of a block at most: C packs 4 bits an exit in 64
 _CYCLES = 1 << 12  # cycle counts of exit permutations a scan keeps
@@ -28,8 +28,6 @@ _CYCLES = 1 << 12  # cycle counts of exit permutations a scan keeps
 # well-connected set lowest, the search costs more than its blocks save.
 _SEARCH_V = 10
 _FACTORIAL = tuple(factorial(e) for e in range(3 * _MAX_K + 1))
-# The vertex that step j > 0 of a Gray walk flips: ctz(j).
-_FLIPS = tuple((j & -j).bit_length() - 1 for j in range(1 << _MAX_K))
 
 
 def _check_entries(alpha, n: int) -> None:
@@ -113,55 +111,50 @@ def marking_scan(alpha, v: int):
     fwd[d] or bwd[d] by the state of vertex alpha[d] // 3, and a flip at
     vertex i rewrites p at the three darts alpha[3i..3i+2] only.
 
-    The half is walked in two levels, each in Gray order: step j of a
-    walk flips its vertex ctz(j), and the sign alternates.  The inner walk
-    runs over a block of k vertices, the outer walk over the rest but
+    The traced vertices are cut into a block of k and the rest but
     v - 1.  _block picks the block for its many inside edges: the fewer
-    darts leave it, the fewer outer states the block can tell apart (see
-    the keys below).  Below v = _SEARCH_V the block is 0..k-1.  The darts
-    are relabeled on every scan so the block is vertices 0..k-1 and the
-    outer vertices keep their order, and each walk flips the original bit
-    of the vertex it reverses, so every mask below is in the original
-    labels.  In the new labels let V = alpha(darts 0..3k-1), the darts
-    that alpha sends into the block.  p[d] is a block dart exactly when d
-    is in V, so p(V) is the block's darts, and p off V is fixed by the
-    outer state.  The block darts that alpha sends out of the block are
-    its e exits.  For each outer state one pass over p
+    edges cross the cut, the fewer states of either side the other can
+    tell apart.  Below v = _SEARCH_V the block is 0..k-1.  The darts are
+    relabeled on every scan so the block is vertices 0..k-1 and the outer
+    vertices keep their order, and each walk flips the original bit of
+    the vertex it reverses, so every mask below is in the original
+    labels.  A block dart that alpha sends out of the block is an exit;
+    it and its alpha-partner are the two ends of an edge across the cut,
+    and back maps both to the exit's index.  p at a dart is fixed by the
+    state of the side that alpha sends it to, so each side sees p on its
+    own: _walk Gray-walks the states of one side S and, for each,
+    follows a path from each dart of the other side whose alpha lies in
+    S (the exit's partner for the block, the exit for the rest) along p
+    to the first dart whose alpha lies outside S, whose index back reads,
+    and counts the cycles of p on S's darts that no path visits.  Those
+    are faces that stay on S whatever the other side's state: the closed
+    faces.  The paths are where each face that enters S at one edge of
+    the cut leaves it again.
 
-    - follows each exit x to the first dart of V it reaches; alpha of
-      that dart is an exit again, J(x), and J is a bijection of the exits:
-      the outer state's jump;
-    - counts the faces that no such path reaches.  They avoid V, so every
-      inner state keeps them: they are the closed faces.
+    So a state of the block gives a pair (c, tau): c closed faces and tau
+    the exit at which a face entering by each exit leaves again.  A state
+    of the rest gives (closed, J): J sends each exit to the exit whose
+    partner ends the path from it.  The faces of the two states together
+    are closed + c + cycles(J . tau).  Each walk tallies its states by
+    their key, with their sign sum, their number and their lowest mask:
+    the block's tally is the table, one row per pair, and each distinct
+    jump J among the rest's keys reads it once, e steps a row
+    (_read_table), into the signed sum, the number and the lowest inner
+    mask of the inner states by their count c + cycles(J . tau); each
+    key of that jump takes closed + c faces from each count c.  The two
+    sides' bits are disjoint, so a key's lowest spherical mask is its
+    lowest outer mask plus the lowest inner mask of the count c that
+    makes it spherical, and first_mask is the least of these.  The
+    rest's tally holds at most _TALLY keys: when it is full their jumps
+    read the table and it starts again empty, so a jump met again later
+    reads the table again, and the sums are the same.
 
-    Fix an inner state M.  Inside the block a face runs along
-    q = alpha . sigma_M until sigma_M takes it to an exit x, where the
-    outer state sends it on to J(x).  So let tau_M map each exit x to the
-    exit met by following s = sigma_M(x), then s = sigma_M(alpha(s)),
-    for as long as s is not an exit, and let c_M count the cycles of q
-    that pass no exit.  The faces through the block are then
-    c_M + cycles(J . tau_M), and neither c_M nor tau_M depends on the
-    outer state.  So the outer states are tallied by the key (closed, J),
-    with their sign sum, their number and their lowest mask, and the
-    inner states by the pair (c_M, tau_M), with the same three: one Gray
-    walk of the block per scan builds that table (_exit_table), one row
-    per pair.  Each distinct jump among the keys reads the table once,
-    e steps a row (_read_table), into the signed sum, the number and the
-    lowest inner mask of the inner states by their count c_M +
-    cycles(J . tau_M), and each key of that jump takes closed + c faces
-    from each count c.  Outer and inner bits are disjoint, so a key's
-    lowest spherical mask is its lowest outer mask plus the lowest inner
-    mask of the count c that makes it spherical, and first_mask is the
-    least of these.  The tally holds at most _TALLY keys: when it is full
-    their jumps read the table and it starts again empty, so a jump met
-    again later reads the table again, and the sums are the same.
-
-    The work is thus about 2^(v-1-k) outer states of 3v steps each, one
-    walk of 2^k inner states of 3k steps, and for each jump e steps for
-    each row.  With e exits there are at most e! jumps and e! values of
-    tau, so at most min(2^(v-1-k), e!) jumps and min(2^k, e!) rows.
-    _block takes the k, 1..min(v - 1, _MAX_K), and the block of k vertices
-    that make this estimate (_work) least among the blocks with at most
+    The work is thus about 2^(v-1-k) outer states of 3v steps each,
+    2^k block states of 3k steps, and for each jump e steps for each
+    row.  With e exits there are at most e! jumps and e! values of tau,
+    so at most min(2^(v-1-k), e!) jumps and min(2^k, e!) rows.  _block
+    takes the k, 1..min(v - 1, _MAX_K), and the block of k vertices that
+    make this estimate (_work) least among the blocks with at most
     _MAX_EXITS exits, so the block grows with v where few darts leave it
     and stays small where many do.  The outputs do not depend on the
     block.
@@ -184,7 +177,6 @@ def marking_scan(alpha, v: int):
     k = len(block)
     nb = 3 * k
     order = block + [i for i in range(v) if i not in block]
-    bit = [1 << i for i in order]  # the original mask bit of each vertex
     new = [0] * v  # the first dart of each vertex in the new labels
     for j, i in enumerate(order):
         new[i] = 3 * j
@@ -192,53 +184,76 @@ def marking_scan(alpha, v: int):
              for i in order for x in alpha[3 * i:3 * i + 3]]
     fwd = [x - 2 if x % 3 == 2 else x + 1 for x in alpha]
     bwd = [x + 2 if x % 3 == 0 else x - 1 for x in alpha]
-    into = [alpha[o:o + 3] for o in range(0, n, 3)]  # darts alpha sends to i
-    in_v = [x < nb for x in alpha]
     p = fwd[:]
-    exits = [t for t in range(nb) if not in_v[t]]  # block darts leaving it
-    inside = bytearray(in_v[:nb]) + bytes(n - nb)  # and those staying in
-    back = [0] * n  # for a dart of V outside the block, its exit's index
+    # Each vertex's original mask bit and the darts alpha sends to it.
+    flips = [(1 << i, *alpha[o:o + 3]) for i, o in zip(order, range(0, n, 3))]
+    exits = [t for t in range(nb) if alpha[t] >= nb]
+    back = [-1] * n  # the darts of the cut's edges -> their exit's index
+    shut = bytearray(n)  # the same darts, the ends of the paths
     for x, t in enumerate(exits):
-        back[alpha[t]] = x
-    table = _exit_table(alpha, bit[:k], exits, back)
+        back[t] = back[alpha[t]] = x
+        shut[t] = shut[alpha[t]] = 1
+    rows = _walk(p, flips[:k], fwd, bwd, [alpha[t] for t in exits],
+                 shut[:nb], back)
+    # tau of one exit is (0,): the getter of a slice keeps J . tau a tuple.
+    table = [(c, itemgetter(*tau) if len(tau) > 1 else itemgetter(slice(1)),
+              *row) for (c, *tau), row in rows.items()]
     known = {}  # a permutation of the exits -> its number of cycles
-    tally = {}  # (closed, *J) -> [signed, count, lowest mask]
     found = [0, -1]  # spherical masks traced, lowest spherical mask
-    outer = 0
-    sign = 1
-    for h in range(1 << (v - 1 - k)):
-        if h:
-            i = (h & -h).bit_length() - 1 + k
-            outer ^= bit[i]
-            sign = -sign
-            sigma = bwd if outer & bit[i] else fwd
-            x, y, z = into[i]
-            p[x] = sigma[x]
-            p[y] = sigma[y]
-            p[z] = sigma[z]
-        seen = inside[:]
-        jump = []
-        for t in exits:
-            d = t
-            while not in_v[d]:
-                seen[d] = 1
-                d = p[d]
-            seen[d] = 1
-            jump.append(back[d])
-        key = (_count_cycles(p, seen), *jump)
-        entry = tally.get(key)
-        if entry is None:
-            tally[key] = [sign, 1, outer]
-            if len(tally) == _TALLY:
-                _flush_tally(tally, table, known, signed_by_b, found)
-        else:
-            entry[0] += sign
-            entry[1] += 1
-            if outer < entry[2]:
-                entry[2] = outer
+    tally = _walk(p, flips[k:v - 1], fwd, bwd, exits,
+                  bytearray(b"\1" * nb) + shut[nb:], back, lambda full:
+                  _flush_tally(full, table, known, signed_by_b, found))
     _flush_tally(tally, table, known, signed_by_b, found)
     spherical, first_mask = found
     return [2 * c for c in signed_by_b], 2 * spherical, first_mask
+
+
+def _walk(p, flips, fwd, bwd, starts, shut, back, flush=None) -> dict:
+    """Walk the states of one side S of marking_scan's cut in Gray order,
+    from all of S unreversed with sign +1, and tally them: (closed, *ports)
+    -> [their signed sum, their number, their lowest mask].  Step j flips
+    S's vertex ctz(j), given in flips as its mask bit and the three darts
+    alpha sends to it, at which p is rewritten from fwd or bwd.  The path
+    from each start, a dart off S whose alpha lies in S, follows p to the
+    first dart whose alpha lies off S; back holds its port, the index of
+    its exit, and -1 at every dart whose alpha lies on its own side.  shut
+    holds a byte for each dart up to the last of S's, set at the paths'
+    ends and at the darts off S, and closed counts the cycles of p
+    through the bytes still clear once the paths have set theirs.  When
+    flush is given it is called with the tally each time the tally holds
+    _TALLY keys, and empties it."""
+    tally = {}
+    mask = 0
+    sign = 1
+    for h in range(1 << len(flips)):
+        if h:
+            bit, x, y, z = flips[(h & -h).bit_length() - 1]
+            mask ^= bit
+            sign = -sign
+            sigma = bwd if mask & bit else fwd
+            p[x] = sigma[x]
+            p[y] = sigma[y]
+            p[z] = sigma[z]
+        seen = shut[:]
+        ports = []
+        for d in starts:
+            d = p[d]
+            while back[d] < 0:
+                seen[d] = 1
+                d = p[d]
+            ports.append(back[d])
+        key = (_count_cycles(p, seen), *ports)
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [sign, 1, mask]
+            if flush is not None and len(tally) == _TALLY:
+                flush(tally)
+        else:
+            entry[0] += sign
+            entry[1] += 1
+            if mask < entry[2]:
+                entry[2] = mask
+    return tally
 
 
 def _work(v: int, j: int, inside: int) -> int:
@@ -320,64 +335,11 @@ def _search(alpha, v: int, top: int):
     return most, runs
 
 
-def _exit_table(alpha, bit, exits, back) -> list:
-    """Walk the block of marking_scan once in Gray order, from every block
-    vertex unreversed with sign +1, and return its table: for each pair
-    (c, tau) that some inner state M gives, (c, tau, the signed sum of
-    those states, their number, their lowest inner mask), where c counts
-    the cycles of q = alpha . sigma_M that pass no exit and tau[x] is the
-    index of the exit that exits[x] leads to.  tau is given as the
-    itemgetter that reads a jump at it, so tau(J) is J . tau.  Block
-    vertex i flips the mask bit bit[i].  q is kept on the block darts; q
-    at a dart whose sigma_M is an exit lies outside the block, and back
-    maps it to that exit's index."""
-    nb = 3 * len(bit)
-    q = [0] * nb
-    for o in range(0, nb, 3):  # every block vertex unreversed
-        q[o], q[o + 1], q[o + 2] = alpha[o + 1], alpha[o + 2], alpha[o]
-    shut = bytearray(nb)  # the exits, which no cycle that c counts passes
-    for t in exits:
-        shut[t] = 1
-    rows = {}  # (c, *tau) -> [signed, states, lowest inner mask]
-    inner = 0
-    sign = 1
-    for j in range(1 << len(bit)):
-        if j:
-            i = _FLIPS[j]
-            inner ^= bit[i]
-            sign = -sign
-            o = 3 * i
-            if inner & bit[i]:
-                q[o], q[o + 1], q[o + 2] = q[o + 1], q[o + 2], q[o]
-            else:
-                q[o], q[o + 1], q[o + 2] = q[o + 2], q[o], q[o + 1]
-        seen = shut[:]
-        tau = []
-        for t in exits:
-            d = q[t]
-            while d < nb:
-                seen[d] = 1
-                d = q[d]
-            tau.append(back[d])
-        key = (_count_cycles(q, seen), *tau)
-        row = rows.get(key)
-        if row is None:
-            rows[key] = [sign, 1, inner]
-        else:
-            row[0] += sign
-            row[1] += 1
-            if inner < row[2]:
-                row[2] = inner
-    # tau of one exit is (0,): the getter of a slice keeps J . tau a tuple.
-    return [(key[0], itemgetter(*key[1:]) if len(key) > 2 else
-             itemgetter(slice(1)), *row) for key, row in rows.items()]
-
-
 def _flush_tally(tally, table, known, signed_by_b, found) -> None:
     """Add the faces of the outer states of marking_scan tallied in tally
     to signed_by_b and found, and empty it.  A key of tally holds closed
-    and J; the keys are grouped by J, each group's J reads the table of
-    _exit_table once (_read_table), and each key of the group takes
+    and J; the keys are grouped by J, each group's J reads the block's
+    table once (_read_table), and each key of the group takes
     closed + c faces from each count c.  found holds the spherical count
     and the lowest spherical mask so far, and is updated."""
     b_top = len(signed_by_b) - 1
@@ -400,7 +362,7 @@ def _flush_tally(tally, table, known, signed_by_b, found) -> None:
 
 
 def _read_table(table, jump, known) -> dict:
-    """The inner states of the table of _exit_table by their count
+    """The inner states of the block's table by their count
     c + cycles(J . tau) of cycles through the block, for the jump J given
     as the tuple of the exit indices J(x): count -> [the signed sum of
     those states, their number, their lowest inner mask].  known maps a

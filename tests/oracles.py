@@ -16,7 +16,8 @@ Slow on purpose; cross-checks, not tools.
 
 It also holds the one family of test graphs the other modules draw from:
 a uniform random dart pairing (random_pairing), the same redrawn until
-connected (random_connected_graph), a vertex relabeling (relabeled), a
+connected (random_connected_graph), one random piece, two pieces or two
+pieces joined by a bridge (random_graph), a vertex relabeling (relabeled), a
 turn of one vertex's darts round its cyclic order (rotated), and the
 prism and Moebius ladders (ladder).
 """
@@ -46,6 +47,31 @@ def random_connected_graph(v, rng):
         g = random_pairing(v, rng)
         if is_connected(g):
             return g
+
+
+def random_graph(rng):
+    """A seeded random pairing on v <= 40 vertices: one random piece, two
+    pieces, or two pieces joined by a bridge, with the vertices shuffled
+    so that vertex 0 may lie in either piece."""
+    v = 2 * rng.randint(1, 20)
+    shape = rng.choice(("one", "two", "bridged")) if v > 2 else "one"
+    k = v  # vertices of the first piece, odd when a bridge leaves it
+    if shape != "one":
+        k = 2 * rng.randint(1, v // 2 - 1) - (shape == "bridged")
+    pieces = [list(range(3 * k)), list(range(3 * k, 3 * v))]
+    pairs = []
+    if shape == "bridged":
+        pairs.append((pieces[0].pop(), pieces[1].pop()))
+    for darts in pieces:
+        rng.shuffle(darts)
+        pairs += zip(darts[::2], darts[1::2])
+    label = list(range(v))
+    rng.shuffle(label)
+    alpha = [0] * (3 * v)
+    for d, dd in pairs:
+        d, dd = 3 * label[d // 3] + d % 3, 3 * label[dd // 3] + dd % 3
+        alpha[d], alpha[dd] = dd, d
+    return TrivalentGraph(v, tuple(alpha))
 
 
 def _renamed(g, name):
@@ -339,6 +365,58 @@ def marking_scan_by_faces(alpha, v):
                 first_mask = mask
             spherical += 1
     return signed_by_b, spherical, first_mask
+
+
+def block_table_by_faces(alpha, v, block):
+    """The table the marking scan's walk of the block builds, traced face
+    by face: for each state of the block's vertices, every other vertex
+    unreversed, the faces of sigma_M . alpha are listed whole from
+    per-vertex successor lists.  c counts those whose darts all lie in the
+    block, and tau[x] is the index of the exit at which the face that
+    enters the block by exit x leaves it next.  The exits are the block's
+    darts whose edge leaves it, in dart order.  Returns (c, *tau) ->
+    [signed sum, number, lowest mask] of the states, masks in alpha's
+    labels."""
+    inside = set(block)
+    exits = [d for i in sorted(block) for d in range(3 * i, 3 * i + 3)
+             if alpha[d] // 3 not in inside]
+    rows = {}
+    for state in range(1 << len(block)):
+        mask = sum(1 << i for j, i in enumerate(block) if state >> j & 1)
+        succ = {}
+        for i in range(v):
+            darts = [3 * i, 3 * i + 1, 3 * i + 2]
+            if mask >> i & 1:
+                darts.reverse()
+            for j, d in enumerate(darts):
+                succ[d] = darts[(j + 1) % 3]
+        unvisited = set(range(3 * v))
+        faces = []
+        while unvisited:
+            face = [min(unvisited)]
+            unvisited.remove(face[0])
+            while succ[alpha[face[-1]]] in unvisited:
+                face.append(succ[alpha[face[-1]]])
+                unvisited.remove(face[-1])
+            faces.append(face)
+        closed = sum(all(d // 3 in inside for d in face) for face in faces)
+        tau = [None] * len(exits)
+        for face in faces:
+            # The face enters the block after the partner of an exit, and
+            # leaves it at the next exit round the face.
+            for j, d in enumerate(face):
+                if alpha[d] in exits and d // 3 not in inside:
+                    m = j + 1
+                    while face[m % len(face)] not in exits:
+                        m += 1
+                    tau[exits.index(alpha[d])] = \
+                        exits.index(face[m % len(face)])
+        sign = -1 if bin(state).count("1") % 2 else 1
+        row = rows.setdefault((closed, *tau), [0, 0, mask])
+        row[0] += sign
+        row[1] += 1
+        row[2] = min(row[2], mask)
+    return rows
 
 
 def first_spherical_by_flips(g):

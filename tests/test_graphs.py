@@ -10,7 +10,8 @@ from weightsys.graphs import (GraphParseError, TrivalentGraph, face_orbits,
                               flip_vertices, is_connected, is_two_connected,
                               parse_graph, serialize_graph)
 from weightsys.ribbon import genus
-from oracles import face_count_by_lists, two_connected_by_deletion
+from oracles import (face_count_by_lists, random_graph,
+                     two_connected_by_deletion)
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,31 +127,6 @@ def test_two_connected():
     assert not is_two_connected(BRIDGED)         # cut vertex
     two_thetas = TrivalentGraph(4, (4, 3, 5, 1, 0, 2, 10, 9, 11, 7, 6, 8))
     assert not is_two_connected(two_thetas)
-
-
-def random_graph(rng):
-    """A seeded random pairing on v <= 40 vertices: one random piece, two
-    pieces, or two pieces joined by a bridge, with the vertices shuffled
-    so that vertex 0 may lie in either piece."""
-    v = 2 * rng.randint(1, 20)
-    shape = rng.choice(("one", "two", "bridged")) if v > 2 else "one"
-    k = v  # vertices of the first piece, odd when a bridge leaves it
-    if shape != "one":
-        k = 2 * rng.randint(1, v // 2 - 1) - (shape == "bridged")
-    pieces = [list(range(3 * k)), list(range(3 * k, 3 * v))]
-    pairs = []
-    if shape == "bridged":
-        pairs.append((pieces[0].pop(), pieces[1].pop()))
-    for darts in pieces:
-        rng.shuffle(darts)
-        pairs += zip(darts[::2], darts[1::2])
-    label = list(range(v))
-    rng.shuffle(label)
-    alpha = [0] * (3 * v)
-    for d, dd in pairs:
-        d, dd = 3 * label[d // 3] + d % 3, 3 * label[dd // 3] + dd % 3
-        alpha[d], alpha[dd] = dd, d
-    return TrivalentGraph(v, tuple(alpha))
 
 
 def test_two_connected_matches_deletion_oracle_on_random_pairings():

@@ -15,10 +15,11 @@ import pytest
 
 from weightsys import _kernels_py, kernels
 from weightsys.catalog import generate_graphs
-from weightsys.graphs import TrivalentGraph, face_orbits
-from oracles import (face_count_by_lists, ladder, marked_alpha,
-                     marking_scan_by_faces, random_connected_graph,
-                     random_pairing, relabeled)
+from weightsys.graphs import TrivalentGraph, face_orbits, is_connected
+from oracles import (block_table_by_faces, face_count_by_lists, ladder,
+                     marked_alpha, marking_scan_by_faces,
+                     random_connected_graph, random_graph, random_pairing,
+                     relabeled)
 
 THETA = (4, 3, 5, 1, 0, 2)
 THETA_TWISTED = (3, 4, 5, 0, 1, 2)
@@ -198,40 +199,130 @@ def block_size_scans():
     return with_oracle(block_size_cases(16))
 
 
-def test_exit_tables_of_the_block_size_draws(monkeypatch):
+def block_tables(cases):
+    """The table marking_scan's walk of the block builds for each case:
+    the tally of the first of its two _walk calls."""
+    tables = []
+    walk = _kernels_py._walk
+
+    def keeping_walk(*args):
+        tally = walk(*args)
+        tables.append(dict(tally))
+        return tally
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels_py, "_walk", keeping_walk)
+        for alpha, v in cases:
+            _kernels_py.marking_scan(alpha, v)
+    assert len(tables) == 2 * len(cases)
+    return tables[0::2]
+
+
+def test_exit_tables_of_the_block_size_draws():
     # The tables the draws of BLOCK_SIZE_DRAWS build: (k, rows, the most
     # inner states of one row, the most cycles of one row that pass no
     # exit).  Every table covers the 2^k inner states once.
-    tables = []
-    table = _kernels_py._exit_table
-
-    def keeping_table(*args):
-        tables.append(table(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(_kernels_py, "_exit_table", keeping_table)
+    cases = block_size_cases(16)
     shapes = []
-    for alpha, v in block_size_cases(16):
-        _kernels_py.marking_scan(alpha, v)
+    for (alpha, v), rows in zip(cases, block_tables(cases)):
         k = len(_kernels_py._block(alpha, v))
-        rows = tables.pop()
-        assert sum(row[3] for row in rows) == 2 ** k
-        shapes.append((k, len(rows), max(row[3] for row in rows),
-                       max(row[0] for row in rows)))
+        assert sum(count for _, count, _ in rows.values()) == 2 ** k
+        shapes.append((k, len(rows), max(count for _, count, _ in
+                                         rows.values()),
+                       max(c for c, *_ in rows)))
     assert shapes == [(8, 19, 24, 2), (8, 5, 64, 4), (3, 5, 2, 1)]
 
 
+def test_block_tables_match_oracle(catalog_v8):
+    # Row for row, (c, tau) -> signed sum, number and lowest mask, against
+    # the faces of each block state traced whole.
+    cases = block_size_cases(16) + [(g.alpha, g.vertex_count)
+                                    for g in catalog_v8]
+    for (alpha, v), rows in zip(cases, block_tables(cases)):
+        block = _kernels_py._block(alpha, v)
+        assert rows == block_table_by_faces(alpha, v, block), alpha
+
+
+class BlockWalked(Exception):
+    """Ends a scan once its block has been walked."""
+
+
+def test_closed_counts_fit_their_key_field(monkeypatch):
+    # The compiled kernel keeps a key's closed count in its top 4 bits, the
+    # block's as well as the rest's, and bounds both by v/2 + 1.  Over the
+    # block-size draws and 10 seeded draws at each even v up to 28, each
+    # scan stopped once its block is walked, the block's closed counts stay
+    # within that and within k, and the largest is 4.
+    walk = _kernels_py._walk
+    largest = []
+
+    def block_only(p, flips, *args):
+        c = max(c for c, *_ in walk(p, flips, *args))
+        assert c <= min(len(flips), len(p) // 6 + 1)
+        largest.append(c)
+        raise BlockWalked
+
+    monkeypatch.setattr(_kernels_py, "_walk", block_only)
+    cases = block_size_cases(16)
+    rng = random.Random(53)
+    cases += [(random_connected_graph(v, rng).alpha, v)
+              for v in range(2, _kernels_py.MAX_SCAN_V + 1, 2)
+              for _ in range(10)]
+    for alpha, v in cases:
+        with pytest.raises(BlockWalked):
+            _kernels_py.marking_scan(alpha, v)
+    assert max(largest) == 4 < 16
+
+
+def has_bridge(alpha):
+    """Some edge between two vertices leaves them apart once deleted."""
+    v = len(alpha) // 3
+    for d, x in enumerate(alpha):
+        if d < x and d // 3 != x // 3:
+            reached, stack = {d // 3}, [d // 3]
+            while stack:
+                i = stack.pop()
+                for t in range(3 * i, 3 * i + 3):
+                    j = alpha[t] // 3
+                    if t not in (d, x) and j not in reached:
+                        reached.add(j)
+                        stack.append(j)
+            if len(reached) < v:
+                return True
+    return False
+
+
+def connected_random_graphs(largest_v):
+    """The connected draws up to largest_v among the first 60 of
+    oracles.random_graph at seed 1: one piece, or two joined by a
+    bridge."""
+    rng = random.Random(1)
+    draws = [random_graph(rng) for _ in range(60)]
+    return [(g.alpha, g.vertex_count) for g in draws
+            if g.vertex_count <= largest_v and is_connected(g)]
+
+
+@pytest.fixture(scope="module")
+def random_graph_scans():
+    cases = connected_random_graphs(14)
+    # 15 draws at v = 2..14, 10 of them with a bridge.
+    assert (len(cases), sum(has_bridge(alpha) for alpha, _ in cases)) == \
+        (15, 10)
+    return with_oracle(cases)
+
+
 @pytest.mark.parametrize("inputs", ["catalog_scans", "random_scans",
-                                    "prism_scans", "block_size_scans"])
+                                    "prism_scans", "block_size_scans",
+                                    "random_graph_scans"])
 def test_marking_scan_matches_oracle(backend, inputs, request):
     for alpha, v, expected in request.getfixturevalue(inputs):
         assert backend.marking_scan(alpha, v) == expected, alpha
 
 
-# The block walk of marking_scan: one inner walk over a block of k
-# vertices builds a table of the exit permutations its states give, and an
-# outer walk over the rest but v - 1 reads the table once for each jump it
-# meets.  The kernel takes the k and the block that make its estimate of
+# The cut of marking_scan: one walk over a block of k vertices tallies
+# the exit permutations its states give into a table, and the same walk
+# over the rest but v - 1 tallies their jumps, each of which reads the
+# table once.  The kernel takes the k and the block that make its estimate of
 # the work least (_kernels_py._work) among the blocks with at most
 # _MAX_EXITS exits: 2^(v-1-k) outer states of 3v steps, one walk of 2^k
 # inner states of 3k steps, and e steps for each of at most min(2^k, e!)
@@ -425,18 +516,20 @@ def test_block_choice_pins_the_keys_walked(monkeypatch):
 
 def test_the_block_is_walked_once_per_scan(monkeypatch):
     # On the inputs of test_block_choice_pins_the_keys_walked, whatever
-    # the tally holds: _exit_table walks the block once per scan, its
-    # table covering all 2^k inner states, and at each flush of the tally
-    # every distinct jump among its keys reads the table once.  The reads
-    # per scan are the distinct jumps with the tally at full size, and
-    # every outer state's jump with room for one key.
-    tables, flushes = [], []
-    table, flush, read = (_kernels_py._exit_table, _kernels_py._flush_tally,
+    # the tally holds: _walk runs twice per scan, first over the block,
+    # whose tally, the table, covers all 2^k inner states, then over the
+    # rest, and at each flush of the rest's tally every distinct jump among
+    # its keys reads the table once.  The reads per scan are the distinct
+    # jumps with the tally at full size, and every outer state's jump with
+    # room for one key.
+    walks, flushes = [], []
+    walk, flush, read = (_kernels_py._walk, _kernels_py._flush_tally,
                          _kernels_py._read_table)
 
-    def counting_table(*args):
-        tables.append(table(*args))
-        return tables[-1]
+    def counting_walk(*args):
+        tally = walk(*args)
+        walks.append(sum(count for _, count, _ in tally.values()))
+        return tally
 
     def counting_flush(tally, *args):
         flushes.append(([key[1:] for key in tally], []))
@@ -446,7 +539,7 @@ def test_the_block_is_walked_once_per_scan(monkeypatch):
         flushes[-1][1].append(jump)
         return read(rows, jump, known)
 
-    monkeypatch.setattr(_kernels_py, "_exit_table", counting_table)
+    monkeypatch.setattr(_kernels_py, "_walk", counting_walk)
     monkeypatch.setattr(_kernels_py, "_flush_tally", counting_flush)
     monkeypatch.setattr(_kernels_py, "_read_table", counting_read)
     counts = []
@@ -454,12 +547,12 @@ def test_the_block_is_walked_once_per_scan(monkeypatch):
         monkeypatch.setattr(_kernels_py, "_TALLY", keys)
         reads = []
         for alpha, v in KEYS_WALKED_CASES:
-            tables.clear()
+            walks.clear()
             flushes.clear()
             _kernels_py.marking_scan(alpha, v)
             k = len(_kernels_py._block(alpha, v))
-            assert len(tables) == 1
-            assert sum(row[3] for row in tables[0]) == 2 ** k
+            assert len(walks) == 2
+            assert walks[0] == 2 ** k
             for jumps, read_jumps in flushes:
                 assert sorted(read_jumps) == sorted(set(jumps))
             reads.append(sum(len(read_jumps) for _, read_jumps in flushes))
@@ -518,7 +611,7 @@ def test_compiled_matches_pure_on_random_pairings(compiled_kernels):
             alpha = random_connected_graph(v, rng).alpha
             assert compiled_kernels.marking_scan(alpha, v) == \
                 _kernels_py.marking_scan(alpha, v), alpha
-    for alpha, v in block_size_cases(16):
+    for alpha, v in block_size_cases(16) + connected_random_graphs(20):
         assert compiled_kernels.marking_scan(alpha, v) == \
             _kernels_py.marking_scan(alpha, v), alpha
     for v in (2, 4, 8, 14, 400):
