@@ -52,12 +52,12 @@ catalog, optionally in parallel, with bit-identical output either way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import make_gl, make_sl2, make_so3
+from .algebra import change_basis, make_gl, make_sl2, make_so3
 from .coloring import (edge_3_coloring_counts, enumerate_four_colorings,
                        extract_map, verify_tait_bijection)
 from .graphs import TrivalentGraph, is_connected, is_two_connected, serialize_graph
@@ -69,7 +69,17 @@ MAX_V_DEFAULT = 10
 MAX_V_LABELED = 4
 
 # The algebras are frozen, so every check_graph call (and worker) shares one.
-_GL2, _SO3, _SL2 = make_gl(2), make_so3(), make_sl2()
+# gl(2) is taken in the basis (I, H, E, F) = (E11 + E22, E11 - E22, E12,
+# E21), split along its center I: the bracket vanishes on I, so f has 6
+# nonzero entries (+-2 on the orders of H, E, F) where the matrix units
+# have 12, t_inv is block-diagonal, and no folded tensor carries index 0.
+# Each replay then does so3-sized work.  The weight does not depend on the
+# basis, so the algebra keeps the name gl:2; ``eval --algebra gl:2`` stays
+# on matrix units.
+_GL2 = replace(change_basis(make_gl(2), [[1, 0, 0, 1], [1, 0, 0, -1],
+                                         [0, 1, 0, 0], [0, 0, 1, 0]]),
+               name="gl:2")
+_SO3, _SL2 = make_so3(), make_sl2()
 
 
 def _pairings(n: int, allow_loops: bool) -> Iterator[tuple[int, ...]]:

@@ -26,7 +26,12 @@ built-in algebras).  The contraction is multilinear, so the network of
 int entries contracts to the weight times the product of the vertex
 denominators, and ``evaluate_weight`` divides by that product once, at
 the end, into an exact int, or a ``Fraction`` when the weight is not
-whole.
+whole.  The replay's work follows the nonzero entries, so the basis an
+algebra is written in sets the cost, though not the weight: gl(2) on
+matrix units has 12 nonzero bracket entries and 12 in each folded tensor
+with no loop, and in a basis split along its center, on which the
+bracket vanishes, 6, which makes its replay cost about what so3's does
+(``catalog._GL2``).
 
 The contraction runs in two parts.  ``contraction_plan`` fixes the order
 of the merges from the legs alone: the vertices get tensor ids

@@ -16,7 +16,7 @@ from oracles import (canonical_matrix, levels_by_dedup_set,
                      random_connected_graph, relabeled, rotated,
                      two_connected_by_deletion)
 from weightsys import catalog, kernels, statesum
-from weightsys.algebra import make_gl, make_sl2, make_so3
+from weightsys.algebra import make_gl, make_sl2, make_so3, scale_metric
 from weightsys.catalog import (IDENTITY_NAMES, _canonical_search, check_graph,
                                generate_graphs, run_survey)
 from weightsys.cli import main
@@ -391,6 +391,19 @@ def test_check_graph_plans_the_contraction_once(monkeypatch):
     gl2 = r.wgl_poly(2)
     assert sums == [(make_gl(2).name, gl2), (make_so3().name, r.penrose),
                     (make_sl2().name, r.w_sl2)]
+
+
+def test_route_agreement_reads_the_checks_own_gl2_sum(monkeypatch):
+    # gl(2) with its metric doubled is still a metrized gl(2), but its
+    # weight on a graph of v vertices is 2^(-v/2) times the trace form's:
+    # K4's is 6, not 24.  With it in the check, route_agreement must fail
+    # and no other identity may move.
+    k4 = parse_graph((DATA / "k4.tgf").read_bytes())
+    assert check_graph(k4).all_passed()
+    monkeypatch.setattr(catalog, "_GL2", scale_metric(make_gl(2), 2))
+    identities = check_graph(k4).identities
+    assert identities.pop("route_agreement") is False
+    assert all(identities.values()), identities
 
 
 @pytest.mark.parametrize("allow_loops", [True, False])

@@ -5,13 +5,15 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from weightsys import statesum
+from weightsys import catalog, statesum
 from weightsys.algebra import (algebra_by_name, change_basis, make_abelian,
-                               make_gl, make_sl2, make_so3, scale_metric)
+                               make_gl, make_sl2, make_so3, scale_metric,
+                               validate_algebra)
 from weightsys.catalog import generate_graphs
 from weightsys.coloring import w_sl2
 from weightsys.graphs import (TrivalentGraph, flip_vertices, is_connected,
@@ -40,6 +42,14 @@ BRIDGED = TrivalentGraph(6, (3, 4, 6, 0, 1, 7, 2, 5, 15, 12, 13, 16,
 
 def load(name):
     return parse_graph((DATA / name).read_bytes())
+
+
+# check_graph's gl(2), split along its center; it keeps the name gl:2.
+GL2_SPLIT = catalog._GL2
+
+
+def algebra(name):
+    return GL2_SPLIT if name == "gl:2 split" else algebra_by_name(name)
 
 
 @pytest.mark.parametrize("graph,algebra,expected", [
@@ -237,9 +247,10 @@ def test_plan_merges_in_the_rescanning_greedy_order():
 
 
 @pytest.mark.parametrize("name", [
-    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2"])
+    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2",
+    "gl:2 split"])
 def test_values_identical_to_the_rescanning_greedy(name, catalog_v8):
-    alg = algebra_by_name(name)
+    alg = algebra(name)
     for g in catalog_v8:
         _, expected = greedy_contraction(g, alg)
         value = evaluate_weight(g, alg)
@@ -253,10 +264,11 @@ def loop_free_catalog_v8():
 
 
 @pytest.mark.parametrize("name", [
-    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2"])
+    "gl:1", "gl:2", "gl:3", "gl:4", "so3", "sl2", "abelian:2",
+    "gl:2 split"])
 def test_values_identical_to_the_rescanning_greedy_without_loops(
         name, loop_free_catalog_v8):
-    alg = algebra_by_name(name)
+    alg = algebra(name)
     for g in loop_free_catalog_v8:
         _, expected = greedy_contraction(g, alg)
         value = evaluate_weight(g, alg)
@@ -337,8 +349,8 @@ def test_values_identical_on_random_pairings():
     assert any(len({(d // 3, dd // 3) for d, dd in g.edges()}) < g.edge_count
                for g in graphs)
     assert not all(is_connected(g) for g in graphs)
-    algebras = [algebra_by_name(n) for n in ("gl:1", "gl:2", "so3", "sl2",
-                                             "abelian:2")]
+    algebras = [algebra(n) for n in ("gl:1", "gl:2", "so3", "sl2",
+                                     "abelian:2", "gl:2 split")]
     for g in graphs:
         for alg in algebras:
             _, expected = greedy_contraction(g, alg)
@@ -354,7 +366,7 @@ def test_relabeling_turning_and_flipping_act_on_the_state_sums():
     # come up, and so do nonzero sums on graphs with parallel edges and on
     # graphs of several components.
     rng = random.Random(2)
-    algebras = (make_gl(2), make_so3(), make_sl2())
+    algebras = (make_gl(2), make_so3(), make_sl2(), GL2_SPLIT)
     seen = Counter()
     for v in range(2, 13, 2):
         for _ in range(10):
@@ -371,6 +383,78 @@ def test_relabeling_turning_and_flipping_act_on_the_state_sums():
             seen["parallel"] += len(ends) < g.edge_count and any(base)
             seen["split"] += not is_connected(g) and any(base)
     assert min(seen.values()) > 0, seen
+
+
+# The center-split basis of gl(2): (I, H, E, F) = (E11 + E22, E11 - E22,
+# E12, E21), E_ij at the flattened index i*2 + j.
+CENTER_SPLIT = [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+def proportional(a, b):
+    """Whether the sparse tensors a and b are nonzero multiples of each
+    other."""
+    if a.keys() != b.keys() or not a:
+        return False
+    ratios = {Fraction(a[k], b[k]) for k in a}
+    return len(ratios) == 1
+
+
+def test_the_checks_gl2_is_gl2_split_along_its_center():
+    # It keeps gl(2)'s name, which names its span in perfbench's traces.
+    split = change_basis(make_gl(2), CENTER_SPLIT)
+    assert (GL2_SPLIT.name, GL2_SPLIT.t, GL2_SPLIT.t_inv, GL2_SPLIT.f) == (
+        "gl:2", split.t, split.t_inv, split.f)
+    assert validate_algebra(GL2_SPLIT) is None
+    assert GL2_SPLIT.t == ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 1),
+                           (0, 0, 1, 0))
+    bracket = {(a, b, c): x for a, plane in enumerate(GL2_SPLIT.f)
+               for b, row in enumerate(plane) for c, x in enumerate(row) if x}
+    assert len(bracket) == 6
+    assert sorted(bracket) == sorted(permutations((1, 2, 3)))
+    assert set(map(abs, bracket.values())) == {2}
+
+
+def test_the_split_gl2_network_is_neither_so3s_nor_sl2s():
+    # route_agreement ties the gl(2) sum to wgl(2) and the so3 and sl2
+    # sums to the colorings: were a gl(2) vertex tensor a multiple of
+    # so3's or sl2's of the same pattern, the check would compare one
+    # network with itself.  The loop patterns are empty in all three, so
+    # no sum with a loop is replayed.  Index 0, the center, appears in no
+    # folded tensor; each of the 8 others has 6 entries over
+    # denominator 1, against 12 on the matrix units.  Even with the center
+    # dropped and H, E, F read as so3's axes, the six patterns that mix
+    # plain and metric legs differ; the all-plain and all-metric tensors
+    # are totally antisymmetric in three indices, so multiples of epsilon.
+    gl2 = statesum._vertex_tensors(GL2_SPLIT)
+    matrix_units = statesum._vertex_tensors(make_gl(2))
+    others = [statesum._vertex_tensors(alg) for alg in (make_so3(),
+                                                        make_sl2())]
+    assert len(gl2) == 14
+    for kinds, (entries, den) in gl2.items():
+        if statesum._LOOP in kinds:
+            assert not entries and not matrix_units[kinds][0]
+            assert all(not other[kinds][0] for other in others)
+            continue
+        assert (len(entries), den) == (6, 1), kinds
+        assert len(matrix_units[kinds][0]) == 12, kinds
+        assert all(0 not in idx for idx in entries), kinds
+        centerless = {tuple(i - 1 for i in idx): x
+                      for idx, x in entries.items()}
+        mixed = len(set(kinds)) > 1
+        for other in others:
+            assert not proportional(entries, other[kinds][0]), kinds
+            assert proportional(centerless, other[kinds][0]) != mixed, kinds
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("mobius", [False, True])
+@pytest.mark.parametrize("v", [8, 10, 12, 14])
+def test_the_split_gl2_weighs_as_the_matrix_units(v, mobius, relabel):
+    g = ladder(v, mobius, relabel)
+    value = evaluate_weight(g, GL2_SPLIT)
+    expected = evaluate_weight(g, make_gl(2))
+    assert value and (repr(value), type(value)) == (
+        repr(expected), type(expected))
 
 
 def test_each_graph_in_turn_is_contracted_by_its_own_plan():
