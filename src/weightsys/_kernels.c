@@ -1,10 +1,11 @@
 /* Compiled kernels; see _kernels_py.py for the contract and conventions.
  *
  * Plain CPython API over int arrays.  alpha is copied out of a tuple, so
- * no __index__ callback can resize it mid-read, and every entry is
- * range-checked before it is used as an index.  marking_scan also checks
- * that alpha is a connected fixed-point-free pairing: that bounds every
- * face count by v/2 + 2 and so keeps the writes into by_b in range.
+ * no __index__ callback can resize it mid-read, every entry is
+ * range-checked before it is used as an index, and alpha must be a
+ * fixed-point-free pairing.  marking_scan also checks that it is
+ * connected: that bounds every face count by v/2 + 2 and so keeps the
+ * writes into by_b in range.
  * Build with `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
@@ -40,7 +41,8 @@ static PyObject *value_error(const char *message)
 }
 
 /* Copy the n entries of the tuple seq into a, each checked to lie in
- * 0..n-1.  Returns 0, or -1 with an exception set. */
+ * 0..n-1, and check that they pair the darts without a fixed point.
+ * Returns 0, or -1 with an exception set. */
 static int read_alpha(PyObject *seq, Py_ssize_t n, Py_ssize_t *a)
 {
     for (Py_ssize_t d = 0; d < n; d++) {
@@ -55,6 +57,11 @@ static int read_alpha(PyObject *seq, Py_ssize_t n, Py_ssize_t *a)
         }
         a[d] = x;
     }
+    for (Py_ssize_t d = 0; d < n; d++)
+        if (a[d] == d || a[a[d]] != d) {
+            value_error("alpha is not a fixed-point-free pairing");
+            return -1;
+        }
     return 0;
 }
 
@@ -154,53 +161,44 @@ static unsigned long long work(int v, int j, int inside)
  * vertex adds the vertex that adds the most edges to the block (its loops
  * included), the lowest label on a tie, so one run scores every size; for
  * each size the run with the most edges inside wins, the lowest start on
- * a tie.  Below SEARCH_V each j scores 0..j-1.  Writes the block into
- * best in label order and returns its size. */
+ * a tie.  Below SEARCH_V one run, from vertex 0, adds vertex j - 1 at
+ * step j, so each j scores 0..j-1 with the numbers the pure twin's prefix
+ * sums give.  Writes the block into best in label order and returns its
+ * size. */
 static int choose_block(const Py_ssize_t *a, int v, int *best)
 {
     int top = v - 1 < MAX_K ? v - 1 : MAX_K, k = 1;
-    int most[MAX_K + 1], runs[MAX_K + 1][MAX_K];
-    if (v < SEARCH_V) {
-        /* The edges inside 0..j-1 are those of its darts d with a[d] < d. */
-        for (int j = 1, inside = 0; j <= top; j++) {
-            for (int d = 3 * j - 3; d < 3 * j; d++)
-                inside += a[d] < d;
-            most[j] = inside;
-            for (int i = 0; i < j; i++)
-                runs[j][i] = i;
-        }
-    } else {
-        int base[MAX_V];
-        for (int i = 0; i < v; i++) { /* the loops at i */
-            int ends = 0;
-            for (int d = 3 * i; d < 3 * i + 3; d++)
-                ends += a[d] / 3 == i;
-            base[i] = ends / 2;
-        }
-        base[v - 1] = SHUT;
-        for (int j = 1; j <= top; j++)
-            most[j] = -1;
-        for (int s = 0; s < v - 1; s++) {
-            int gain[MAX_V], run[MAX_K], u = s, inside = base[s];
-            for (int i = 0; i < v; i++)
-                gain[i] = base[i];
-            for (int j = 1; j <= top; j++) {
-                if (j > 1) {
-                    u = 0;
-                    for (int w = 1; w < v; w++)
-                        if (gain[w] > gain[u])
-                            u = w;
-                    inside += gain[u];
-                }
-                run[j - 1] = u;
-                gain[u] = SHUT;
-                for (int d = 3 * u; d < 3 * u + 3; d++)
-                    gain[a[d] / 3]++;
-                if (inside > most[j]) {
-                    most[j] = inside;
-                    for (int i = 0; i < j; i++)
-                        runs[j][i] = run[i];
-                }
+    int most[MAX_K + 1], runs[MAX_K + 1][MAX_K], base[MAX_V];
+    int search = v >= SEARCH_V;
+    for (int i = 0; i < v; i++) { /* the loops at i */
+        int ends = 0;
+        for (int d = 3 * i; d < 3 * i + 3; d++)
+            ends += a[d] / 3 == i;
+        base[i] = ends / 2;
+    }
+    base[v - 1] = SHUT;
+    for (int j = 1; j <= top; j++)
+        most[j] = -1;
+    for (int s = 0; s < (search ? v - 1 : 1); s++) {
+        int gain[MAX_V], run[MAX_K], u = s, inside = base[s];
+        for (int i = 0; i < v; i++)
+            gain[i] = base[i];
+        for (int j = 1; j <= top; j++) {
+            if (j > 1) {
+                u = search ? 0 : j - 1;
+                for (int w = 1; search && w < v; w++)
+                    if (gain[w] > gain[u])
+                        u = w;
+                inside += gain[u];
+            }
+            run[j - 1] = u;
+            gain[u] = SHUT;
+            for (int d = 3 * u; d < 3 * u + 3; d++)
+                gain[a[d] / 3]++;
+            if (inside > most[j]) {
+                most[j] = inside;
+                for (int i = 0; i < j; i++)
+                    runs[j][i] = run[i];
             }
         }
     }
@@ -449,9 +447,6 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
     Py_DECREF(seq);
     if (fail)
         return NULL;
-    for (Py_ssize_t d = 0; d < n; d++)
-        if (a[d] == d || a[a[d]] != d)
-            return value_error("alpha is not a fixed-point-free pairing");
     if (!connected(a, v))
         return value_error("graph is not connected");
     struct scan s;
@@ -522,7 +517,7 @@ static PyObject *marking_scan(PyObject *self, PyObject *args)
 
 #if EXPORT_BLOCK
 /* choose_block(alpha, v): the block marking_scan would walk, as a list in
- * label order, for a tuple alpha of 3v entries in 0..3v-1 with 2 <= v <=
+ * label order, for a tuple alpha that pairs 3v darts with 2 <= v <=
  * MAX_V.  Built only for the tests that tie it to the pure twin's
  * _block. */
 static PyObject *block(PyObject *self, PyObject *args)

@@ -34,6 +34,9 @@ def _check_entries(alpha, n: int) -> None:
     # Python would wrap a negative index round silently; C would not.
     if n and (min(alpha) < 0 or max(alpha) >= n):
         raise ValueError("alpha entry outside 0..3v-1")
+    # Else sigma . alpha need not be a permutation, and no cycle count ends.
+    if any(x == d or alpha[x] != d for d, x in enumerate(alpha)):
+        raise ValueError("alpha is not a fixed-point-free pairing")
 
 
 def _count_cycles(p, seen) -> int:
@@ -54,7 +57,10 @@ def _count_cycles(p, seen) -> int:
 
 
 def face_count(alpha) -> int:
-    """Number of orbits of d -> sigma(alpha(d))."""
+    """Number of orbits of d -> sigma(alpha(d)) for a fixed-point-free
+    pairing alpha of 3v darts; anything else raises marking_scan's
+    ValueError for its length, its entries or the pairing, in that
+    order."""
     n = len(alpha)
     if n % 3:
         raise ValueError("alpha length must be a multiple of 3")
@@ -167,8 +173,6 @@ def marking_scan(alpha, v: int):
     if v > MAX_SCAN_V:
         raise ValueError(f"marking scan capped at v = {MAX_SCAN_V}")
     _check_entries(alpha, n)
-    if any(x == d or alpha[x] != d for d, x in enumerate(alpha)):
-        raise ValueError("alpha is not a fixed-point-free pairing")
     b_top = v // 2 + 2
     signed_by_b = [0] * (b_top + 1)
     if not _connected(alpha, v):

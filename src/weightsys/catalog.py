@@ -34,10 +34,9 @@ which cheap invariants pick out first, so most repeats are turned away
 before any canonical search.  No level needs a set: each is sorted in
 descending order of its classes' largest matrices.  Loop-free mode grows
 the with-loops levels and filters what it yields, because a loopless
-graph can reduce to one with a loop.  Pure Python on a 2-core box, all
-levels through v = 8 take about 0.02 s, v = 10 about 0.18 s, v = 12
-about 1.2 s and v = 14 about 12 s, in either loop mode, with 1.50
-canonical searches per class at v = 12 and 1.66 at v = 14.
+graph can reduce to one with a loop.  It makes 1.50 canonical searches
+per class at v = 12 and 1.66 at v = 14; ``BENCH_catalog.json`` has the
+times.
 
 Every identity checked here is invariant under dart relabeling and
 vertex reversals, and any two rotation systems over the same multigraph
@@ -222,8 +221,6 @@ def _children(a: Matrix, auts: list[Relabeling]
     seen: set[tuple] = set()
 
     def first_of_orbit(kind: str, *used: tuple[int, int]) -> bool:
-        if len(auts) == 1:
-            return True
         if (kind, *used) in seen:
             return False
         for p in auts:
@@ -312,7 +309,9 @@ def _candidates(c: list[list[int]]) -> list[Pair]:
     tied = _ties([(u, w) for u in range(v) for w in range(u + 1, v)
                   if c[u][w]], edge)
     # A multiple edge or one on a triangle is no bridge, so a bridge can
-    # tie the new pair only if that is a single edge on none.
+    # tie the new pair only if that is a single edge on none.  The gate is
+    # also _is_bridge's precondition: it skips every copy of u-w, so it
+    # would call each copy of a multiple edge a bridge.
     if tied and edge(tied[-1]) == (1, 0):
         tied = [pair for pair in tied if not _is_bridge(c, *pair)]
     return tied
@@ -332,12 +331,11 @@ def _accepted(c: list[list[int]]) -> tuple[Matrix, list[Relabeling]] | None:
     if not tied:
         return None
     form, leaves = _canonical_search(c)
-    if len(tied) > 1:
-        inverse = _inverse(leaves[0])
-        target = min(sorted(inverse[u] for u in pair) for pair in tied)
-        new = set(tied[-1])
-        if not any({p[r] for r in target} == new for p in leaves):
-            return None
+    inverse = _inverse(leaves[0])
+    target = min(sorted(inverse[u] for u in pair) for pair in tied)
+    new = set(tied[-1])
+    if not any({p[r] for r in target} == new for p in leaves):
+        return None
     return form, _automorphisms(leaves)
 
 
@@ -349,17 +347,18 @@ def _grow(level: list[tuple[Matrix, list[Relabeling]]]
             if (found := _accepted(c))]
 
 
-def _levels(max_v: int, allow_loops: bool) -> Iterator[list[TrivalentGraph]]:
+def _levels(max_v: int, allow_loops: bool) -> Iterator[Iterator[TrivalentGraph]]:
     """One representative per class at v = 2, 4, ..., max_v, level by
-    level, each level in descending order of the class's largest matrix.
+    level, each built as it is taken, in descending order of the class's
+    largest matrix.
 
     Every level is grown from the whole with-loops level below it: a
     loopless graph can reduce to one with a loop, so loop-free mode only
     filters what it yields."""
     level = [(m, _automorphisms(_canonical_search(m)[1])) for m in _LEVEL_2]
     while True:
-        yield [_graph_from_matrix(m) for m, _ in level
-               if allow_loops or not any(m[i][i] for i in range(len(m)))]
+        yield (_graph_from_matrix(m) for m, _ in level
+               if allow_loops or not any(m[i][i] for i in range(len(m))))
         v = len(level[0][0]) + 2
         if v > max_v:
             return

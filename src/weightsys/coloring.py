@@ -144,23 +144,17 @@ def edge_3_coloring_counts(g: TrivalentGraph) -> tuple[int, int]:
         steps.append((d // 3, 1 << 3 * (d % 3), dd // 3, 1 << 3 * (dd % 3),
                       _ODD if done[d // 3] == r else _UNSIGNED,
                       _ODD if done[dd // 3] == r else _UNSIGNED))
-    if not steps:  # the theta: the pin colors every edge
-        return 6, 6 - 12 * start
     tally = [0, 0]  # pinned colorings of sign +1, of sign -1
-    last = len(steps) - 1
+    last = len(steps)
 
     def place(k: int, odd: int):
+        if k == last:
+            tally[odd] += 1
+            return
         a, wa, b, wb, odd_a, odd_b = steps[k]
         ca = code[a]
         cb = code[b]
-        free = _FREE[ca] & _FREE[cb]
-        if k == last:
-            # Every other edge is placed, so both ends leave at most one
-            # color free.
-            if free:
-                tally[odd ^ odd_a[ca + free * wa] ^ odd_b[cb + free * wb]] += 1
-            return
-        for c in _FREE_BITS[free]:
+        for c in _FREE_BITS[_FREE[ca] & _FREE[cb]]:
             na = ca + c * wa
             nb = cb + c * wb
             code[a] = na

@@ -101,6 +101,20 @@ def test_dedup_class_counts(catalog_v10):
     assert len(catalog_v10[False]) == 91
 
 
+def test_level_12_matches_its_golden_digests():
+    # Past MAX_V_DEFAULT, so walked from _levels.  Loop-free mode filters
+    # the with-loops level, so one walk gives both.  The digests are those
+    # of BENCH_catalog.json's isomorph_free_oracle_oneoff run.
+    *_, level = catalog._levels(12, True)
+    level = list(level)
+    loop_free = [g for g in level if not g.has_loop()]
+    assert (len(level), len(loop_free)) == (2592, 509)
+    assert [hashlib.sha256(b"".join(map(serialize_graph, graphs))).hexdigest()
+            for graphs in (level, loop_free)] == [
+        "d9e8cad5aba70fbe15bdb869220baf625eaa94b177fa8165affcec572a730b39",
+        "450528174ee12bd617cc290c69262f44c2efc7f48cb6111c4c9b718846f430e5"]
+
+
 def test_two_connected_matches_deletion_oracle(catalog_v10):
     graphs = [g for allow_loops in (True, False) for v in (2, 4, 6, 8)
               for g in generate_graphs(v, allow_loops=allow_loops, dedup=True)]

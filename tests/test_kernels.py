@@ -112,7 +112,9 @@ def test_marking_scan_rejects_bad_input(backend, alpha, v, message):
     (THETA[:4], "alpha length must be a multiple of 3"),
     ((4, 3, 5, 1, 0, -1), OUTSIDE),
     ((4, 3, 5, 1, 0, 6), OUTSIDE),
-], ids=["length", "negative", "too-large"])
+    ((0, 3, 5, 1, 4, 2), NOT_PAIRING),
+    ((1, 1, 2), NOT_PAIRING),
+], ids=["length", "negative", "too-large", "fixed-point", "not-involution"])
 def test_face_count_rejects_bad_input(backend, alpha, message):
     with pytest.raises(ValueError) as exc:
         backend.face_count(alpha)
@@ -645,11 +647,12 @@ def loop_free_draw(v, rng):
 def test_compiled_block_choice_matches_pure(block_kernels):
     # No output shows the block, so the twins' block choice is compared
     # directly: the v <= 10 catalog, the draws of BLOCK_SIZE_DRAWS and
-    # seeded draws at v = 10..28, with loops and without.
+    # seeded draws at v = 2..28, with loops and without.  Below _SEARCH_V
+    # the twins score the blocks 0..j-1 by different code.
     cases = [(g.alpha, v) for v in (2, 4, 6, 8, 10)
              for g in generate_graphs(v, dedup=True)]
     cases += block_size_cases(16)
-    for v in range(10, _kernels_py.MAX_SCAN_V + 1, 2):
+    for v in range(2, _kernels_py.MAX_SCAN_V + 1, 2):
         rng = random.Random(1000 + v)
         cases += [(random_connected_graph(v, rng).alpha, v)
                   for _ in range(10)]
@@ -689,6 +692,61 @@ def test_sanitized_compiled_matches_pure(sanitized_kernels, catalog_v8):
     expected = [[list(_kernels_py.marking_scan(alpha, v)),
                  _kernels_py.face_count(alpha)] for alpha, v in cases]
     assert json.loads(child.stdout) == expected
+
+
+# Loads the module built at argv[1] and the pure twin, and prints, for
+# each (alpha, v) read from stdin, what each returns or the message of the
+# ValueError it raises for face_count(alpha) and marking_scan at v - 2, v
+# and v + 2.
+CONTRACT_IN_CHILD = """
+import importlib.util, json, sys
+from weightsys import _kernels_py
+spec = importlib.util.spec_from_file_location("_kernels", sys.argv[1])
+compiled = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compiled)
+
+def outcome(fn, *args):
+    try:
+        return ["value", fn(*args)]
+    except ValueError as exc:
+        return ["error", str(exc)]
+
+print(json.dumps([[outcome(twin.face_count, alpha)] +
+                  [outcome(twin.marking_scan, alpha, w)
+                   for w in (v - 2, v, v + 2)]
+                  for alpha, v in json.load(sys.stdin)
+                  for twin in (_kernels_py, compiled)]))
+"""
+
+
+def test_twins_agree_on_fuzzed_input(compiled_kernels):
+    # Bad input must be refused with the same message by both twins, and
+    # never sent into a loop: a map sigma . alpha that is no permutation
+    # has cycles its start is not on.
+    rng = random.Random(61)
+    cases = [(tuple(rng.randint(-1, 3 * v) for _ in range(3 * v)), v)
+             for v in range(11) for _ in range(20)]
+    for v in range(2, 11, 2):
+        for swaps in (0, 1, 2) * 6:
+            u = rng.randrange(0, v, 2)  # the vertices of a second piece
+            alpha = list(random_pairing(v - u, rng).alpha)
+            if u:
+                alpha += [3 * (v - u) + x for x in random_pairing(u, rng).alpha]
+            for _ in range(swaps):
+                d, dd = rng.sample(range(3 * v), 2)
+                alpha[d], alpha[dd] = alpha[dd], alpha[d]
+            cases.append((tuple(alpha), v))
+    child = subprocess.run(
+        [sys.executable, "-c", CONTRACT_IN_CHILD, compiled_kernels.__file__],
+        input=json.dumps(cases), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    outcomes = json.loads(child.stdout)
+    for (alpha, v), pure, compiled in zip(cases, outcomes[0::2],
+                                          outcomes[1::2]):
+        assert pure == compiled, (alpha, v)
+    seen = {kind if kind == "value" else found
+            for calls in outcomes for kind, found in calls}
+    assert {"value", OUTSIDE, NOT_PAIRING, "graph is not connected"} <= seen
 
 
 @pytest.mark.parametrize("keys", [1, 2, 5])
